@@ -53,5 +53,4 @@ __all__ = [
     "restore_trace",
     "serialize_trace",
     "split_traces",
-    "generate_trace",
 ]

@@ -58,7 +58,8 @@ def _write_trace(trace: Trace, path: str | Path) -> None:
 
 def _load_any_model(path: str | Path):
     """Sniff the serialized model family by its leading bytes."""
-    head = Path(path).open("rb").read(16)
+    with open(path, "rb") as fh:
+        head = fh.read(16)
     if head.startswith(lstm._MAGIC):
         return lstm.load_model(path)
     return markov.MarkovModel.load(path)

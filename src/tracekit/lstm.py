@@ -770,12 +770,26 @@ def load_model(source: str | os.PathLike) -> LstmModel:
         raise CorruptModel(f"unreadable header: {exc}") from exc
     offset += header_len
 
-    config = NetworkConfig(**header["config"])
-    dictionary = Dictionary(tuple(EventId(t) for t in header["dictionary"]))
+    # A header can pass the checksum and still lack keys or carry values of
+    # the wrong type or shape; any of those is a corrupt model.
+    try:
+        config = NetworkConfig(**header["config"])
+        dictionary = Dictionary(tuple(EventId(t) for t in header["dictionary"]))
+        manifest = [(name, tuple(shape)) for name, shape in header["params"]]
+        shapes = dict(manifest)
+        trained = bool(header["trained"])
+        event_freq = {EventId(k): int(v) for k, v in header["event_freq"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CorruptModel(f"malformed header: {exc!r}") from exc
+    if config.vocab != dictionary.size:
+        raise CorruptModel(f"config vocab {config.vocab} != dictionary size {dictionary.size}")
+    expected = {name: value.shape for name, value in init_parameters(config, 0).items()}
+    if shapes != expected or len(manifest) != len(expected):
+        raise CorruptModel("parameter manifest does not match the network config")
     params: dict[str, np.ndarray] = {}
-    for name, shape in header["params"]:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for name, _ in manifest:
+        shape = expected[name]
+        nbytes = math.prod(shape) * 8
         chunk = raw[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise CorruptModel(f"parameter {name!r} data truncated")
@@ -784,9 +798,5 @@ def load_model(source: str | os.PathLike) -> LstmModel:
     if offset != len(body):
         raise CorruptModel("trailing bytes after parameter data")
     return LstmModel(
-        config=config,
-        dictionary=dictionary,
-        params=params,
-        trained=bool(header["trained"]),
-        event_freq={EventId(k): int(v) for k, v in header["event_freq"].items()},
+        config=config, dictionary=dictionary, params=params, trained=trained, event_freq=event_freq
     )

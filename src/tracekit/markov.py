@@ -1,23 +1,39 @@
-"""Benchmark next-event model: transition-frequency tables with k-gram backoff.
+"""Benchmark next-event model: a reversed-context trie with k-gram backoff.
 
-Training walks every trace once and, for every position and every context
-length ``k`` in ``1..order_n``, increments the count of the observed
-successor for that k-gram. Only states that actually occur are materialized;
-the full ``d**n`` table the naive construction would imply never exists.
+Training walks every trace once. For every successor position it walks back
+over at most ``order_n`` preceding events, one trie level per event, and
+increments the successor's count at every node it passes. A node therefore
+stands for one context (the path from the root read backwards) and holds the
+successor counts of that k-gram. Only contexts that actually occur are
+materialized; the full ``d**n`` table the naive construction would imply
+never exists. Node 0 is the root: the empty context, holding the global event
+frequency.
 
-Prediction finds the longest context suffix present in the table and returns
-the most frequent successor recorded for it, backing off to shorter suffixes
-and finally to the global event frequency when nothing matches. Ties break
+Prediction follows the last ``order_n`` context ids from the root as far as
+the trie reaches. The deepest node reached is the longest context suffix seen
+in training; its most frequent successor is the answer, and the root's
+global frequency answers when not even the last id was seen. Ties break
 toward the lowest dictionary index so predictions are reproducible.
 
-Internally states are stored as tuples of dense dictionary indices rather
-than id strings: equality is unaffected (unknown ids conflate into OTHER,
-which never occurs inside training states) and memory stays modest at high
-orders.
+Nodes store dense dictionary indices rather than id strings: equality is
+unaffected (unknown ids conflate into OTHER, which never occurs inside
+training states unless the training traces themselves hold unknown ids).
 
-Serialization is a line-oriented, versioned text format with one line per
-(state, successor, count), lexicographically sorted, making model files
-byte-stable. A trailing checksum line guards against truncation.
+Serialization (format v2) is line-oriented text::
+
+    tracekit-markov v2
+    order <n>
+    vocab <id> <id> ...
+    n - - <succ>:<count>,...                   the root (global frequency)
+    n <parent> <symbol> <succ>:<count>,...     one line per other node
+    # sha256 <hex digest of every line above>
+
+Node lines come in canonical pre-order: a node's children follow it, sorted
+by id token, and ``<parent>`` is the position of the parent among the node
+lines (the root is 0), so it is always smaller than the node's own position.
+Successors within a line are sorted by id token too, which makes model files
+byte-stable. The checksum line guards against truncation and edits. v1 files
+(one line per state and successor) are refused with ``VersionMismatch``.
 """
 
 from __future__ import annotations
@@ -30,31 +46,29 @@ from typing import Sequence
 
 from .core import Dictionary, EventId, Trace, build_dictionary, decode_index, pick_most_frequent
 from .errors import CorruptModel, EmptyTrainingSet, UntrainedModel, VersionMismatch
-from .restore import GappedTrace, fill_gaps
 
 _FORMAT_NAME = "tracekit-markov"
-_FORMAT_VERSION = 1
-
-State = tuple[int, ...]
+_FORMAT_VERSION = 2
 
 
 @dataclass
 class MarkovModel:
-    """Order-n transition-frequency model over event ids."""
+    """Order-n transition-frequency model over event ids.
+
+    ``children[node]`` maps a dictionary index to the child node one event
+    further back in the context; ``counts[node]`` maps a successor's index
+    to how often it followed that context. Node 0 is the root.
+    """
 
     order_n: int
     dictionary: Dictionary
-    table: dict[State, dict[int, int]] = field(default_factory=dict)
-    global_freq: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def vocab_count(self) -> int:
-        """Number of unique messages seen in training (the OTHER slot excluded)."""
-        return len(self.dictionary.ids)
+    children: list[dict[int, int]] = field(default_factory=lambda: [{}])
+    counts: list[dict[int, int]] = field(default_factory=lambda: [{}])
 
     @property
     def state_count(self) -> int:
-        return len(self.table)
+        """Number of distinct contexts seen in training: the non-root nodes."""
+        return len(self.counts) - 1
 
     # -- training ---------------------------------------------------------
 
@@ -65,19 +79,22 @@ class MarkovModel:
         recording.
         """
         seq = [self.dictionary.index_of(eid) for eid in trace.ids()]
-        n = self.order_n
+        children, counts = self.children, self.counts
+        root = counts[0]
         for idx in seq:
-            self.global_freq[idx] = self.global_freq.get(idx, 0) + 1
-        for i in range(len(seq)):
-            for k in range(1, n + 1):
-                if i + k >= len(seq):
-                    break
-                state = tuple(seq[i : i + k])
-                successors = self.table.get(state)
-                if successors is None:
-                    successors = {}
-                    self.table[state] = successors
-                nxt = seq[i + k]
+            root[idx] = root.get(idx, 0) + 1
+        for j in range(1, len(seq)):
+            nxt = seq[j]
+            node = 0
+            for i in range(j - 1, max(j - self.order_n, 0) - 1, -1):
+                branch = children[node]
+                child = branch.get(seq[i])
+                if child is None:
+                    child = branch[seq[i]] = len(counts)
+                    children.append({})
+                    counts.append({})
+                node = child
+                successors = counts[node]
                 successors[nxt] = successors.get(nxt, 0) + 1
 
     # -- inference --------------------------------------------------------
@@ -85,57 +102,47 @@ class MarkovModel:
     def predict_next(self, context: Sequence[EventId | str]) -> EventId:
         """Most frequent successor of the longest matching context suffix.
 
-        Falls back to progressively shorter suffixes and finally to the
-        global frequency table (the k=0 state), so any context, including an
-        empty one, gets an answer.
+        Only the last ``order_n`` ids of ``context`` are read. When even the
+        last id was never seen in training, the global frequency table (the
+        root, k=0) answers, so any context, including an empty one, gets an
+        answer.
         """
-        if not self.table and not self.global_freq:
+        if not self.counts[0]:
             raise UntrainedModel("markov model has no transitions")
-        ctx = [self.dictionary.index_of(eid) for eid in context]
-        max_k = min(self.order_n, len(ctx))
-        for k in range(max_k, 0, -1):
-            state = tuple(ctx[len(ctx) - k :])
-            successors = self.table.get(state)
-            if successors:
-                return self._argmax(successors)
-        return self._argmax(self.global_freq)
-
-    def impute_chronological(self, gapped: GappedTrace) -> Trace:
-        """Fill gaps left to right, feeding imputed events back as context.
-
-        Timestamps of imputed events are linearly interpolated between the
-        nearest known neighbors.
-        """
-        if not self.table and not self.global_freq:
-            raise UntrainedModel("markov model has no transitions")
-        return fill_gaps(gapped, self.predict_next)
-
-    def _argmax(self, counts: dict[int, int]) -> EventId:
-        by_id = {decode_index(idx, self.dictionary): c for idx, c in counts.items()}
+        children = self.children
+        node = 0
+        for eid in reversed(context[-self.order_n :]):
+            child = children[node].get(self.dictionary.index_of(eid))
+            if child is None:
+                break
+            node = child
+        by_id = {decode_index(idx, self.dictionary): c for idx, c in self.counts[node].items()}
         return pick_most_frequent(by_id, self.dictionary)
 
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
-        """Render the model in the versioned sorted-line text format."""
+        """Render the model in the versioned v2 node-list text format."""
+        tokens = [decode_index(i, self.dictionary) for i in range(self.dictionary.size)]
+        children, counts = self.children, self.counts
+
+        def successors(node: int) -> str:
+            ordered = sorted(counts[node].items(), key=lambda kv: tokens[kv[0]])
+            return ",".join(f"{tokens[idx]}:{c}" for idx, c in ordered)
+
         lines = [
             f"{_FORMAT_NAME} v{_FORMAT_VERSION}",
             f"order {self.order_n}",
             "vocab " + " ".join(self.dictionary.ids),
         ]
-        global_lines = [
-            f"g {decode_index(idx, self.dictionary)} {count}"
-            for idx, count in self.global_freq.items()
-        ]
-        lines.extend(sorted(global_lines))
-        transition_lines = []
-        for state, successors in self.table.items():
-            state_token = ",".join(decode_index(i, self.dictionary) for i in state)
-            for nxt, count in successors.items():
-                transition_lines.append(
-                    f"t {state_token} {decode_index(nxt, self.dictionary)} {count}"
-                )
-        lines.extend(sorted(transition_lines))
+        # Depth-first from the root: (node, its symbol token, its parent's position).
+        stack: list[tuple[int, str, int | str]] = [(0, "-", "-")]
+        while stack:
+            node, token, parent = stack.pop()
+            position = len(lines) - 3
+            lines.append(f"n {parent} {token} {successors(node)}")
+            kids = sorted((tokens[sym], child) for sym, child in children[node].items())
+            stack.extend((child, tok, position) for tok, child in reversed(kids))
         body = "\n".join(lines) + "\n"
         digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
         return body + f"# sha256 {digest}\n"
@@ -157,42 +164,48 @@ class MarkovModel:
         actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
         if actual != expected:
             raise CorruptModel("checksum mismatch")
-
-        order_n: int | None = None
-        dictionary: Dictionary | None = None
-        global_freq: dict[int, int] = {}
-        table: dict[State, dict[int, int]] = {}
-
-        def to_index(token: str) -> int:
-            assert dictionary is not None
-            if token == "OTHER":
-                return dictionary.other_index
-            idx = dictionary.index_of(token)
-            if idx == dictionary.other_index:
-                raise CorruptModel(f"unknown id {token!r} in model body")
-            return idx
-
+        if len(lines) < 5 or not lines[1].startswith("order ") or not lines[2].startswith("vocab "):
+            raise CorruptModel("model file lacks order, vocab or root lines")
         try:
-            for line in lines[1:-1]:
-                kind, rest = line.split(" ", 1)
-                if kind == "order":
-                    order_n = int(rest)
-                elif kind == "vocab":
-                    dictionary = Dictionary(tuple(EventId(t) for t in rest.split()))
-                elif kind == "g":
-                    token, count = rest.split()
-                    global_freq[to_index(token)] = int(count)
-                elif kind == "t":
-                    state_token, succ, count = rest.split()
-                    state = tuple(to_index(t) for t in state_token.split(","))
-                    table.setdefault(state, {})[to_index(succ)] = int(count)
-                else:
-                    raise CorruptModel(f"unknown line kind {kind!r}")
-        except (ValueError, AssertionError) as exc:
-            raise CorruptModel(f"malformed model body: {exc}") from exc
-        if order_n is None or dictionary is None:
-            raise CorruptModel("model file lacks order or vocab line")
-        return cls(order_n=order_n, dictionary=dictionary, table=table, global_freq=global_freq)
+            order_n = int(lines[1][len("order ") :])
+            dictionary = Dictionary(tuple(EventId(t) for t in lines[2][len("vocab ") :].split()))
+        except ValueError as exc:
+            raise CorruptModel(f"malformed model header: {exc}") from exc
+        if order_n < 1:
+            raise CorruptModel(f"order must be >= 1, got {order_n}")
+
+        index = {decode_index(i, dictionary): i for i in range(dictionary.size)}
+        node_lines = lines[3:-1]
+        children: list[dict[int, int]] = [{} for _ in node_lines]
+        counts: list[dict[int, int]] = []
+        depth = [0] * len(node_lines)
+        for position, line in enumerate(node_lines):
+            fields = line.split(" ")
+            if len(fields) != 4 or fields[0] != "n":
+                raise CorruptModel(f"malformed node line {position}: {line!r}")
+            _, parent_token, symbol_token, successors = fields
+            if position == 0:
+                if parent_token != "-" or symbol_token != "-":
+                    raise CorruptModel(f"first node line is not the root: {line!r}")
+                counts.append(_parse_counts(successors, index) if successors else {})
+                continue
+            try:
+                parent = int(parent_token)
+            except ValueError as exc:
+                raise CorruptModel(f"node {position}: bad parent {parent_token!r}") from exc
+            if not 0 <= parent < position:
+                raise CorruptModel(f"node {position}: parent {parent} is not an earlier node")
+            symbol = index.get(symbol_token)
+            if symbol is None:
+                raise CorruptModel(f"node {position}: unknown id {symbol_token!r}")
+            if symbol in children[parent]:
+                raise CorruptModel(f"node {position}: duplicate child {symbol_token!r} of {parent}")
+            depth[position] = depth[parent] + 1
+            if depth[position] > order_n:
+                raise CorruptModel(f"node {position}: depth {depth[position]} exceeds order")
+            children[parent][symbol] = position
+            counts.append(_parse_counts(successors, index))
+        return cls(order_n=order_n, dictionary=dictionary, children=children, counts=counts)
 
     def save(self, path: str | os.PathLike) -> None:
         Path(path).write_text(self.to_text(), encoding="utf-8")
@@ -200,6 +213,22 @@ class MarkovModel:
     @classmethod
     def load(cls, path: str | os.PathLike) -> "MarkovModel":
         return cls.from_text(Path(path).read_text(encoding="utf-8"))
+
+
+def _parse_counts(field_text: str, index: dict[str, int]) -> dict[int, int]:
+    """Parse ``<id>:<count>,...`` into index -> count; every count is positive."""
+    pairs = [pair.split(":") for pair in field_text.split(",")]
+    try:
+        counts = {index[token]: int(count) for token, count in pairs}
+    except KeyError as exc:
+        raise CorruptModel(f"unknown id {exc.args[0]!r} in successors {field_text!r}") from exc
+    except ValueError as exc:
+        raise CorruptModel(f"malformed successors {field_text!r}: {exc}") from exc
+    if len(counts) != len(pairs):
+        raise CorruptModel(f"duplicate successor in {field_text!r}")
+    if min(counts.values()) < 1:
+        raise CorruptModel(f"non-positive count in {field_text!r}")
+    return counts
 
 
 def learn_transitions(

@@ -425,3 +425,38 @@ class TestSerialization:
         path.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(VersionMismatch):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.pop("config"),
+            lambda h: h["config"].update(extra=1),
+            lambda h: h["config"].update(vocab=h["config"]["vocab"] + 1),
+            lambda h: h.update(dictionary=["E0", "E0", "E1", "E2"]),
+            lambda h: h.update(event_freq=[1, 2]),
+            lambda h: h["params"][0].__setitem__(0, "bogus"),
+            lambda h: h["params"][1].__setitem__(1, h["params"][1][1][::-1]),
+            lambda h: h.update(params=7),
+        ],
+        ids=["no config", "unknown config key", "vocab off by one", "duplicate id",
+             "event_freq a list", "renamed parameter", "transposed shape", "params an int"],
+    )
+    def test_bad_header_rejected(self, tmp_path, edit):
+        import hashlib
+        import json
+        import struct
+
+        from tracekit.lstm import _MAGIC
+
+        path = tmp_path / "m.lstm"
+        save_model(tiny_model(seed=16), path)
+        raw = path.read_bytes()
+        offset = len(_MAGIC) + 4
+        (length,) = struct.unpack_from("<Q", raw, offset)
+        header = json.loads(raw[offset + 8 : offset + 8 + length])
+        edit(header)
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        body = raw[:offset] + struct.pack("<Q", len(text)) + text + raw[offset + 8 + length : -32]
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(CorruptModel):
+            load_model(path)

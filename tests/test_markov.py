@@ -1,12 +1,12 @@
-import random
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracekit.core import Dictionary, Event, EventId, Trace, build_dictionary
 from tracekit.errors import CorruptModel, EmptyTrainingSet, UntrainedModel, VersionMismatch
-from tracekit.markov import MarkovModel, learn_transitions
-from tracekit.restore import Gap, GappedTrace, Run
+from tracekit.markov import _FORMAT_VERSION, MarkovModel, learn_transitions
+from tracekit.restore import Gap, GappedTrace, Run, restore_trace
 from tracekit.synth import GeneratorSpec, PeriodicMessage, generate_trace
 
 
@@ -15,14 +15,20 @@ def trace_of(*ids, label=""):
 
 
 def table_by_ids(model):
+    """Every trie path as a k-gram of ids mapped to its successor counts."""
     from tracekit.core import decode_index
 
-    return {
-        tuple(decode_index(i, model.dictionary) for i in state): {
-            decode_index(s, model.dictionary): c for s, c in successors.items()
-        }
-        for state, successors in model.table.items()
-    }
+    table = {}
+    stack = [(0, ())]  # (node, its context read backwards from the last id)
+    while stack:
+        node, backwards = stack.pop()
+        if node:
+            table[tuple(decode_index(i, model.dictionary) for i in reversed(backwards))] = {
+                decode_index(s, model.dictionary): c for s, c in model.counts[node].items()
+            }
+        for symbol, child in model.children[node].items():
+            stack.append((child, backwards + (symbol,)))
+    return table
 
 
 def history_search_oracle(train_sequences, context, order_n, dictionary):
@@ -66,7 +72,7 @@ class TestLearning:
 
     def test_global_freq_counts_every_event(self):
         model = learn_transitions([trace_of(*"AABAB")], order_n=2)
-        assert sum(model.global_freq.values()) == 5
+        assert sum(model.counts[0].values()) == 5
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
@@ -111,7 +117,7 @@ class TestPrediction:
         assert a.predict_next(ctx) == b.predict_next(ctx)
         assert a.to_text() == b.to_text()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_oracle_equivalence(self, data):
         alphabet = "ABCDEF"
@@ -120,17 +126,23 @@ class TestPrediction:
             data.draw(st.lists(st.sampled_from(alphabet), min_size=2, max_size=80))
             for _ in range(n_traces)
         ]
-        order = data.draw(st.integers(1, 3))
+        order = data.draw(st.integers(1, 8))
         traces = [trace_of(*s) for s in seqs]
         model = learn_transitions(traces, order_n=order)
-        context = data.draw(st.lists(st.sampled_from(alphabet), min_size=0, max_size=6))
-        expected = history_search_oracle(
-            [[EventId(x) for x in s] for s in seqs],
-            [EventId(x) for x in context],
-            order,
-            model.dictionary,
-        )
-        assert model.predict_next([EventId(x) for x in context]) == expected
+        context = data.draw(st.lists(st.sampled_from(alphabet), min_size=0, max_size=20))
+        loaded = MarkovModel.from_text(model.to_text())
+        # Every prefix of the context, so contexts both shorter and longer
+        # than the order are checked.
+        for end in range(len(context) + 1):
+            ids = [EventId(x) for x in context[:end]]
+            expected = history_search_oracle(
+                [[EventId(x) for x in s] for s in seqs],
+                ids,
+                order,
+                model.dictionary,
+            )
+            assert model.predict_next(ids) == expected
+            assert loaded.predict_next(ids) == expected
 
 
 class TestPeriodicMastery:
@@ -167,7 +179,7 @@ class TestImputation:
                 Run((Event(EventId("A"), 0.4),)),
             )
         )
-        restored = model.impute_chronological(gapped)
+        restored = restore_trace(model, gapped)
         assert [str(e.id) for e in restored.events] == ["A", "B", "A", "B", "A"]
         assert [e.timestamp for e in restored.events] == pytest.approx(
             [0.0, 0.1, 0.2, 0.3, 0.4]
@@ -177,15 +189,43 @@ class TestImputation:
         model = learn_transitions([trace_of(*"ABAB")], order_n=2)
         run = Run((Event(EventId("A"), 0.0), Event(EventId("B"), 0.1)))
         gapped = GappedTrace((run,))
-        assert model.impute_chronological(gapped).events == run.events
+        assert restore_trace(model, gapped).events == run.events
 
     def test_leading_gap_uses_global_fallback(self):
         model = learn_transitions([trace_of(*"AAB")], order_n=2)
         gapped = GappedTrace(
             (Gap(1), Run((Event(EventId("A"), 0.1), Event(EventId("B"), 0.2))))
         )
-        restored = model.impute_chronological(gapped)
+        restored = restore_trace(model, gapped)
         assert restored.events[0].id == "A"  # global most frequent
+
+
+def resign(text, edit):
+    """Apply ``edit`` to the body lines of a model file and recompute its checksum."""
+    body = "".join(line + "\n" for line in edit(text.splitlines()[:-1]))
+    return body + f"# sha256 {hashlib.sha256(body.encode('utf-8')).hexdigest()}\n"
+
+
+def set_line(i, line):
+    return lambda lines: lines[:i] + [line] + lines[i + 1 :]
+
+
+ROOT = 3  # body line of node 0; node k is on line ROOT + k
+
+# Edits of TestSerialization.make_model's file that keep a valid checksum
+# but break the node list. Node 2 is `n 1 B ...`, node 3 is `n 2 C D:1`.
+BAD_BODIES = {
+    "parent is the node itself": set_line(ROOT + 2, "n 2 B C:1,D:1"),
+    "parent after the node": set_line(ROOT + 2, "n 5 B C:1,D:1"),
+    "unknown symbol id": set_line(ROOT + 1, "n 0 Z B:3,C:1,D:1"),
+    "unknown successor id": set_line(ROOT + 3, "n 2 C Z:1"),
+    "duplicate parent and symbol": lambda lines: lines + [lines[ROOT + 1]],
+    "depth above order": set_line(1, "order 2"),
+    "zero count": set_line(ROOT + 3, "n 2 C D:0"),
+    "negative count": set_line(ROOT + 3, "n 2 C D:-1"),
+    "non-integer count": set_line(ROOT + 3, "n 2 C D:1.5"),
+    "non-root node without successors": set_line(ROOT + 3, "n 2 C "),
+}
 
 
 class TestSerialization:
@@ -199,8 +239,8 @@ class TestSerialization:
         again = MarkovModel.from_text(model.to_text())
         assert again.order_n == model.order_n
         assert again.dictionary == model.dictionary
-        assert again.table == model.table
-        assert again.global_freq == model.global_freq
+        assert table_by_ids(again) == table_by_ids(model)
+        assert again.counts[0] == model.counts[0]
         assert again.to_text() == model.to_text()
 
     def test_byte_stable_output(self):
@@ -208,27 +248,44 @@ class TestSerialization:
         # identically once the dictionary order matches.
         model = self.make_model()
         assert model.to_text() == MarkovModel.from_text(model.to_text()).to_text()
+        reordered = learn_transitions(
+            [trace_of(*"BACBAD"), trace_of(*"ABCABDAB")], order_n=3, dictionary=model.dictionary
+        )
+        assert reordered.to_text() == model.to_text()
 
     def test_corrupt_rejected(self, tmp_path):
         model = self.make_model()
         text = model.to_text()
         # flip one count in the body
-        broken = text.replace(" 2", " 3", 1)
+        broken = text.replace(":1", ":2", 1)
         with pytest.raises(CorruptModel):
             MarkovModel.from_text(broken)
         # truncation loses the checksum line
         with pytest.raises(CorruptModel):
             MarkovModel.from_text("\n".join(text.splitlines()[:-1]) + "\n")
 
+    @pytest.mark.parametrize("edit", BAD_BODIES.values(), ids=BAD_BODIES.keys())
+    def test_malformed_node_list_rejected(self, edit):
+        text = self.make_model().to_text()
+        assert resign(text, lambda lines: lines) == text
+        with pytest.raises(CorruptModel):
+            MarkovModel.from_text(resign(text, edit))
+
     def test_version_mismatch(self):
-        model = self.make_model()
-        text = model.to_text().replace("v1", "v999", 1)
+        text = self.make_model().to_text()
+        newer = set_line(0, f"tracekit-markov v{_FORMAT_VERSION + 1}")
         with pytest.raises(VersionMismatch):
-            MarkovModel.from_text(text)
+            MarkovModel.from_text(resign(text, newer))
+
+    def test_v1_file_rejected(self):
+        v1_body = "tracekit-markov v1\norder 1\nvocab A B\ng A 2\ng B 1\nt A A 1\nt A B 1\n"
+        v1_text = resign(v1_body + "# sha256 -\n", lambda lines: lines)
+        with pytest.raises(VersionMismatch):
+            MarkovModel.from_text(v1_text)
 
     def test_save_load_file(self, tmp_path):
         model = self.make_model()
         path = tmp_path / "m.model"
         model.save(path)
         again = MarkovModel.load(path)
-        assert again.table == model.table
+        assert table_by_ids(again) == table_by_ids(model)
