@@ -5,7 +5,8 @@ one-line summary. Exit codes: 0 on success, 1 on pipeline errors, 2 on
 usage/configuration errors. Artifacts written by the CLI start with a
 ``# tracekit-... v1`` header line and subcommands refuse artifact files
 carrying a different version of that header; headerless files are accepted
-as plain user input.
+as plain user input. ``split``, ``train-lstm`` and ``mine`` run the same
+stage functions as ``report``; ``predict`` rolls out either model family.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ import sys
 from pathlib import Path
 
 from . import evaluate as evaluate_mod
-from . import lstm, markov, restore, trem
+from . import lstm, markov, pipeline, restore, trem
 from .config import RunConfig
-from .core import Trace, build_dictionary
+from .core import Event, Trace, build_dictionary
 from .errors import ConfigError, TracekitError, VersionMismatch
-from .ingest import parse_trace, serialize_trace, split_traces
+from .ingest import read_trace, write_trace
 from .pipeline import (
-    DICT_HEADER,
     GAPPED_HEADER,
     TRACE_HEADER,
     read_dictionary,
@@ -42,7 +42,7 @@ def _check_artifact_header(path: Path, expected: str) -> None:
 def _read_trace(path: str | Path) -> Trace:
     p = Path(path)
     _check_artifact_header(p, TRACE_HEADER)
-    return parse_trace(p, label=p.stem)
+    return read_trace(p)
 
 
 def _read_trace_dir(directory: str | Path) -> list[Trace]:
@@ -50,10 +50,6 @@ def _read_trace_dir(directory: str | Path) -> list[Trace]:
     if not paths:
         raise TracekitError(f"no .trace files in {directory}")
     return [_read_trace(p) for p in paths]
-
-
-def _write_trace(trace: Trace, path: str | Path) -> None:
-    Path(path).write_text(serialize_trace(trace, header=TRACE_HEADER), encoding="utf-8")
 
 
 def _load_any_model(path: str | Path):
@@ -76,7 +72,7 @@ def _cmd_synth(args) -> int:
     count = config.synth_trace_count()
     for i in range(count):
         trace = generate_trace(config.generator_spec(i))
-        _write_trace(trace, out / f"trace_{i:03d}.trace")
+        write_trace(trace, out / f"trace_{i:03d}.trace", header=TRACE_HEADER)
     print(f"synth: wrote {count} traces to {out}")
     return 0
 
@@ -87,7 +83,7 @@ def _cmd_ingest(args) -> int:
     total = 0
     for src in args.files:
         trace = _read_trace(src)
-        _write_trace(trace, out / (Path(src).stem + ".trace"))
+        write_trace(trace, out / (Path(src).stem + ".trace"), header=TRACE_HEADER)
         total += len(trace)
     print(f"ingest: normalized {len(args.files)} files ({total} events) into {out}")
     return 0
@@ -95,13 +91,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_split(args) -> int:
     config = RunConfig.load(args.config)
-    traces = _read_trace_dir(args.input)
-    train_pool, test_pool = split_traces(traces, config.split_spec())
-    for name, pool in (("train", train_pool), ("test", test_pool)):
-        pool_dir = Path(args.out) / name
-        pool_dir.mkdir(parents=True, exist_ok=True)
-        for trace in pool:
-            _write_trace(trace, pool_dir / f"{trace.label}.trace")
+    train_pool, test_pool = pipeline.split(_read_trace_dir(args.input), config, Path(args.out))
     print(f"split: {len(train_pool)} train / {len(test_pool)} test under {args.out}")
     return 0
 
@@ -130,15 +120,10 @@ def _cmd_train_lstm(args) -> int:
     config = RunConfig.load(args.config)
     traces = _read_trace_dir(args.train)
     dictionary = read_dictionary(Path(args.dict)) if args.dict else build_dictionary(traces)
-    schedule = config.training_schedule()
-    model = lstm.LstmModel.initialize(
-        config.network_config(dictionary.size), dictionary, seed=schedule.seed
-    )
-    history = lstm.train(model, traces, schedule)
-    lstm.save_model(model, args.out)
+    _, history = pipeline.train_lstm(config, traces, dictionary, Path(args.out))
     final = history[-1].epochs[-1].val_logloss
     print(
-        f"train-lstm: {schedule.rounds} rounds, final val logloss {final:.4f} -> {args.out}"
+        f"train-lstm: {len(history)} rounds, final val logloss {final:.4f} -> {args.out}"
     )
     return 0
 
@@ -163,29 +148,15 @@ def _cmd_inject_loss(args) -> int:
 def _cmd_predict(args) -> int:
     model = _load_any_model(args.model)
     seed_trace = _read_trace(args.seed_trace)
-    ids = seed_trace.ids()
-    predicted = restore.predict_step_by_step(model, ids, args.horizon) if isinstance(
-        model, lstm.LstmModel
-    ) else _markov_rollout(model, ids, args.horizon)
+    predicted = restore.predict_step_by_step(model, seed_trace.ids(), args.horizon)
     events = _extrapolate_events(seed_trace, predicted)
-    _write_trace(Trace(tuple(events), label=f"{seed_trace.label}_pred"), args.out)
+    write_trace(Trace(tuple(events), label=f"{seed_trace.label}_pred"), args.out,
+                header=TRACE_HEADER)
     print(f"predict: {args.horizon} events -> {args.out}")
     return 0
 
 
-def _markov_rollout(model, ids, horizon):
-    context = list(ids)
-    out = []
-    for _ in range(horizon):
-        nxt = model.predict_next(context)
-        out.append(nxt)
-        context.append(nxt)
-    return out
-
-
 def _extrapolate_events(seed_trace: Trace, predicted):
-    from .core import Event
-
     times = [t for t in seed_trace.timestamps() if t is not None]
     if len(times) >= 2:
         delta = (times[-1] - times[0]) / (len(times) - 1)
@@ -201,7 +172,7 @@ def _cmd_restore(args) -> int:
     _check_artifact_header(p, GAPPED_HEADER)
     gapped = restore.read_gapped(p)
     restored = restore.restore_trace(model, gapped)
-    _write_trace(restored, args.out)
+    write_trace(restored, args.out, header=TRACE_HEADER)
     print(
         f"restore: filled {gapped.missing_total()} events, "
         f"{len(restored)} total -> {args.out}"
@@ -244,10 +215,7 @@ def _cmd_render(args) -> int:
 def _cmd_mine(args) -> int:
     trace = _read_trace(args.input)
     dictionary = read_dictionary(Path(args.dict))
-    report = trem.mine_trace(trace, dictionary)
-    if args.top_k:
-        report = trem.rank_dominant(report, args.top_k, dictionary)
-    Path(args.out).write_text(trem.report_to_text(report), encoding="utf-8")
+    report = pipeline.mine(trace, dictionary, args.top_k, Path(args.out))
     print(f"mine: {len(report)} instances -> {args.out}")
     return 0
 
@@ -277,6 +245,15 @@ def _cmd_report(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _int_at_least(minimum: int):
+    def count(raw: str) -> int:
+        if int(raw) < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {raw}")
+        return int(raw)
+
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--fraction", type=float, required=True, help="loss percent, e.g. 25")
     p.add_argument("--mode", choices=("scattered", "burst"), default="scattered")
-    p.add_argument("--burst-length", type=int, default=1)
+    p.add_argument("--burst-length", type=_int_at_least(1), default=1)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_inject_loss)
 
@@ -363,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--dict", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--top-k", type=int, default=0)
+    p.add_argument("--top-k", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_mine)
 
     p = sub.add_parser("compare", help="percent decrease between mining reports")

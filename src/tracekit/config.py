@@ -1,8 +1,8 @@
 """Run configuration: a flat ``key = value`` text format.
 
 Lines are ``key = value``; ``#`` starts a comment and blank lines are
-skipped. Repeatable keys (the generator's message lists, loss fractions)
-accumulate in file order. Unknown keys are rejected, and every random
+skipped. Repeatable keys (the generator's message lists) accumulate in
+file order. Unknown keys are rejected, and every random
 decision in a run flows from the single ``seed`` key through named
 substreams, so there are no wall-clock defaults anywhere.
 
@@ -79,6 +79,14 @@ def derive_seed(global_seed: int, name: str) -> int:
     """A named, platform-stable substream seed for one pipeline stage."""
     digest = hashlib.sha256(f"{global_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") >> 1
+
+
+def _spec(kind, **fields):
+    """Build a stage spec; a value the spec rejects is a configuration error."""
+    try:
+        return kind(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"bad {kind.__name__} values: {exc}") from None
 
 
 @dataclass
@@ -188,17 +196,22 @@ class RunConfig:
         )
 
     def split_spec(self) -> SplitSpec:
-        return SplitSpec(
+        return _spec(
+            SplitSpec,
             train_count=self._int("split.train", 15),
             test_count=self._int("split.test", 5),
             shuffle_seed=derive_seed(self.seed, "split"),
         )
 
     def markov_order(self) -> int:
-        return self._int("markov.order", 40)
+        order = self._int("markov.order", 40)
+        if order < 1:
+            raise ConfigError(f"markov.order must be >= 1, got {order}")
+        return order
 
     def network_config(self, vocab: int) -> NetworkConfig:
-        return NetworkConfig(
+        return _spec(
+            NetworkConfig,
             vocab=vocab,
             dense_width=self._int("lstm.dense_width", 2 * vocab),
             lstm_width=self._int("lstm.lstm_width", 8 * vocab),
@@ -210,7 +223,8 @@ class RunConfig:
         )
 
     def training_schedule(self) -> TrainingSchedule:
-        return TrainingSchedule(
+        return _spec(
+            TrainingSchedule,
             rounds=self._int("train.rounds", 4),
             epochs_flat=self._int("train.epochs_flat", 10),
             epochs_decay=self._int("train.epochs_decay", 20),
@@ -229,7 +243,8 @@ class RunConfig:
         return [p / 100.0 for p in percents]
 
     def loss_spec(self, fraction: float, trace_label: str) -> LossSpec:
-        return LossSpec(
+        return _spec(
+            LossSpec,
             fraction=fraction,
             mode=self._one("loss.mode", "scattered"),
             burst_length=self._int("loss.burst_length", 1),
@@ -244,7 +259,10 @@ class RunConfig:
 
     def mine_top_k(self) -> int:
         """0 disables dominant-instance ranking before comparison."""
-        return self._int("mine.top_k", 0)
+        top_k = self._int("mine.top_k", 0)
+        if top_k < 0:
+            raise ConfigError(f"mine.top_k must be >= 0, got {top_k}")
+        return top_k
 
     def eval_start(self) -> int | None:
         if "eval.start" not in self.entries:

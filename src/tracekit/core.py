@@ -3,8 +3,8 @@
 Events are identified by short hexadecimal message-id tokens. A trace is an
 ordered, optionally timestamped recording of such events. The dictionary maps
 each id observed during training to a dense index and reserves one trailing
-OTHER index that absorbs ids never seen during training, so encoded vectors
-have a fixed width of ``len(ids) + 1``.
+OTHER index that absorbs ids never seen during training (and events named
+``OTHER``), so encoded vectors have a fixed width of ``len(ids) + 1``.
 """
 
 from __future__ import annotations
@@ -131,14 +131,17 @@ class Dictionary:
 def build_dictionary(traces: Sequence[Trace]) -> Dictionary:
     """Build a dictionary from training traces, indices in first-occurrence order.
 
-    Raises ``EmptyTrainingSet`` when no events exist at all.
+    An event named ``OTHER_TOKEN`` is the OTHER slot, not a dictionary id, so
+    it encodes, decodes and serializes as OTHER everywhere. Raises
+    ``EmptyTrainingSet`` when no other events exist.
     """
     seen: dict[EventId, None] = {}
     for trace in traces:
         for ev in trace.events:
             seen.setdefault(ev.id, None)
+    seen.pop(EventId(OTHER_TOKEN), None)
     if not seen:
-        raise EmptyTrainingSet("no events in training traces")
+        raise EmptyTrainingSet("no events in training traces besides OTHER")
     return Dictionary(tuple(seen))
 
 

@@ -22,7 +22,6 @@ substitution count, consuming only the predicted side.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,32 +98,20 @@ class AlignmentReport:
     def accuracy(self) -> float:
         return self.correct / self.total if self.total else 0.0
 
-    def to_lines(self) -> list[str]:
-        return [
-            f"total={self.total}",
-            f"correct={self.correct}",
-            f"omissions={self.omissions}",
-            f"ordering_mistakes={self.ordering_mistakes}",
-            f"substitutions={self.substitutions}",
-            f"accuracy={self.accuracy!r}",
-            f"omission_rate={self.omission_rate!r}",
-            f"events_per_ordering_mistake={self.events_per_ordering_mistake!r}",
-        ]
+    def to_dict(self) -> dict[str, int | float]:
+        return {
+            "total": self.total,
+            "correct": self.correct,
+            "omissions": self.omissions,
+            "ordering_mistakes": self.ordering_mistakes,
+            "substitutions": self.substitutions,
+            "accuracy": self.accuracy,
+            "omission_rate": self.omission_rate,
+            "events_per_ordering_mistake": self.events_per_ordering_mistake,
+        }
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "total": self.total,
-                "correct": self.correct,
-                "omissions": self.omissions,
-                "ordering_mistakes": self.ordering_mistakes,
-                "substitutions": self.substitutions,
-                "accuracy": self.accuracy,
-                "omission_rate": self.omission_rate,
-                "events_per_ordering_mistake": self.events_per_ordering_mistake,
-            },
-            sort_keys=True,
-        )
+    def to_lines(self) -> list[str]:
+        return [f"{key}={value!r}" for key, value in self.to_dict().items()]
 
 
 def _common_prefix(a: Sequence, i: int, b: Sequence, j: int) -> int:
@@ -235,41 +222,7 @@ def align_and_classify(
 
 
 # ---------------------------------------------------------------------------
-# model rollout helpers
-
-
-def rollout_predictions(
-    model,
-    ids: Sequence[EventId],
-    *,
-    horizon: int,
-    start: int,
-    stop: int | None = None,
-) -> tuple[list[tuple[EventId, ...]], list[EventId]]:
-    """Per-step self-fed n-tuples over a true trace, ready for n_forward_accuracy.
-
-    For every position i in ``[start, stop)`` the model sees the true ids up
-    to i (exclusive) and rolls ``horizon`` predictions forward, feeding each
-    back as context. Works for any model exposing ``predict_next``. Returns
-    the prediction tuples plus the aligned truth slice.
-    """
-    ids = [EventId(e) for e in ids]
-    if stop is None:
-        stop = len(ids) - horizon + 1
-    if not 1 <= start < stop <= len(ids) - horizon + 1:
-        raise LengthMismatch(
-            f"need 1 <= start < stop <= {len(ids) - horizon + 1}, got [{start}, {stop})"
-        )
-    steps: list[tuple[EventId, ...]] = []
-    for i in range(start, stop):
-        context = list(ids[:i])
-        step: list[EventId] = []
-        for _ in range(horizon):
-            nxt = model.predict_next(context)
-            step.append(nxt)
-            context.append(nxt)
-        steps.append(tuple(step))
-    return steps, ids[start : stop + horizon - 1]
+# teacher-forced accuracy
 
 
 def next_event_accuracy(model, ids: Sequence[EventId], *, start: int) -> float:

@@ -8,54 +8,68 @@ where ``timestamp`` is a decimal number of seconds and ``id`` a hex-style
 token. Lines starting with ``#`` are comments, blank lines are skipped.
 Timestamps must be non-decreasing; ids are uppercase-normalized. The
 conventional file extension is ``.trace``.
+
+``parse_trace`` takes text and ``read_trace`` a path. The gapped form in
+``restore`` reads and writes its event lines with the helpers here.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Iterator, Sequence
 
 from .core import Event, EventId, Trace
 from .errors import InsufficientTraces, MalformedLine, NonMonotonicTimestamp
 
 
-def parse_trace(source: str | bytes | os.PathLike | IO, label: str = "") -> Trace:
+def content_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(1-based line number, raw line, tokens) of every non-blank, non-comment line."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, raw, line.split()
+
+
+def parse_event_line(line_no: int, raw: str, parts: list[str], prev_ts: float | None) -> Event:
+    """One ``<timestamp> <id>`` line, which may not step back before ``prev_ts``."""
+    if len(parts) != 2:
+        raise MalformedLine(line_no, raw, "expected `<timestamp> <id>`")
+    ts_token, id_token = parts
+    try:
+        ts = float(ts_token)
+    except ValueError:
+        raise MalformedLine(line_no, raw, "timestamp is not a number") from None
+    if not (math.isfinite(ts) and ts >= 0):
+        raise MalformedLine(line_no, raw, "timestamp must be finite and >= 0")
+    if prev_ts is not None and ts < prev_ts:
+        raise NonMonotonicTimestamp(line_no)
+    try:
+        return Event(EventId(id_token), ts)
+    except ValueError as exc:
+        raise MalformedLine(line_no, raw, str(exc)) from None
+
+
+def parse_trace(text: str, label: str = "") -> Trace:
     """Parse TraceFileFormat text into a Trace.
 
-    ``source`` may be a text/bytes blob, a path, or an open file object.
     Raises ``MalformedLine`` / ``NonMonotonicTimestamp`` carrying the
     1-based line number.
     """
-    text = _read_text(source)
     events: list[Event] = []
-    prev_ts: float | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise MalformedLine(line_no, raw, "expected `<timestamp> <id>`")
-        ts_token, id_token = parts
-        try:
-            ts = float(ts_token)
-        except ValueError:
-            raise MalformedLine(line_no, raw, "timestamp is not a number") from None
-        if not (math.isfinite(ts) and ts >= 0):
-            raise MalformedLine(line_no, raw, "timestamp must be finite and >= 0")
-        if prev_ts is not None and ts < prev_ts:
-            raise NonMonotonicTimestamp(line_no)
-        prev_ts = ts
-        try:
-            events.append(Event(EventId(id_token), ts))
-        except ValueError as exc:
-            raise MalformedLine(line_no, raw, str(exc)) from None
+    for line_no, raw, parts in content_lines(text):
+        prev_ts = events[-1].timestamp if events else None
+        events.append(parse_event_line(line_no, raw, parts, prev_ts))
     return Trace(tuple(events), label=label)
+
+
+def format_event(ev: Event) -> str:
+    if ev.timestamp is None:
+        raise ValueError("cannot serialize an event without a timestamp")
+    return f"{ev.timestamp!r} {ev.id}"
 
 
 def serialize_trace(trace: Trace, header: str | None = None) -> str:
@@ -64,13 +78,8 @@ def serialize_trace(trace: Trace, header: str | None = None) -> str:
     ``parse_trace(serialize_trace(t), label=t.label) == t`` holds because
     ``repr(float)`` round-trips exactly. Every event needs a timestamp.
     """
-    lines: list[str] = []
-    if header:
-        lines.append(f"# {header}")
-    for ev in trace.events:
-        if ev.timestamp is None:
-            raise ValueError("cannot serialize an event without a timestamp")
-        lines.append(f"{ev.timestamp!r} {ev.id}")
+    lines = [f"# {header}"] if header else []
+    lines.extend(format_event(ev) for ev in trace.events)
     return "\n".join(lines) + "\n"
 
 
@@ -80,7 +89,7 @@ def write_trace(trace: Trace, path: str | os.PathLike, header: str | None = None
 
 def read_trace(path: str | os.PathLike, label: str | None = None) -> Trace:
     p = Path(path)
-    return parse_trace(p, label=p.stem if label is None else label)
+    return parse_trace(p.read_text(encoding="utf-8"), label=p.stem if label is None else label)
 
 
 @dataclass(frozen=True)
@@ -114,18 +123,3 @@ def split_traces(traces: Sequence[Trace], spec: SplitSpec) -> tuple[list[Trace],
     picked = [traces[i] for i in order[:needed]]
     return picked[: spec.train_count], picked[spec.train_count :]
 
-
-def _read_text(source: str | bytes | os.PathLike | IO) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    if isinstance(source, os.PathLike):
-        return Path(source).read_text(encoding="utf-8")
-    if isinstance(source, str):
-        # A newline or a parsable trace line means inline content, not a path.
-        if "\n" in source or not os.path.exists(source):
-            return source
-        return Path(source).read_text(encoding="utf-8")
-    raise TypeError(f"unsupported trace source: {type(source)!r}")

@@ -58,9 +58,6 @@ LN_EPS = 1e-5
 GRAD_CLIP_NORM = 5.0
 _PROB_FLOOR = 1e-12
 
-# Gate slice order inside stacked 4H vectors.
-_GATES = ("i", "f", "g", "o")
-
 _MAGIC = b"TKLSTMF\x00"
 _FORMAT_VERSION = 1
 
@@ -201,24 +198,6 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray) -> np.ndarra
     var = ((x - mu) ** 2).mean()
     xhat = (x - mu) / math.sqrt(var + LN_EPS)
     return gain * xhat + offset
-
-
-def _layer_norm_forward(x: np.ndarray) -> tuple[np.ndarray, float]:
-    mu = x.mean()
-    var = ((x - mu) ** 2).mean()
-    inv_std = 1.0 / math.sqrt(var + LN_EPS)
-    return (x - mu) * inv_std, inv_std
-
-
-def _layer_norm_backward(
-    d_z: np.ndarray, xhat: np.ndarray, inv_std: float, gain: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of ``z = gain*xhat + offset`` wrt pre-activation, gain, offset."""
-    d_gain = d_z * xhat
-    d_offset = d_z.copy()
-    d_xhat = d_z * gain
-    d_x = inv_std * (d_xhat - d_xhat.mean() - xhat * (d_xhat * xhat).mean())
-    return d_x, d_gain, d_offset
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -384,12 +363,6 @@ class DropoutMasks:
             hidden_masks=draw((2, steps, config.dense_width), config.hidden_dropout),
             recurrent_masks=draw((2, config.lstm_width), config.recurrent_dropout),
         )
-
-    def input_mask(self, t: int) -> np.ndarray | None:
-        return None if self.input_masks is None else self.input_masks[t]
-
-    def hidden_mask(self, layer: int, t: int) -> np.ndarray | None:
-        return None if self.hidden_masks is None else self.hidden_masks[layer, t]
 
     def recurrent_mask(self, layer: int) -> np.ndarray | None:
         return None if self.recurrent_masks is None else self.recurrent_masks[layer]
@@ -564,9 +537,6 @@ class LstmModel:
 
     # -- inference ---------------------------------------------------------
 
-    def forward_window(self, window: np.ndarray) -> np.ndarray:
-        return forward_window(self, window)
-
     def forward_ids(self, context: Sequence[EventId | str]) -> np.ndarray:
         if not context:
             raise EmptyWindow("context is empty")
@@ -587,10 +557,19 @@ class LstmModel:
                 f"step-by-step prediction needs direct_horizon=1, model has "
                 f"{self.config.direct_horizon}"
             )
-        if not context:
-            return self.prior_event()
-        output = self.forward_ids(context)
-        return decode_index(int(np.argmax(output)), self.dictionary)
+        return self.predict_direct(context)[0] if context else self.prior_event()
+
+    def predict_direct(
+        self, window: Sequence[EventId | str], horizon: int | None = None
+    ) -> list[EventId]:
+        """One forward pass; the output splits into ``n`` blocks of V, argmax each."""
+        if not self.trained:
+            raise UntrainedModel("model has not been trained")
+        n = self.config.direct_horizon
+        if horizon is not None and horizon != n:
+            raise HorizonMismatch(f"model predicts {n} steps, {horizon} requested")
+        blocks = self.forward_ids(window).reshape(n, self.config.vocab)
+        return [decode_index(int(np.argmax(block)), self.dictionary) for block in blocks]
 
     def prior_event(self) -> EventId:
         """Most frequent event of the training pool (leading-gap fallback)."""

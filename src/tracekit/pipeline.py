@@ -18,6 +18,9 @@ Artifact layout under the output directory::
     loss_<pct>/<label>.restored.trace
     mine/*.txt                    mining reports
     report.txt , report.json      run summary
+
+``split``, ``train_lstm`` and ``mine`` are stages the matching subcommands
+call too, so they write what the run writes for the same inputs.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from pathlib import Path
 
 from . import evaluate, lstm, markov, restore, trem
 from .config import RunConfig
-from .core import Dictionary, Trace, build_dictionary
+from .core import Dictionary, EventId, Trace, build_dictionary
+from .errors import VersionMismatch
 from .ingest import split_traces, write_trace
 from .synth import generate_trace
 
@@ -43,13 +47,43 @@ def write_dictionary(dictionary: Dictionary, path: Path) -> None:
 
 
 def read_dictionary(path: Path) -> Dictionary:
-    from .core import EventId
-    from .errors import VersionMismatch
-
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != f"# {DICT_HEADER}":
         raise VersionMismatch(f"{path} lacks the `{DICT_HEADER}` header")
     return Dictionary(tuple(EventId(t) for t in lines[1:] if t.strip()))
+
+
+def split(traces: list[Trace], config: RunConfig, out: Path) -> tuple[list[Trace], list[Trace]]:
+    """Cut the train/test pools and write them to ``out/train`` and ``out/test``."""
+    train_pool, test_pool = split_traces(traces, config.split_spec())
+    for name, pool in (("train", train_pool), ("test", test_pool)):
+        pool_dir = out / name
+        pool_dir.mkdir(parents=True, exist_ok=True)
+        for trace in pool:
+            write_trace(trace, pool_dir / f"{trace.label}.trace", header=TRACE_HEADER)
+    return train_pool, test_pool
+
+
+def train_lstm(
+    config: RunConfig, pool: list[Trace], dictionary: Dictionary, out: Path
+) -> tuple[lstm.LstmModel, list[lstm.RoundMetrics]]:
+    """Initialize, train and save the network; returns it with its history."""
+    schedule = config.training_schedule()
+    model = lstm.LstmModel.initialize(
+        config.network_config(dictionary.size), dictionary, seed=schedule.seed
+    )
+    history = lstm.train(model, pool, schedule)
+    lstm.save_model(model, out)
+    return model, history
+
+
+def mine(trace: Trace, dictionary: Dictionary, top_k: int, out: Path) -> trem.MiningReport:
+    """Mine ``trace``, keep the ``top_k`` dominant instances (0 keeps all), write the report."""
+    report = trem.mine_trace(trace, dictionary)
+    if top_k > 0:
+        report = trem.rank_dominant(report, top_k, dictionary)
+    out.write_text(trem.report_to_text(report), encoding="utf-8")
+    return report
 
 
 def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
@@ -67,12 +101,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
         write_trace(trace, traces_dir / f"trace_{i:03d}.trace", header=TRACE_HEADER)
 
     # 2. split
-    train_pool, test_pool = split_traces(traces, config.split_spec())
-    for name, pool in (("train", train_pool), ("test", test_pool)):
-        pool_dir = out / "split" / name
-        pool_dir.mkdir(parents=True, exist_ok=True)
-        for trace in pool:
-            write_trace(trace, pool_dir / f"{trace.label}.trace", header=TRACE_HEADER)
+    train_pool, test_pool = split(traces, config, out / "split")
 
     # 3. dictionary (from the training pool only)
     dictionary = build_dictionary(train_pool)
@@ -85,12 +114,8 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
     markov_model.save(out / "markov.model")
 
     # 5. network
-    net_config = config.network_config(dictionary.size)
-    model = lstm.LstmModel.initialize(
-        net_config, dictionary, seed=config.training_schedule().seed
-    )
-    history = lstm.train(model, train_pool, config.training_schedule())
-    lstm.save_model(model, out / "lstm.model")
+    model, history = train_lstm(config, train_pool, dictionary, out / "lstm.model")
+    unroll = model.config.unroll_steps
 
     summary: dict = {
         "config_digest": config.digest(),
@@ -110,7 +135,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
     }
 
     # 6. held-out continuation quality
-    eval_start = config.eval_start() or net_config.unroll_steps
+    eval_start = config.eval_start() or unroll
     for trace in test_pool:
         ids = trace.ids()
         if len(ids) <= eval_start + 1:
@@ -128,10 +153,10 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
     if test_pool:
         probe = test_pool[0]
         ids = probe.ids()
-        seed_len = min(net_config.unroll_steps, max(1, len(ids) // 4))
+        seed_len = min(unroll, max(1, len(ids) // 4))
         continuation = restore.predict_step_by_step(model, ids[:seed_len], len(ids) - seed_len)
         report = evaluate.align_and_classify(continuation, ids[seed_len:])
-        summary["rollout"][probe.label] = json.loads(report.to_json())
+        summary["rollout"][probe.label] = report.to_dict()
         segment = slice(0, min(120, len(ids) - seed_len))
         evaluate.render_onehot_image(
             ids[seed_len:][segment], dictionary, rasters / "true_events.pgm"
@@ -147,11 +172,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
     top_k = config.mine_top_k()
 
     def mined(trace: Trace, tag: str) -> trem.MiningReport:
-        rep = trem.mine_trace(trace, dictionary)
-        if top_k > 0:
-            rep = trem.rank_dominant(rep, top_k, dictionary)
-        (mine_dir / f"{tag}.txt").write_text(trem.report_to_text(rep), encoding="utf-8")
-        return rep
+        return mine(trace, dictionary, top_k, mine_dir / f"{tag}.txt")
 
     originals = {t.label: mined(t, f"original_{t.label}") for t in test_pool}
     for fraction in config.loss_fractions():
@@ -177,16 +198,16 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
             kept_restored += len(original_keys & restored_report.keys())
         summary["loss_study"][str(pct)] = {
             "original_instances": total_original,
-            "lossy_decrease_pct": 100.0 * (1.0 - kept_lossy / total_original)
-            if total_original
-            else 0.0,
-            "restored_decrease_pct": 100.0 * (1.0 - kept_restored / total_original)
-            if total_original
-            else 0.0,
+            "lossy_decrease_pct": _decrease_pct(kept_lossy, total_original),
+            "restored_decrease_pct": _decrease_pct(kept_restored, total_original),
         }
 
     _write_report(summary, out)
     return summary
+
+
+def _decrease_pct(kept: int, total: int) -> float:
+    return 100.0 * (1.0 - kept / total) if total else 0.0
 
 
 def _write_report(summary: dict, out: Path) -> None:

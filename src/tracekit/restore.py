@@ -23,19 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-import numpy as np
-
-from .core import Event, EventId, Trace, decode_index
-from .core import encode_ids
-from .errors import (
-    EmptyWindow,
-    HorizonMismatch,
-    InvalidFraction,
-    MalformedLine,
-    NonMonotonicTimestamp,
-    UntrainedModel,
-)
-from .lstm import LstmModel, forward_window
+from .core import Event, EventId, Trace
+from .errors import InvalidFraction, MalformedLine
+from .ingest import content_lines, format_event, parse_event_line
 
 
 class NextEventPredictor(Protocol):
@@ -195,43 +185,21 @@ def inject_loss(trace: Trace, spec: LossSpec) -> GappedTrace:
 
 
 def predict_step_by_step(
-    model: LstmModel,
+    model: NextEventPredictor,
     seed_events: Sequence[EventId],
     horizon: int,
 ) -> list[EventId]:
-    """Feed the model its own argmax outputs to predict ``horizon`` events ahead."""
-    if not model.trained:
-        raise UntrainedModel("model has not been trained")
-    if model.config.direct_horizon != 1:
-        raise HorizonMismatch("step-by-step prediction needs a direct_horizon=1 model")
-    if not seed_events:
-        raise EmptyWindow("seed_events is empty")
-    context = [EventId(e) for e in seed_events]
+    """Feed either model family its own outputs to predict ``horizon`` events.
+
+    An empty seed rolls out from the empty context, like a leading gap.
+    """
+    context = list(seed_events)
     out: list[EventId] = []
     for _ in range(horizon):
         nxt = model.predict_next(context)
         out.append(nxt)
         context.append(nxt)
     return out
-
-
-def predict_direct(
-    model: LstmModel,
-    window: Sequence[EventId],
-    horizon: int | None = None,
-) -> list[EventId]:
-    """One forward pass; the output splits into ``n`` blocks of V, argmax each."""
-    if not model.trained:
-        raise UntrainedModel("model has not been trained")
-    n = model.config.direct_horizon
-    if horizon is not None and horizon != n:
-        raise HorizonMismatch(f"model predicts {n} steps, {horizon} requested")
-    if not window:
-        raise EmptyWindow("window is empty")
-    tail = list(window)[-model.config.unroll_steps :]
-    output = forward_window(model, encode_ids(tail, model.dictionary))
-    blocks = output.reshape(n, model.config.vocab)
-    return [decode_index(int(np.argmax(block)), model.dictionary) for block in blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +263,12 @@ def restore_trace(model: NextEventPredictor, gapped: GappedTrace) -> Trace:
 
 
 def serialize_gapped(gapped: GappedTrace, header: str | None = None) -> str:
-    lines: list[str] = []
-    if header:
-        lines.append(f"# {header}")
+    lines = [f"# {header}"] if header else []
     for seg in gapped.segments:
         if isinstance(seg, Gap):
             lines.append(f"? {seg.missing_count}")
-            continue
-        for ev in seg.events:
-            if ev.timestamp is None:
-                raise ValueError("cannot serialize an event without a timestamp")
-            lines.append(f"{ev.timestamp!r} {ev.id}")
+        else:
+            lines.extend(format_event(ev) for ev in seg.events)
     return "\n".join(lines) + "\n"
 
 
@@ -321,11 +284,7 @@ def parse_gapped(text: str, label: str = "") -> GappedTrace:
             segments.append(Run(tuple(run)))
             run = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for line_no, raw, parts in content_lines(text):
         if parts[0] == "?":
             if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
                 raise MalformedLine(line_no, raw, "expected `? <missing_count>`")
@@ -335,16 +294,8 @@ def parse_gapped(text: str, label: str = "") -> GappedTrace:
             else:
                 segments.append(Gap(int(parts[1])))
             continue
-        if len(parts) != 2:
-            raise MalformedLine(line_no, raw, "expected `<timestamp> <id>`")
-        try:
-            ts = float(parts[0])
-            ev = Event(EventId(parts[1]), ts)
-        except ValueError as exc:
-            raise MalformedLine(line_no, raw, str(exc)) from None
-        if prev_ts is not None and ts < prev_ts:
-            raise NonMonotonicTimestamp(line_no)
-        prev_ts = ts
+        ev = parse_event_line(line_no, raw, parts, prev_ts)
+        prev_ts = ev.timestamp
         run.append(ev)
     flush_run()
     return GappedTrace(tuple(segments), label=label)

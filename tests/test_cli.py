@@ -9,7 +9,13 @@ from tracekit.core import Event, EventId, Trace, build_dictionary
 from tracekit.ingest import read_trace, write_trace
 from tracekit.markov import learn_transitions
 from tracekit.pipeline import GAPPED_HEADER, TRACE_HEADER
-from tracekit.restore import LossSpec, inject_loss, restore_trace, write_gapped
+from tracekit.restore import (
+    LossSpec,
+    inject_loss,
+    predict_step_by_step,
+    restore_trace,
+    write_gapped,
+)
 from tracekit.synth import GeneratorSpec, PeriodicMessage, TriggeredMessage, generate_trace
 
 ORDER = 4
@@ -107,3 +113,109 @@ def test_model_sniffing_closes_the_file(tmp_path, family):
         warnings.simplefilter("always")
         cli._load_any_model(path)
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+# ---------------------------------------------------------------------------
+# predict
+
+
+def tiny_lstm(train):
+    config = lstm.NetworkConfig(vocab=build_dictionary(train).size, dense_width=3,
+                                lstm_width=4, unroll_steps=4)
+    model = lstm.LstmModel.initialize(config, build_dictionary(train), seed=0)
+    lstm.train(model, train, lstm.TrainingSchedule(rounds=1, epochs_flat=1, epochs_decay=0))
+    return model
+
+
+def predict_with(model_path, seed_path, out, horizon=25):
+    return cli.main(["predict", "--model", str(model_path), "--seed-trace", str(seed_path),
+                     "--horizon", str(horizon), "--out", str(out)])
+
+
+def test_markov_predict_matches_in_process_rollout(markov_run):
+    tmp_path, train, gapped = markov_run
+    seed = gapped.known_trace()
+    write_trace(seed, tmp_path / "seed.trace", header=TRACE_HEADER)
+    assert predict_with(tmp_path / "markov.model", tmp_path / "seed.trace",
+                        tmp_path / "pred.trace") == 0
+    expected = predict_step_by_step(learn_transitions(train, ORDER), seed.ids(), 25)
+    predicted = read_trace(tmp_path / "pred.trace")
+    assert predicted.ids() == expected
+    assert predicted.events[0].timestamp > seed.events[-1].timestamp
+
+
+@pytest.mark.parametrize("family", ["markov", "lstm"])
+def test_predict_from_an_empty_seed_trace(markov_run, family):
+    tmp_path, train, _ = markov_run
+    if family == "markov":
+        model = learn_transitions(train, ORDER)
+    else:
+        model = tiny_lstm(train)
+        lstm.save_model(model, tmp_path / "lstm.model")
+    (tmp_path / "empty.trace").write_text(f"# {TRACE_HEADER}\n")
+    assert predict_with(tmp_path / f"{family}.model", tmp_path / "empty.trace",
+                        tmp_path / "pred.trace", horizon=6) == 0
+    predicted = read_trace(tmp_path / "pred.trace")
+    assert predicted.ids() == predict_step_by_step(model, [], 6)
+    assert predicted.timestamps() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+
+# ---------------------------------------------------------------------------
+# usage and configuration errors
+
+
+BAD_USAGE = {  # case: (argv, a fragment of the error message)
+    "split.train = 1": (["split", "--in", "{d}/train", "--out", "{d}/pools"],
+                        "train_count must be >= 2"),
+    "lstm.unroll = 0": (["train-lstm", "--train", "{d}/train", "--out", "{d}/lstm.model"],
+                        "unroll_steps must be >= 1"),
+    "markov.order = 0": (["train-markov", "--train", "{d}/train", "--out", "{d}/m.model"],
+                         "markov.order must be >= 1"),
+    "loss.burst_length = 0": (["report", "--out", "{d}/report"], "burst_length must be >= 1"),
+    "mine.top_k = -1": (["report", "--out", "{d}/report"], "mine.top_k must be >= 0"),
+    "mine --top-k -1": (["mine", "--in", "{d}/train/t0.trace", "--dict", "{d}/dict.txt",
+                         "--out", "{d}/mined.txt", "--top-k", "-1"],
+                        "argument --top-k: must be >= 0"),
+    "inject-loss --burst-length 0": (["inject-loss", "--in", "{d}/train/t0.trace",
+                                      "--out", "{d}/x.gapped", "--fraction", "10", "--seed", "1",
+                                      "--mode", "burst", "--burst-length", "0"],
+                                     "argument --burst-length: must be >= 1"),
+}
+
+REPORT_CONFIG = {
+    "seed": "1",
+    "synth.traces": "3",
+    "synth.duration": "0.3",
+    "synth.periodic": "A 0.01 0.0",
+    "split.train": "2",
+    "split.test": "1",
+    "lstm.dense_width": "2",
+    "lstm.lstm_width": "2",
+    "lstm.unroll": "3",
+    "train.rounds": "1",
+    "train.epochs_flat": "1",
+    "train.epochs_decay": "0",
+    "loss.fractions": "10",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_USAGE))
+def test_bad_values_and_flags_exit_2_without_traceback(markov_run, capsys, case):
+    tmp_path, _, _ = markov_run
+    argv, message = BAD_USAGE[case]
+    argv = [a.format(d=tmp_path) for a in argv]
+    if "=" in case:
+        key, value = (part.strip() for part in case.split("="))
+        entries = dict(REPORT_CONFIG, **{key: value})
+        (tmp_path / "bad.cfg").write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        argv += ["--config", str(tmp_path / "bad.cfg")]
+    assert cli.main(["dict", "--in", str(tmp_path / "train"),
+                     "--out", str(tmp_path / "dict.txt")]) == 0
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a bad flag before any work
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err

@@ -1,0 +1,100 @@
+import pytest
+
+from tracekit.config import RunConfig, derive_seed
+from tracekit.errors import ConfigError
+
+
+class TestParse:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("seed = 1\nsplit.trian = 3\n", "line 2: unknown key 'split.trian'"),
+            ("seed = 1\nseed = 2\n", "line 2: duplicate key 'seed'"),
+            ("seed = 1\nmarkov.order 4\n", "line 2: expected `key = value`"),
+            ("seed = 1\nmarkov.order =   # no value\n", "line 2: empty value for 'markov.order'"),
+        ],
+    )
+    def test_rejected_lines(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.parse(text)
+
+    def test_comments_and_blank_lines_are_skipped(self):
+        config = RunConfig.parse("# a run\n\nseed = 3  # the only seed\n")
+        assert config.entries == {"seed": ["3"]}
+        assert config.seed == 3
+
+    def test_repeatable_keys_accumulate_in_file_order(self):
+        config = RunConfig.parse(
+            "seed = 1\n"
+            "synth.periodic = B2 0.02 0.0\n"
+            "synth.rare = 340 1.0\n"
+            "synth.periodic = B0 0.01 0.0\n"
+        )
+        assert config.entries["synth.periodic"] == ["B2 0.02 0.0", "B0 0.01 0.0"]
+        spec = config.generator_spec(0)
+        assert [m.id for m in spec.periodic] == ["B2", "B0"]
+        assert [m.id for m in spec.rare] == ["340"]
+
+    def test_digest_is_of_the_source_text(self):
+        assert RunConfig.parse("seed = 1\n").digest() != RunConfig.parse("seed = 1 \n").digest()
+        assert RunConfig.parse("seed = 1\n").digest() == RunConfig.parse("seed = 1\n").digest()
+
+
+class TestValues:
+    def test_non_integer_value(self):
+        config = RunConfig.parse("seed = 1\nmarkov.order = four\n")
+        with pytest.raises(ConfigError, match="'markov.order' must be an integer, got 'four'"):
+            config.markov_order()
+
+    def test_missing_seed(self):
+        with pytest.raises(ConfigError, match="missing required key 'seed'"):
+            RunConfig.parse("markov.order = 4\n").split_spec()
+
+    def test_defaults(self):
+        config = RunConfig.parse("seed = 1\n")
+        assert config.markov_order() == 40
+        assert config.restorer() == "lstm"
+        assert config.mine_top_k() == 0
+        assert config.eval_start() is None
+        assert config.loss_fractions() == [0.05, 0.1, 0.15, 0.2, 0.25]
+
+    @pytest.mark.parametrize("value", ["lstm", "markov"])
+    def test_restorer_accepts_both_families(self, value):
+        assert RunConfig.parse(f"seed = 1\nloss.restorer = {value}\n").restorer() == value
+
+    def test_restorer_rejects_anything_else(self):
+        config = RunConfig.parse("seed = 1\nloss.restorer = LSTM\n")
+        with pytest.raises(ConfigError, match="loss.restorer must be lstm or markov"):
+            config.restorer()
+
+    @pytest.mark.parametrize(
+        "line, build",
+        [
+            ("split.train = 1", lambda c: c.split_spec()),
+            ("lstm.unroll = 0", lambda c: c.network_config(5)),
+            ("train.rounds = 0", lambda c: c.training_schedule()),
+            ("loss.burst_length = 0", lambda c: c.loss_spec(0.1, "t")),
+            ("loss.mode = bursty", lambda c: c.loss_spec(0.1, "t")),
+            ("mine.top_k = -1", lambda c: c.mine_top_k()),
+            ("markov.order = 0", lambda c: c.markov_order()),
+        ],
+    )
+    def test_out_of_range_values_are_config_errors(self, line, build):
+        with pytest.raises(ConfigError):
+            build(RunConfig.parse(f"seed = 1\n{line}\n"))
+
+
+class TestSeeds:
+    def test_derive_seed_is_pinned(self):
+        # sha256("42:split"), first 8 bytes little-endian, shifted right once.
+        assert derive_seed(42, "split") == 5847245045058050867
+
+    def test_substreams_differ(self):
+        assert derive_seed(42, "split") != derive_seed(42, "train")
+        assert derive_seed(42, "split") != derive_seed(43, "split")
+
+    def test_loss_seed_derives_from_fraction_and_label(self):
+        config = RunConfig.parse("seed = 7\n")
+        spec = config.loss_spec(0.1, "synthetic_000")
+        assert spec.seed == derive_seed(7, "loss:0.1:synthetic_000")
+        assert spec.seed != config.loss_spec(0.1, "trace_000").seed

@@ -74,6 +74,13 @@ class TestDictionary:
         with pytest.raises(EmptyTrainingSet):
             build_dictionary([Trace(())])
 
+    def test_other_is_reserved(self):
+        d = build_dictionary([trace_of("B0", "OTHER", "b2", "other")])
+        assert d.ids == ("B0", "B2")
+        assert d.index_of("OTHER") == d.other_index
+        with pytest.raises(EmptyTrainingSet):
+            build_dictionary([trace_of("OTHER")])
+
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             Dictionary((EventId("A"), EventId("A")))

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from tracekit.core import Event, EventId, Trace
 from tracekit.errors import InsufficientTraces, MalformedLine, NonMonotonicTimestamp
-from tracekit.ingest import SplitSpec, parse_trace, serialize_trace, split_traces
+from tracekit.ingest import SplitSpec, parse_trace, read_trace, serialize_trace, split_traces
 
 
 class TestParse:
@@ -36,10 +36,8 @@ class TestParse:
     def test_reads_from_path(self, tmp_path):
         p = tmp_path / "x.trace"
         p.write_text("0.1 B0\n")
-        assert len(parse_trace(p)) == 1
-
-    def test_reads_from_bytes(self):
-        assert len(parse_trace(b"0.1 B0\n")) == 1
+        trace = read_trace(p)
+        assert len(trace) == 1 and trace.label == "x"
 
 
 class TestSerialize:

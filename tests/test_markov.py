@@ -283,6 +283,17 @@ class TestSerialization:
         with pytest.raises(VersionMismatch):
             MarkovModel.from_text(v1_text)
 
+    def test_event_named_other_is_the_other_slot(self, tmp_path):
+        # `OTHER` is not a dictionary id, so the learned model and the one
+        # read back from its file see the same contexts and agree.
+        model = learn_transitions([trace_of("OTHER", "A", "OTHER", "A", "B")], order_n=2)
+        assert model.dictionary.ids == ("A", "B")
+        model.save(tmp_path / "m.model")
+        again = MarkovModel.load(tmp_path / "m.model")
+        assert model.predict_next(["OTHER"]) == "A"
+        for context in ([], ["OTHER"], ["A"], ["OTHER", "A"], ["A", "OTHER"], ["B"], ["Z"]):
+            assert again.predict_next(context) == model.predict_next(context)
+
     def test_save_load_file(self, tmp_path):
         model = self.make_model()
         path = tmp_path / "m.model"

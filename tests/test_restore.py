@@ -11,7 +11,6 @@ from tracekit.restore import (
     gapped_from_flags,
     inject_loss,
     parse_gapped,
-    predict_direct,
     predict_step_by_step,
     restore_trace,
     serialize_gapped,
@@ -168,7 +167,7 @@ class TestDirectPrediction:
         model, traces = trained_direct_lstm
         ids = traces[-1].ids()
         window = ids[:14]
-        predicted = predict_direct(model, window)
+        predicted = model.predict_direct(window)
         assert predicted == ids[14:17]
 
     def test_output_block_split(self, trained_direct_lstm):
@@ -178,12 +177,12 @@ class TestDirectPrediction:
     def test_horizon_mismatch(self, trained_direct_lstm):
         model, traces = trained_direct_lstm
         with pytest.raises(HorizonMismatch):
-            predict_direct(model, traces[0].ids()[:10], horizon=5)
+            model.predict_direct(traces[0].ids()[:10], horizon=5)
 
     def test_n1_equals_single_step(self, trained_cyclic_lstm):
         model, traces = trained_cyclic_lstm
         ids = traces[0].ids()[:12]
-        assert predict_direct(model, ids) == [model.predict_next(ids)]
+        assert model.predict_direct(ids) == [model.predict_next(ids)]
 
 
 class TestLstmRestore:
