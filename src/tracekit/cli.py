@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="continue a trace by step-by-step prediction")
     p.add_argument("--model", required=True)
     p.add_argument("--seed-trace", required=True)
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
 

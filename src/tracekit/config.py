@@ -60,7 +60,6 @@ _KNOWN_KEYS = _REPEATABLE | {
     "lstm.input_dropout",
     "lstm.hidden_dropout",
     "lstm.recurrent_dropout",
-    "lstm.horizon",
     "train.rounds",
     "train.epochs_flat",
     "train.epochs_decay",
@@ -219,7 +218,6 @@ class RunConfig:
             input_dropout=self._float("lstm.input_dropout", 0.2),
             hidden_dropout=self._float("lstm.hidden_dropout", 0.4),
             recurrent_dropout=self._float("lstm.recurrent_dropout", 0.4),
-            direct_horizon=self._int("lstm.horizon", 1),
         )
 
     def training_schedule(self) -> TrainingSchedule:

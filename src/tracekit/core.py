@@ -106,6 +106,8 @@ class Dictionary:
         object.__setattr__(self, "ids", tuple(EventId(i) for i in self.ids))
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("dictionary ids contain duplicates")
+        if OTHER_TOKEN in self.ids:
+            raise ValueError(f"{OTHER_TOKEN} is the reserved slot, not a dictionary id")
 
     @property
     def other_index(self) -> int:

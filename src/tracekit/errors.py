@@ -49,16 +49,12 @@ class EmptyWindow(TracekitError):
     """A forward pass was requested on an empty input window."""
 
 
-class HorizonMismatch(TracekitError):
-    """A model's direct prediction horizon differs from the one requested."""
-
-
 class VersionMismatch(TracekitError):
     """A serialized artifact declares an unsupported format version."""
 
 
 class CorruptModel(TracekitError):
-    """A serialized model failed checksum or structural validation."""
+    """A serialized model or dictionary failed checksum or structural validation."""
 
 
 class InvalidFraction(TracekitError):
@@ -70,7 +66,7 @@ class LengthMismatch(TracekitError):
 
 
 class DegenerateInput(TracekitError):
-    """A sequence is too short for alignment classification."""
+    """A sequence is too short for the operation: alignment or loss injection."""
 
 
 class DegenerateTimeSpan(TracekitError):

@@ -9,8 +9,8 @@ Architecture (widths follow the vocabulary size V):
   pre-activation ``Wx·x + Wh·h + b`` is layer-normalized per gate before its
   nonlinearity, and the tanh candidate vector gets recurrent dropout with a
   mask held fixed across the sequence (variational style),
-* a sigmoid output layer of width ``direct_horizon * V`` — one block of V
-  per simultaneously predicted future event.
+* a sigmoid output layer of width V scoring the next event; multi-step
+  prediction feeds each predicted event back in as input.
 
 The loss is per-node binary cross-entropy summed over output nodes, and all
 gradients are exact reverse-mode derivatives through the unrolled stack,
@@ -47,8 +47,8 @@ from .core import (
 )
 from .errors import (
     CorruptModel,
+    EmptyTrainingSet,
     EmptyWindow,
-    HorizonMismatch,
     InsufficientTraces,
     UntrainedModel,
     VersionMismatch,
@@ -59,7 +59,7 @@ GRAD_CLIP_NORM = 5.0
 _PROB_FLOOR = 1e-12
 
 _MAGIC = b"TKLSTMF\x00"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -77,15 +77,12 @@ class NetworkConfig:
     input_dropout: float = 0.2
     hidden_dropout: float = 0.4
     recurrent_dropout: float = 0.4
-    direct_horizon: int = 1
 
     def __post_init__(self) -> None:
         if min(self.vocab, self.dense_width, self.lstm_width) < 1:
             raise ValueError("all widths must be >= 1")
         if self.unroll_steps < 1:
             raise ValueError("unroll_steps must be >= 1")
-        if self.direct_horizon < 1:
-            raise ValueError("direct_horizon must be >= 1")
         for rate in (self.input_dropout, self.hidden_dropout, self.recurrent_dropout):
             if not 0.0 <= rate < 1.0:
                 raise ValueError("dropout rates must be in [0, 1)")
@@ -97,10 +94,6 @@ class NetworkConfig:
         overrides.setdefault("lstm_width", 8 * vocab)
         return cls(vocab=vocab, **overrides)
 
-    @property
-    def output_width(self) -> int:
-        return self.direct_horizon * self.vocab
-
     def to_dict(self) -> dict:
         return {
             "vocab": self.vocab,
@@ -110,7 +103,6 @@ class NetworkConfig:
             "input_dropout": self.input_dropout,
             "hidden_dropout": self.hidden_dropout,
             "recurrent_dropout": self.recurrent_dropout,
-            "direct_horizon": self.direct_horizon,
         }
 
 
@@ -171,8 +163,8 @@ def init_parameters(config: NetworkConfig, seed: int) -> dict[str, np.ndarray]:
         shift[h : 2 * h] = 1.0  # forget gate slice
         params[f"lstm{layer}/gain"] = gain
         params[f"lstm{layer}/shift"] = shift
-    params["out/w"] = uniform((config.output_width, h), h)
-    params["out/b"] = np.zeros(config.output_width)
+    params["out/w"] = uniform((v, h), h)
+    params["out/b"] = np.zeros(v)
     return params
 
 
@@ -187,17 +179,6 @@ def parameters_checksum(params: Mapping[str, np.ndarray]) -> str:
 
 # ---------------------------------------------------------------------------
 # primitive ops
-
-
-def layer_norm(x: np.ndarray, gain: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Normalize ``x`` to zero mean / unit variance, then scale and shift.
-
-    Population variance with epsilon 1e-5 under the square root.
-    """
-    mu = x.mean()
-    var = ((x - mu) ** 2).mean()
-    xhat = (x - mu) / math.sqrt(var + LN_EPS)
-    return gain * xhat + offset
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -492,17 +473,6 @@ def loss_and_gradients(
     return loss, grads
 
 
-def backward(
-    model: "LstmModel",
-    window: np.ndarray,
-    target: np.ndarray,
-    masks: DropoutMasks | None = None,
-) -> dict[str, np.ndarray]:
-    """Gradients of the window loss for all parameters."""
-    _, grads = loss_and_gradients(model, window, target, masks)
-    return grads
-
-
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = GRAD_CLIP_NORM) -> float:
     """Scale gradients in place to a global norm of at most ``max_norm``."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
@@ -537,39 +507,18 @@ class LstmModel:
 
     # -- inference ---------------------------------------------------------
 
-    def forward_ids(self, context: Sequence[EventId | str]) -> np.ndarray:
-        if not context:
-            raise EmptyWindow("context is empty")
-        tail = list(context)[-self.config.unroll_steps :]
-        return forward_window(self, encode_ids(tail, self.dictionary))
-
     def predict_next(self, context: Sequence[EventId | str]) -> EventId:
         """Argmax next-event prediction from the last ``unroll_steps`` events.
 
         An empty context falls back to the most frequent training event.
-        Only single-step models support this; direct multi-step models raise
-        ``HorizonMismatch``.
         """
         if not self.trained:
             raise UntrainedModel("model has not been trained")
-        if self.config.direct_horizon != 1:
-            raise HorizonMismatch(
-                f"step-by-step prediction needs direct_horizon=1, model has "
-                f"{self.config.direct_horizon}"
-            )
-        return self.predict_direct(context)[0] if context else self.prior_event()
-
-    def predict_direct(
-        self, window: Sequence[EventId | str], horizon: int | None = None
-    ) -> list[EventId]:
-        """One forward pass; the output splits into ``n`` blocks of V, argmax each."""
-        if not self.trained:
-            raise UntrainedModel("model has not been trained")
-        n = self.config.direct_horizon
-        if horizon is not None and horizon != n:
-            raise HorizonMismatch(f"model predicts {n} steps, {horizon} requested")
-        blocks = self.forward_ids(window).reshape(n, self.config.vocab)
-        return [decode_index(int(np.argmax(block)), self.dictionary) for block in blocks]
+        if not context:
+            return self.prior_event()
+        tail = list(context)[-self.config.unroll_steps :]
+        output = forward_window(self, encode_ids(tail, self.dictionary))
+        return decode_index(int(np.argmax(output)), self.dictionary)
 
     def prior_event(self) -> EventId:
         """Most frequent event of the training pool (leading-gap fallback)."""
@@ -603,27 +552,18 @@ class RoundMetrics:
     checksum_end: str
 
 
-def _window_bounds(length: int, unroll: int, horizon: int) -> list[tuple[int, int]]:
-    """(start, end) context slices; the target is the ``horizon`` events at ``end``."""
-    return [
-        (max(0, end - unroll), end)
-        for end in range(1, length - horizon + 1)
-    ]
-
-
-def _window_target(encoded: np.ndarray, end: int, horizon: int) -> np.ndarray:
-    return encoded[end : end + horizon].reshape(-1)
+def _window_bounds(length: int, unroll: int) -> list[tuple[int, int]]:
+    """(start, end) context slices; the target is the event at ``end``."""
+    return [(max(0, end - unroll), end) for end in range(1, length)]
 
 
 def _validation_loss(model: LstmModel, encoded: np.ndarray) -> float:
-    config = model.config
-    bounds = _window_bounds(encoded.shape[0], config.unroll_steps, config.direct_horizon)
+    bounds = _window_bounds(encoded.shape[0], model.config.unroll_steps)
     if not bounds:
         return float("nan")
     total = 0.0
     for start, end in bounds:
-        output = forward_window(model, encoded[start:end])
-        total += logloss(output, _window_target(encoded, end, config.direct_horizon))
+        total += logloss(forward_window(model, encoded[start:end]), encoded[end])
     return total / len(bounds)
 
 
@@ -644,8 +584,8 @@ def train(
         raise InsufficientTraces("training needs at least 2 traces in the pool")
     config = model.config
     for trace in pool:
-        if len(trace) <= config.direct_horizon:
-            raise ValueError(f"trace {trace.label!r} too short for training windows")
+        if len(trace) < 2:
+            raise EmptyTrainingSet(f"trace {trace.label!r} too short for training windows")
 
     rng = np.random.Generator(np.random.PCG64(schedule.seed))
     model.event_freq = event_frequencies(pool)
@@ -657,7 +597,7 @@ def train(
         train_idx, val_idx = int(picked[0]), int(picked[1])
         train_mat = encoded_pool[train_idx]
         val_mat = encoded_pool[val_idx]
-        bounds = _window_bounds(train_mat.shape[0], config.unroll_steps, config.direct_horizon)
+        bounds = _window_bounds(train_mat.shape[0], config.unroll_steps)
 
         checksum_start = model.checksum()
         epoch_metrics: list[EpochMetrics] = []
@@ -668,12 +608,8 @@ def train(
             for j in order:
                 start, end = bounds[j]
                 masks = DropoutMasks.sample(config, end - start, rng)
-                loss, grads = loss_and_gradients(
-                    model,
-                    train_mat[start:end],
-                    _window_target(train_mat, end, config.direct_horizon),
-                    masks,
-                )
+                window, target = train_mat[start:end], train_mat[end]
+                loss, grads = loss_and_gradients(model, window, target, masks)
                 clip_gradients(grads)
                 for name, grad in grads.items():
                     model.params[name] -= lr * grad

@@ -31,7 +31,7 @@ from pathlib import Path
 from . import evaluate, lstm, markov, restore, trem
 from .config import RunConfig
 from .core import Dictionary, EventId, Trace, build_dictionary
-from .errors import VersionMismatch
+from .errors import CorruptModel, VersionMismatch
 from .ingest import split_traces, write_trace
 from .synth import generate_trace
 
@@ -50,7 +50,10 @@ def read_dictionary(path: Path) -> Dictionary:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != f"# {DICT_HEADER}":
         raise VersionMismatch(f"{path} lacks the `{DICT_HEADER}` header")
-    return Dictionary(tuple(EventId(t) for t in lines[1:] if t.strip()))
+    try:
+        return Dictionary(tuple(EventId(t) for t in lines[1:] if t.strip()))
+    except ValueError as exc:
+        raise CorruptModel(f"{path}: {exc}") from None
 
 
 def split(traces: list[Trace], config: RunConfig, out: Path) -> tuple[list[Trace], list[Trace]]:

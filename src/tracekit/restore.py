@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
 from .core import Event, EventId, Trace
-from .errors import InvalidFraction, MalformedLine
+from .errors import DegenerateInput, InvalidFraction, MalformedLine
 from .ingest import content_lines, format_event, parse_event_line
 
 
@@ -144,7 +144,7 @@ def inject_loss(trace: Trace, spec: LossSpec) -> GappedTrace:
     budget).
     """
     if len(trace) < 1:
-        raise ValueError("cannot inject loss into an empty trace")
+        raise DegenerateInput("cannot inject loss into an empty trace")
     length = len(trace)
     budget = round(spec.fraction * length)
     missing = [False] * length

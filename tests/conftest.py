@@ -1,8 +1,8 @@
-"""Shared fixtures: synthetic datasets and trained models.
+"""Shared fixtures: a synthetic dataset and a model trained on it.
 
-The trained models are expensive (tens of seconds to minutes), so they are
-session-scoped and shared between the unit tests and the acceptance suite.
-All seeds are pinned; every fixture is fully deterministic.
+The trained model is expensive (tens of seconds), so it is session-scoped
+and shared between test modules. All seeds are pinned; every fixture is
+fully deterministic.
 """
 
 from __future__ import annotations
@@ -11,13 +11,7 @@ import pytest
 
 from tracekit.core import EventId, build_dictionary
 from tracekit.lstm import LstmModel, NetworkConfig, TrainingSchedule, train
-from tracekit.markov import learn_transitions
-from tracekit.synth import (
-    GeneratorSpec,
-    PeriodicMessage,
-    TriggeredMessage,
-    generate_trace,
-)
+from tracekit.synth import GeneratorSpec, PeriodicMessage, generate_trace
 
 CYCLE_LENGTH = 7  # merge of periods 0.01 / 0.02 / 0.04 repeats [A,B,C,A,A,B,A]
 
@@ -35,23 +29,6 @@ def _cyclic_spec(index: int) -> GeneratorSpec:
     )
 
 
-def _stochastic_spec(index: int) -> GeneratorSpec:
-    return GeneratorSpec(
-        periodic=(
-            PeriodicMessage(EventId("A"), 0.010, 0.0),
-            PeriodicMessage(EventId("B"), 0.020, 0.0),
-            PeriodicMessage(EventId("C"), 0.070, 0.08),
-        ),
-        triggered=(
-            TriggeredMessage(EventId("T1"), EventId("C"), 0.25, 0.001),
-            TriggeredMessage(EventId("T2"), EventId("T1"), 1.0, 0.0005),
-        ),
-        duration=1.2,
-        seed=500 + index,
-        label=f"sto_{index:03d}",
-    )
-
-
 @pytest.fixture(scope="session")
 def cyclic_traces():
     """20 jitter-free periodic traces whose merged pattern repeats every 7 events."""
@@ -60,7 +37,7 @@ def cyclic_traces():
 
 @pytest.fixture(scope="session")
 def trained_cyclic_lstm(cyclic_traces):
-    """A single-step model trained to mastery on the periodic dataset."""
+    """A model trained to mastery on the periodic dataset."""
     train_pool = cyclic_traces[:15]
     dictionary = build_dictionary(train_pool)
     config = NetworkConfig(
@@ -69,46 +46,3 @@ def trained_cyclic_lstm(cyclic_traces):
     model = LstmModel.initialize(config, dictionary, seed=7)
     train(model, train_pool, TrainingSchedule(rounds=2, seed=7))
     return model, cyclic_traces
-
-
-@pytest.fixture(scope="session")
-def trained_direct_lstm(cyclic_traces):
-    """A direct 3-forward model on the periodic dataset."""
-    train_pool = cyclic_traces[:15]
-    dictionary = build_dictionary(train_pool)
-    config = NetworkConfig(
-        vocab=dictionary.size,
-        dense_width=8,
-        lstm_width=16,
-        unroll_steps=10,
-        direct_horizon=3,
-    )
-    model = LstmModel.initialize(config, dictionary, seed=8)
-    train(model, train_pool, TrainingSchedule(rounds=2, seed=8))
-    return model, cyclic_traces
-
-
-@pytest.fixture(scope="session")
-def stochastic_setup():
-    """Jittered periodic + event-triggered dataset with both trained models.
-
-    The slow periodic stream wanders by up to one slot and stochastically
-    triggers a two-event burst, so long contexts diversify while the
-    backbone stays learnable.
-    """
-    traces = [generate_trace(_stochastic_spec(i)) for i in range(20)]
-    train_pool, test_pool = traces[:15], traces[15:]
-    dictionary = build_dictionary(train_pool)
-    markov_model = learn_transitions(train_pool, order_n=40, dictionary=dictionary)
-    config = NetworkConfig(
-        vocab=dictionary.size,
-        dense_width=12,
-        lstm_width=40,
-        unroll_steps=15,
-        input_dropout=0.1,
-        hidden_dropout=0.2,
-        recurrent_dropout=0.2,
-    )
-    lstm_model = LstmModel.initialize(config, dictionary, seed=11)
-    train(lstm_model, train_pool, TrainingSchedule(rounds=8, seed=11))
-    return lstm_model, markov_model, train_pool, test_pool

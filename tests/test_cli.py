@@ -8,7 +8,7 @@ from tracekit import cli, lstm
 from tracekit.core import Event, EventId, Trace, build_dictionary
 from tracekit.ingest import read_trace, write_trace
 from tracekit.markov import learn_transitions
-from tracekit.pipeline import GAPPED_HEADER, TRACE_HEADER
+from tracekit.pipeline import DICT_HEADER, GAPPED_HEADER, TRACE_HEADER
 from tracekit.restore import (
     LossSpec,
     inject_loss,
@@ -61,6 +61,7 @@ def assert_clean_failure(capsys, code):
     assert code == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    return err
 
 
 def test_markov_restore_matches_in_process(markov_run, capsys):
@@ -113,6 +114,32 @@ def test_model_sniffing_closes_the_file(tmp_path, family):
         warnings.simplefilter("always")
         cli._load_any_model(path)
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+BAD_INPUTS = {  # case: (argv, a fragment of the error message)
+    "one-event training trace": (["train-lstm", "--config", "{d}/run.cfg", "--train", "{d}/short",
+                                  "--out", "{d}/lstm.model"], "too short for training windows"),
+    "dict lists an id twice": (["mine", "--in", "{d}/train/t0.trace", "--dict", "{d}/twice.txt",
+                                "--out", "{d}/mined.txt"], "duplicates"),
+    "dict lists OTHER": (["mine", "--in", "{d}/train/t0.trace", "--dict", "{d}/other.txt",
+                          "--out", "{d}/mined.txt"], "reserved"),
+    "empty trace": (["inject-loss", "--in", "{d}/empty.trace", "--out", "{d}/x.gapped",
+                     "--fraction", "10", "--seed", "1"], "empty trace"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_inputs_fail_cleanly(markov_run, capsys, case):
+    tmp_path, train, _ = markov_run
+    (tmp_path / "short").mkdir()
+    write_trace(train[0], tmp_path / "short" / "t0.trace", header=TRACE_HEADER)
+    write_trace(Trace(train[1].events[:1]), tmp_path / "short" / "t1.trace", header=TRACE_HEADER)
+    (tmp_path / "twice.txt").write_text(f"# {DICT_HEADER}\nA\nB\nA\n")
+    (tmp_path / "other.txt").write_text(f"# {DICT_HEADER}\nA\nOTHER\n")
+    (tmp_path / "empty.trace").write_text(f"# {TRACE_HEADER}\n")
+    argv, message = BAD_INPUTS[case]
+    capsys.readouterr()
+    assert message in assert_clean_failure(capsys, cli.main([a.format(d=tmp_path) for a in argv]))
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +207,11 @@ BAD_USAGE = {  # case: (argv, a fragment of the error message)
                                       "--out", "{d}/x.gapped", "--fraction", "10", "--seed", "1",
                                       "--mode", "burst", "--burst-length", "0"],
                                      "argument --burst-length: must be >= 1"),
+    "predict --horizon -1": (["predict", "--model", "{d}/markov.model", "--seed-trace",
+                              "{d}/train/t0.trace", "--horizon", "-1", "--out", "{d}/p.trace"],
+                             "argument --horizon: must be >= 0"),
+    "lstm.horizon = 3": (["train-lstm", "--train", "{d}/train", "--out", "{d}/lstm.model"],
+                         "unknown key 'lstm.horizon'"),
 }
 
 REPORT_CONFIG = {

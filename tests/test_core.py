@@ -84,6 +84,8 @@ class TestDictionary:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             Dictionary((EventId("A"), EventId("A")))
+        with pytest.raises(ValueError):  # would alias the OTHER slot
+            Dictionary((EventId("A"), EventId("OTHER")))
 
     def test_deterministic(self):
         traces = [trace_of("B0", "B2"), trace_of("2C6", "B0")]

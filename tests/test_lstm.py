@@ -7,7 +7,6 @@ from tracekit.core import Dictionary, EventId, build_dictionary
 from tracekit.errors import (
     CorruptModel,
     EmptyWindow,
-    HorizonMismatch,
     InsufficientTraces,
     UntrainedModel,
     VersionMismatch,
@@ -18,13 +17,12 @@ from tracekit.lstm import (
     LstmModel,
     NetworkConfig,
     TrainingSchedule,
+    _FORMAT_VERSION,
     _forward,
-    backward,
     cell_step,
     clip_gradients,
     forward_window,
     init_parameters,
-    layer_norm,
     load_model,
     logloss,
     loss_and_gradients,
@@ -34,7 +32,7 @@ from tracekit.lstm import (
 )
 
 
-def tiny_config(vocab=5, dense=4, width=6, unroll=5, horizon=1, dropout=0.0):
+def tiny_config(vocab=5, dense=4, width=6, unroll=5, dropout=0.0):
     return NetworkConfig(
         vocab=vocab,
         dense_width=dense,
@@ -43,7 +41,6 @@ def tiny_config(vocab=5, dense=4, width=6, unroll=5, horizon=1, dropout=0.0):
         input_dropout=dropout,
         hidden_dropout=dropout,
         recurrent_dropout=dropout,
-        direct_horizon=horizon,
     )
 
 
@@ -61,9 +58,8 @@ def random_window(config, rng, steps=None):
 
 
 def random_target(config, rng):
-    target = np.zeros(config.output_width)
-    for b in range(config.direct_horizon):
-        target[b * config.vocab + rng.integers(0, config.vocab)] = 1.0
+    target = np.zeros(config.vocab)
+    target[rng.integers(0, config.vocab)] = 1.0
     return target
 
 
@@ -93,11 +89,7 @@ class TestNetworkConfig:
         assert cfg.unroll_steps == 40
         assert cfg.input_dropout == 0.2
         assert cfg.hidden_dropout == 0.4
-        assert cfg.output_width == 44
-
-    def test_direct_horizon_output_width(self):
-        cfg = NetworkConfig.for_vocab(44, direct_horizon=10)
-        assert cfg.output_width == 440
+        assert init_parameters(cfg, 0)["out/w"].shape == (44, 352)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -107,22 +99,6 @@ class TestNetworkConfig:
 
 
 class TestLayerNorm:
-    def test_constant_vector_maps_to_offset(self):
-        x = np.full(6, 3.7)
-        out = layer_norm(x, np.ones(6), np.zeros(6))
-        assert np.allclose(out, 0.0)
-
-    def test_two_element_example(self):
-        # mean 2, population variance 1: normalized to (-1, 1) / sqrt(1 + eps)
-        out = layer_norm(np.array([1.0, 3.0]), np.ones(2), np.zeros(2))
-        expected = np.array([-1.0, 1.0]) / math.sqrt(1.0 + 1e-5)
-        assert np.allclose(out, expected, atol=1e-12)
-
-    def test_gain_and_offset_applied(self):
-        out = layer_norm(np.array([1.0, 3.0]), np.array([2.0, 2.0]), np.array([5.0, 5.0]))
-        expected = 2.0 * np.array([-1.0, 1.0]) / math.sqrt(1.0 + 1e-5) + 5.0
-        assert np.allclose(out, expected)
-
     def test_gradient_against_finite_differences(self):
         # Probe the layer-norm gradient through a one-step cell on a wider
         # vector so the normalization statistics actually matter.
@@ -230,7 +206,7 @@ class TestBackward:
         window = random_window(model.config, np.random.default_rng(8), steps=2)
         target = np.zeros(model.config.vocab)
         target[0] = 1.0
-        grads = backward(model, window, target)
+        grads = loss_and_gradients(model, window, target)[1]
         assert np.any(grads["out/b"] != 0.0)
         assert grads["out/b"][1] == pytest.approx(0.5)
 
@@ -239,8 +215,8 @@ class TestBackward:
         rng = np.random.default_rng(9)
         window = random_window(model.config, rng, steps=3)
         target = random_target(model.config, rng)
-        g1 = backward(model, window, target)
-        g2 = backward(model, window, target)
+        g1 = loss_and_gradients(model, window, target)[1]
+        g2 = loss_and_gradients(model, window, target)[1]
         for name in g1:
             assert np.array_equal(g1[name], g2[name])
 
@@ -365,17 +341,6 @@ class TestTraining:
         with pytest.raises(UntrainedModel):
             model.predict_next([EventId("A")])
 
-    def test_direct_model_rejects_step_by_step(self):
-        pool = periodic_pool()
-        d = build_dictionary(pool)
-        cfg = NetworkConfig(
-            vocab=d.size, dense_width=6, lstm_width=10, unroll_steps=6, direct_horizon=3
-        )
-        model = LstmModel.initialize(cfg, d, seed=1)
-        model.trained = True
-        with pytest.raises(HorizonMismatch):
-            model.predict_next([EventId("A")])
-
 
 class TestSerialization:
     def test_round_trip_identity(self, tmp_path):
@@ -410,7 +375,8 @@ class TestSerialization:
         with pytest.raises(CorruptModel):
             load_model(path)
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, _FORMAT_VERSION + 1], ids=["v1", "next"])
+    def test_version_mismatch_rejected(self, tmp_path, version):
         import hashlib
         import struct
 
@@ -420,7 +386,7 @@ class TestSerialization:
         path = tmp_path / "m.lstm"
         save_model(model, path)
         raw = bytearray(path.read_bytes())
-        struct.pack_into("<I", raw, len(_MAGIC), 999)
+        struct.pack_into("<I", raw, len(_MAGIC), version)
         body = bytes(raw[:-32])
         path.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(VersionMismatch):

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
-from tracekit.core import Event, EventId, Trace
-from tracekit.errors import HorizonMismatch, InvalidFraction, MalformedLine
+from tracekit.core import Event, EventId, Trace, decode_index, encode_ids
+from tracekit.errors import InvalidFraction, MalformedLine
+from tracekit.lstm import forward_window
 from tracekit.markov import learn_transitions
 from tracekit.restore import (
     Gap,
@@ -146,43 +148,13 @@ class TestStepByStepPrediction:
         predicted = predict_step_by_step(model, seed, horizon)
         assert predicted == ids[2 * cycle : 2 * cycle + horizon]
 
-    def test_rejects_direct_model(self, trained_cyclic_lstm):
+    def test_lstm_step_reads_the_last_unroll_window(self, trained_cyclic_lstm):
         model, traces = trained_cyclic_lstm
-        import dataclasses
-
-        direct_cfg = dataclasses.replace(model.config, direct_horizon=3)
-        clone = type(model)(
-            config=direct_cfg,
-            dictionary=model.dictionary,
-            params=model.params,
-            trained=True,
-            event_freq=model.event_freq,
-        )
-        with pytest.raises(HorizonMismatch):
-            predict_step_by_step(clone, traces[0].ids()[:5], 2)
-
-
-class TestDirectPrediction:
-    def test_three_step_direct_on_cycle(self, trained_direct_lstm):
-        model, traces = trained_direct_lstm
-        ids = traces[-1].ids()
-        window = ids[:14]
-        predicted = model.predict_direct(window)
-        assert predicted == ids[14:17]
-
-    def test_output_block_split(self, trained_direct_lstm):
-        model, _ = trained_direct_lstm
-        assert model.config.output_width == 3 * model.config.vocab
-
-    def test_horizon_mismatch(self, trained_direct_lstm):
-        model, traces = trained_direct_lstm
-        with pytest.raises(HorizonMismatch):
-            model.predict_direct(traces[0].ids()[:10], horizon=5)
-
-    def test_n1_equals_single_step(self, trained_cyclic_lstm):
-        model, traces = trained_cyclic_lstm
-        ids = traces[0].ids()[:12]
-        assert model.predict_direct(ids) == [model.predict_next(ids)]
+        ids = traces[0].ids()[:25]
+        tail = ids[-model.config.unroll_steps :]
+        output = forward_window(model, encode_ids(tail, model.dictionary))
+        expected = decode_index(int(np.argmax(output)), model.dictionary)
+        assert model.predict_next(ids) == model.predict_next(tail) == expected
 
 
 class TestLstmRestore:
