@@ -324,16 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--out")
-    p.add_argument("--lookahead", type=int, default=3)
-    p.add_argument("--order-depth", type=int, default=10)
+    p.add_argument("--lookahead", type=_int_at_least(0), default=3)
+    p.add_argument("--order-depth", type=_int_at_least(0), default=10)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("render", help="render a one-hot raster image of a trace")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--dict", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--length", type=int, default=0)
+    p.add_argument("--start", type=_int_at_least(0), default=0)
+    p.add_argument("--length", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("mine", help="mine timed properties from a trace")

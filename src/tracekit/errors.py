@@ -66,7 +66,7 @@ class LengthMismatch(TracekitError):
 
 
 class DegenerateInput(TracekitError):
-    """A sequence is too short for the operation: alignment or loss injection."""
+    """A sequence is too short for the operation: alignment, loss injection or rendering."""
 
 
 class DegenerateTimeSpan(TracekitError):

@@ -121,6 +121,18 @@ def _common_prefix(a: Sequence, i: int, b: Sequence, j: int) -> int:
     return run
 
 
+def _displaced_prefix(pred: Sequence, p: int, tru: Sequence, t: int, shift: int) -> int:
+    """``_common_prefix(pred, p, moved, t)`` where ``moved`` is ``tru`` with
+    ``tru[t]`` moved ``shift`` places later (at most to the end), read in place."""
+    shift = min(shift, len(tru) - 1 - t)
+    for run in range(shift):
+        if p + run >= len(pred) or pred[p + run] != tru[t + 1 + run]:
+            return run
+    if p + shift >= len(pred) or pred[p + shift] != tru[t]:
+        return shift
+    return shift + 1 + _common_prefix(pred, p + shift + 1, tru, t + shift + 1)
+
+
 def _supported(run: int, avail: int, w: int) -> bool:
     """A candidate needs w matches of evidence, or everything that remains."""
     if avail <= 0:
@@ -170,10 +182,8 @@ def align_and_classify(
         for q in range(p + 1, min(p + order_k, len(pred))):
             if pred[q] != tru[t]:
                 continue
-            moved = tru[:t] + tru[t + 1 :]
-            moved.insert(t + (q - p), tru[t])
-            run = _common_prefix(pred, p, moved, t)
-            avail = min(len(pred) - p, len(moved) - t)
+            run = _displaced_prefix(pred, p, tru, t, q - p)
+            avail = min(len(pred) - p, len(tru) - t)
             if run >= q - p + 1 and _supported(run, avail, lookahead_w) and run > ord_run:
                 ord_ok = True
                 ord_run = run
@@ -201,7 +211,7 @@ def align_and_classify(
             t += 1
         elif best[2] == "ordering":
             ordering += 1
-            del tru[t]
+            t += 1
             del pred[ord_q]
         else:
             substitutions += 1
@@ -252,7 +262,7 @@ def render_onehot_image(
     white on black. Identical inputs produce byte-identical files.
     """
     if not events:
-        raise ValueError("events must be non-empty")
+        raise DegenerateInput("no events to render")
     mat = encode_ids(list(events), dictionary).T  # (V, L)
     height, width = mat.shape
     lines = ["P2", f"{width} {height}", "1"]

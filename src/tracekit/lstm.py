@@ -12,6 +12,10 @@ Architecture (widths follow the vocabulary size V):
 * a sigmoid output layer of width V scoring the next event; multi-step
   prediction feeds each predicted event back in as input.
 
+Each recurrent layer runs over the whole window before the next layer
+starts: its input projection ``Wx·x + b`` is one matrix product for all steps,
+and only ``Wh·h`` and the gate arithmetic stay in the time loop.
+
 The loss is per-node binary cross-entropy summed over output nodes, and all
 gradients are exact reverse-mode derivatives through the unrolled stack,
 truncated at the window start. Dropout is inverted (scaled at train time) so
@@ -182,12 +186,7 @@ def parameters_checksum(params: Mapping[str, np.ndarray]) -> str:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(x / 2.0))
 
 
 def logloss(prediction: np.ndarray, target: np.ndarray) -> float:
@@ -200,116 +199,6 @@ def logloss(prediction: np.ndarray, target: np.ndarray) -> float:
         raise ValueError("prediction and target must have equal shapes")
     p = np.clip(prediction, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
     return float(-(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)).sum())
-
-
-@dataclass
-class CellState:
-    """Hidden and cell vectors of one recurrent layer."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zeros(cls, width: int) -> "CellState":
-        return cls(h=np.zeros(width), c=np.zeros(width))
-
-
-def cell_step(
-    params: Mapping[str, np.ndarray],
-    state: CellState,
-    x: np.ndarray,
-    recurrent_mask: np.ndarray | None = None,
-    prefix: str = "lstm0",
-) -> tuple[np.ndarray, CellState]:
-    """One recurrent step with per-gate layer normalization.
-
-    ``recurrent_mask``, when given, is the per-sequence inverted-dropout mask
-    applied to the tanh candidate vector; pass None for inference.
-    """
-    y, new_state, _ = _cell_forward(params, prefix, state, x, recurrent_mask)
-    return y, new_state
-
-
-def _cell_forward(params, prefix, state, x, recurrent_mask):
-    h_width = state.h.shape[0]
-    pre = params[f"{prefix}/wx"] @ x + params[f"{prefix}/wh"] @ state.h + params[f"{prefix}/b"]
-    gain = params[f"{prefix}/gain"]
-    shift = params[f"{prefix}/shift"]
-
-    # Layer-normalize the four gate blocks at once: rows of a (4, H) view.
-    pre_g = pre.reshape(4, h_width)
-    mu = pre_g.mean(axis=1, keepdims=True)
-    var = ((pre_g - mu) ** 2).mean(axis=1, keepdims=True)
-    inv_stds = 1.0 / np.sqrt(var + LN_EPS)
-    xhats = (pre_g - mu) * inv_stds
-    z = gain.reshape(4, h_width) * xhats + shift.reshape(4, h_width)
-
-    gate_i = _sigmoid(z[0])
-    gate_f = _sigmoid(z[1])
-    cand = np.tanh(z[2])
-    gate_o = _sigmoid(z[3])
-    cand_dropped = cand if recurrent_mask is None else cand * recurrent_mask
-
-    c_new = gate_f * state.c + gate_i * cand_dropped
-    tanh_c = np.tanh(c_new)
-    h_new = gate_o * tanh_c
-
-    cache = {
-        "x": x,
-        "h_prev": state.h,
-        "c_prev": state.c,
-        "xhats": xhats,
-        "inv_stds": inv_stds,
-        "i": gate_i,
-        "f": gate_f,
-        "g": cand,
-        "o": gate_o,
-        "gd": cand_dropped,
-        "tanh_c": tanh_c,
-    }
-    return h_new, CellState(h=h_new, c=c_new), cache
-
-
-def _cell_backward(params, prefix, cache, d_h, d_c_future, recurrent_mask, grads):
-    h_width = d_h.shape[0]
-    gate_i, gate_f, cand, gate_o = cache["i"], cache["f"], cache["g"], cache["o"]
-    tanh_c = cache["tanh_c"]
-
-    d_o = d_h * tanh_c
-    d_c = d_c_future + d_h * gate_o * (1.0 - tanh_c**2)
-    d_f = d_c * cache["c_prev"]
-    d_c_prev = d_c * gate_f
-    d_i = d_c * cache["gd"]
-    d_gd = d_c * gate_i
-    d_g = d_gd if recurrent_mask is None else d_gd * recurrent_mask
-
-    d_z = np.empty((4, h_width))
-    d_z[0] = d_i * gate_i * (1.0 - gate_i)
-    d_z[1] = d_f * gate_f * (1.0 - gate_f)
-    d_z[2] = d_g * (1.0 - cand**2)
-    d_z[3] = d_o * gate_o * (1.0 - gate_o)
-
-    # Layer-norm backward, all four gate blocks at once.
-    xhats, inv_stds = cache["xhats"], cache["inv_stds"]
-    gain = params[f"{prefix}/gain"].reshape(4, h_width)
-    grads[f"{prefix}/gain"] += (d_z * xhats).reshape(-1)
-    grads[f"{prefix}/shift"] += d_z.reshape(-1)
-    d_xhat = d_z * gain
-    d_pre = (
-        inv_stds
-        * (
-            d_xhat
-            - d_xhat.mean(axis=1, keepdims=True)
-            - xhats * (d_xhat * xhats).mean(axis=1, keepdims=True)
-        )
-    ).reshape(-1)
-
-    grads[f"{prefix}/wx"] += np.outer(d_pre, cache["x"])
-    grads[f"{prefix}/wh"] += np.outer(d_pre, cache["h_prev"])
-    grads[f"{prefix}/b"] += d_pre
-    d_input = params[f"{prefix}/wx"].T @ d_pre
-    d_h_prev = params[f"{prefix}/wh"].T @ d_pre
-    return d_input, d_h_prev, d_c_prev
 
 
 # ---------------------------------------------------------------------------
@@ -363,30 +252,109 @@ def _dense_forward(params, window, masks):
     return {"x0": x0, "h1": h1, "h1d": h1d, "h2": h2, "h2d": h2d}
 
 
-def _forward(params, config, window, masks, keep_caches):
-    steps = window.shape[0]
-    dense = _dense_forward(params, window, masks)
-    states = [CellState.zeros(config.lstm_width) for _ in range(2)]
-    cell_caches = ([], []) if keep_caches else None
-    h_top = np.zeros(config.lstm_width)
+def _lstm_forward(params, prefix, inputs, mask):
+    """One recurrent layer over the whole window: (T, in) inputs to (T, H) outputs.
 
+    ``mask``, when given, is the per-sequence inverted-dropout mask applied to
+    the tanh candidate vector. The returned cache holds the (T, 4, H)
+    normalized pre-activations and gates and the (T+1, H) hidden and cell
+    states, row 0 being the zero start state.
+    """
+    steps = inputs.shape[0]
+    wh = params[f"{prefix}/wh"]
+    width = wh.shape[1]
+    gain = params[f"{prefix}/gain"].reshape(4, width)
+    shift = params[f"{prefix}/shift"].reshape(4, width)
+    pre_x = inputs @ params[f"{prefix}/wx"].T + params[f"{prefix}/b"]
+    keep = 1.0 if mask is None else mask
+
+    xhats = np.empty((steps, 4, width))
+    inv_stds = np.empty((steps, 4, 1))
+    gates = np.empty((steps, 4, width))
+    h = np.zeros((steps + 1, width))
+    c = np.zeros((steps + 1, width))
     for t in range(steps):
-        y0, states[0], cache0 = _cell_forward(
-            params, "lstm0", states[0], dense["h2d"][t], masks.recurrent_mask(0)
-        )
-        y1, states[1], cache1 = _cell_forward(
-            params, "lstm1", states[1], y0, masks.recurrent_mask(1)
-        )
-        h_top = y1
-        if keep_caches:
-            cell_caches[0].append(cache0)
-            cell_caches[1].append(cache1)
+        # Layer-normalize the four gate blocks at once: rows of a (4, H) view.
+        pre = (pre_x[t] + wh @ h[t]).reshape(4, width)
+        centered = pre - pre.sum(axis=1, keepdims=True) / width
+        inv_stds[t] = 1.0 / np.sqrt((centered**2).sum(axis=1, keepdims=True) / width + LN_EPS)
+        xhats[t] = centered * inv_stds[t]
+        z = gain * xhats[t] + shift
+        gates[t] = _sigmoid(z)
+        gates[t, 2] = np.tanh(z[2])
+        gate_i, gate_f, cand, gate_o = gates[t]
+        c[t + 1] = gate_f * c[t] + gate_i * (cand * keep)
+        h[t + 1] = gate_o * np.tanh(c[t + 1])
+    return h[1:], {"inputs": inputs, "h": h, "c": c, "xhats": xhats,
+                   "inv_stds": inv_stds, "gates": gates}
 
-    logits = params["out/w"] @ h_top + params["out/b"]
-    output = _sigmoid(logits)
-    if not keep_caches:
-        return output, None
-    return output, {"dense": dense, "cells": cell_caches, "h_top": h_top}
+
+def _lstm_backward(params, prefix, cache, d_out, mask, grads):
+    """Reverse of ``_lstm_forward``: accumulates the layer's parameter gradients
+    into ``grads`` given d(loss)/d(outputs), and returns d(loss)/d(inputs)."""
+    steps, width = d_out.shape
+    h, c, gates = cache["h"], cache["c"], cache["gates"]
+    xhats, inv_stds = cache["xhats"], cache["inv_stds"]
+    gain = params[f"{prefix}/gain"].reshape(4, width)
+    wh = params[f"{prefix}/wh"]
+    tanh_c = np.tanh(c[1:])
+    keep = 1.0 if mask is None else mask
+
+    d_z = np.empty((steps, 4, width))
+    d_pre = np.empty((steps, 4 * width))
+    d_h_next = np.zeros(width)
+    d_c_next = np.zeros(width)
+    for t in range(steps - 1, -1, -1):
+        gate_i, gate_f, cand, gate_o = gates[t]
+        d_h = d_out[t] + d_h_next
+        d_c = d_c_next + d_h * gate_o * (1.0 - tanh_c[t] ** 2)
+        d_z[t, 0] = d_c * (cand * keep) * gate_i * (1.0 - gate_i)
+        d_z[t, 1] = d_c * c[t] * gate_f * (1.0 - gate_f)
+        d_z[t, 2] = d_c * gate_i * keep * (1.0 - cand**2)
+        d_z[t, 3] = d_h * tanh_c[t] * gate_o * (1.0 - gate_o)
+        # Layer-norm backward, all four gate blocks at once.
+        d_xhat = d_z[t] * gain
+        d_pre[t] = (
+            inv_stds[t]
+            * (
+                d_xhat
+                - d_xhat.sum(axis=1, keepdims=True) / width
+                - xhats[t] * ((d_xhat * xhats[t]).sum(axis=1, keepdims=True) / width)
+            )
+        ).reshape(-1)
+        d_h_next = d_pre[t] @ wh
+        d_c_next = d_c * gate_f
+
+    grads[f"{prefix}/wx"] += d_pre.T @ cache["inputs"]
+    grads[f"{prefix}/wh"] += d_pre.T @ h[:-1]
+    grads[f"{prefix}/b"] += d_pre.sum(axis=0)
+    grads[f"{prefix}/gain"] += (d_z * xhats).sum(axis=0).reshape(-1)
+    grads[f"{prefix}/shift"] += d_z.sum(axis=0).reshape(-1)
+    return d_pre @ params[f"{prefix}/wx"]
+
+
+def _forward(params, window, masks):
+    """Dense stack, both recurrent layers and the output layer; returns the
+    sigmoid outputs and the caches the backward pass reads."""
+    dense = _dense_forward(params, window, masks)
+    y0, lstm0 = _lstm_forward(params, "lstm0", dense["h2d"], masks.recurrent_mask(0))
+    y1, lstm1 = _lstm_forward(params, "lstm1", y0, masks.recurrent_mask(1))
+    output = _sigmoid(params["out/w"] @ y1[-1] + params["out/b"])
+    return output, {"dense": dense, "lstm0": lstm0, "lstm1": lstm1}
+
+
+def _checked_window(model: "LstmModel", window: np.ndarray) -> np.ndarray:
+    """The window as a float (T, V) array of its last ``unroll_steps`` rows."""
+    window = np.asarray(window, dtype=np.float64)
+    if window.ndim == 1:
+        window = window[None, :]
+    if window.shape[0] == 0:
+        raise EmptyWindow("a window needs at least one event")
+    if window.shape[1] != model.config.vocab:
+        raise ValueError(
+            f"window width {window.shape[1]} != vocabulary {model.config.vocab}"
+        )
+    return window[-model.config.unroll_steps :]
 
 
 def forward_window(
@@ -400,19 +368,8 @@ def forward_window(
     from the zero state. Without masks this is the deterministic inference
     path.
     """
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim == 1:
-        window = window[None, :]
-    if window.shape[0] == 0:
-        raise EmptyWindow("forward pass needs at least one event")
-    if window.shape[0] > model.config.unroll_steps:
-        window = window[-model.config.unroll_steps :]
-    if window.shape[1] != model.config.vocab:
-        raise ValueError(
-            f"window width {window.shape[1]} != vocabulary {model.config.vocab}"
-        )
-    output, _ = _forward(model.params, model.config, window, masks or DropoutMasks.disabled(), False)
-    return output
+    window = _checked_window(model, window)
+    return _forward(model.params, window, masks or DropoutMasks.disabled())[0]
 
 
 def loss_and_gradients(
@@ -423,40 +380,22 @@ def loss_and_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss plus exact reverse-mode gradients for every parameter."""
     masks = masks or DropoutMasks.disabled()
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim == 1:
-        window = window[None, :]
-    if window.shape[0] == 0:
-        raise EmptyWindow("backward pass needs at least one event")
+    window = _checked_window(model, window)
     target = np.asarray(target, dtype=np.float64)
-    params, config = model.params, model.config
+    params = model.params
 
-    output, caches = _forward(params, config, window, masks, True)
+    output, caches = _forward(params, window, masks)
     loss = logloss(output, target)
 
     grads = {name: np.zeros_like(value) for name, value in params.items()}
     # d(loss)/d(logit) for sigmoid + binary cross-entropy.
     d_logits = output - target
-    grads["out/w"] += np.outer(d_logits, caches["h_top"])
+    grads["out/w"] += np.outer(d_logits, caches["lstm1"]["h"][-1])
     grads["out/b"] += d_logits
-    d_h_out = params["out/w"].T @ d_logits
-
-    steps = window.shape[0]
-    d_h_next = [np.zeros(config.lstm_width), np.zeros(config.lstm_width)]
-    d_c_next = [np.zeros(config.lstm_width), np.zeros(config.lstm_width)]
-    d_h2d = np.empty((steps, config.dense_width))
-    for t in range(steps - 1, -1, -1):
-        d_h1 = d_h_next[1] + (d_h_out if t == steps - 1 else 0.0)
-        d_u1, d_h_next[1], d_c_next[1] = _cell_backward(
-            params, "lstm1", caches["cells"][1][t], d_h1, d_c_next[1],
-            masks.recurrent_mask(1), grads,
-        )
-        d_h0 = d_h_next[0] + d_u1
-        d_u0, d_h_next[0], d_c_next[0] = _cell_backward(
-            params, "lstm0", caches["cells"][0][t], d_h0, d_c_next[0],
-            masks.recurrent_mask(0), grads,
-        )
-        d_h2d[t] = d_u0
+    d_top = np.zeros((window.shape[0], model.config.lstm_width))
+    d_top[-1] = params["out/w"].T @ d_logits
+    d_y0 = _lstm_backward(params, "lstm1", caches["lstm1"], d_top, masks.recurrent_mask(1), grads)
+    d_h2d = _lstm_backward(params, "lstm0", caches["lstm0"], d_y0, masks.recurrent_mask(0), grads)
 
     # Dense stack backward, all steps at once.
     dense = caches["dense"]

@@ -125,6 +125,10 @@ BAD_INPUTS = {  # case: (argv, a fragment of the error message)
                           "--out", "{d}/mined.txt"], "reserved"),
     "empty trace": (["inject-loss", "--in", "{d}/empty.trace", "--out", "{d}/x.gapped",
                      "--fraction", "10", "--seed", "1"], "empty trace"),
+    "render an empty trace": (["render", "--in", "{d}/empty.trace", "--dict", "{d}/abc.txt",
+                               "--out", "{d}/r.pgm"], "no events to render"),
+    "render past the end": (["render", "--in", "{d}/six.trace", "--dict", "{d}/abc.txt",
+                             "--out", "{d}/r.pgm", "--start", "10"], "no events to render"),
 }
 
 
@@ -136,7 +140,9 @@ def test_bad_inputs_fail_cleanly(markov_run, capsys, case):
     write_trace(Trace(train[1].events[:1]), tmp_path / "short" / "t1.trace", header=TRACE_HEADER)
     (tmp_path / "twice.txt").write_text(f"# {DICT_HEADER}\nA\nB\nA\n")
     (tmp_path / "other.txt").write_text(f"# {DICT_HEADER}\nA\nOTHER\n")
+    (tmp_path / "abc.txt").write_text(f"# {DICT_HEADER}\nA\nB\nC\n")
     (tmp_path / "empty.trace").write_text(f"# {TRACE_HEADER}\n")
+    write_trace(Trace(train[0].events[:6]), tmp_path / "six.trace", header=TRACE_HEADER)
     argv, message = BAD_INPUTS[case]
     capsys.readouterr()
     assert message in assert_clean_failure(capsys, cli.main([a.format(d=tmp_path) for a in argv]))
@@ -212,6 +218,18 @@ BAD_USAGE = {  # case: (argv, a fragment of the error message)
                              "argument --horizon: must be >= 0"),
     "lstm.horizon = 3": (["train-lstm", "--train", "{d}/train", "--out", "{d}/lstm.model"],
                          "unknown key 'lstm.horizon'"),
+    "evaluate --lookahead -1": (["evaluate", "--pred", "{d}/train/t0.trace", "--truth",
+                                 "{d}/train/t1.trace", "--lookahead", "-1"],
+                                "argument --lookahead: must be >= 0"),
+    "evaluate --order-depth -2": (["evaluate", "--pred", "{d}/train/t0.trace", "--truth",
+                                   "{d}/train/t1.trace", "--order-depth", "-2"],
+                                  "argument --order-depth: must be >= 0"),
+    "render --start -2": (["render", "--in", "{d}/train/t0.trace", "--dict", "{d}/dict.txt",
+                           "--out", "{d}/r.pgm", "--start", "-2"],
+                          "argument --start: must be >= 0"),
+    "render --length -2": (["render", "--in", "{d}/train/t0.trace", "--dict", "{d}/dict.txt",
+                            "--out", "{d}/r.pgm", "--length", "-2"],
+                           "argument --length: must be >= 0"),
 }
 
 REPORT_CONFIG = {

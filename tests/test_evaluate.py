@@ -176,5 +176,5 @@ class TestRender:
 
     def test_rejects_empty(self):
         d = Dictionary((EventId("A"),))
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateInput):
             render_onehot_image([], d, io.BytesIO())

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,14 +14,13 @@ from tracekit.errors import (
     VersionMismatch,
 )
 from tracekit.lstm import (
-    CellState,
     DropoutMasks,
     LstmModel,
     NetworkConfig,
     TrainingSchedule,
     _FORMAT_VERSION,
     _forward,
-    cell_step,
+    _lstm_forward,
     clip_gradients,
     forward_window,
     init_parameters,
@@ -61,6 +62,12 @@ def random_target(config, rng):
     target = np.zeros(config.vocab)
     target[rng.integers(0, config.vocab)] = 1.0
     return target
+
+
+def assert_close(actual, expected):
+    """Equal within 1e-12 times the largest entry of ``expected``."""
+    expected = np.asarray(expected)
+    assert np.max(np.abs(np.asarray(actual) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def finite_difference_max_error(model, window, target, h=1e-5):
@@ -110,25 +117,25 @@ class TestLayerNorm:
         assert finite_difference_max_error(model, window, target) < 1e-5
 
 
-class TestCellStep:
+class TestLstmLayer:
     def test_zero_parameters_give_zero_state(self):
         cfg = tiny_config()
         params = {k: np.zeros_like(v) for k, v in init_parameters(cfg, 0).items()}
-        state = CellState.zeros(cfg.lstm_width)
-        x = np.ones(cfg.dense_width)
-        y, new_state = cell_step(params, state, x, prefix="lstm0")
+        inputs = np.ones((3, cfg.dense_width))
+        y, cache = _lstm_forward(params, "lstm0", inputs, None)
+        assert y.shape == (3, cfg.lstm_width)
         assert np.allclose(y, 0.0)
-        assert np.allclose(new_state.c, 0.0)
+        assert np.allclose(cache["h"], 0.0)
+        assert np.allclose(cache["c"], 0.0)
 
     def test_inference_is_deterministic(self):
         cfg = tiny_config()
         params = init_parameters(cfg, 1)
-        state = CellState.zeros(cfg.lstm_width)
-        x = np.random.default_rng(0).normal(size=cfg.dense_width)
-        y1, s1 = cell_step(params, state, x, prefix="lstm0")
-        y2, s2 = cell_step(params, state, x, prefix="lstm0")
+        inputs = np.random.default_rng(0).normal(size=(3, cfg.dense_width))
+        y1, cache1 = _lstm_forward(params, "lstm0", inputs, None)
+        y2, cache2 = _lstm_forward(params, "lstm0", inputs, None)
         assert np.array_equal(y1, y2)
-        assert np.array_equal(s1.c, s2.c)
+        assert np.array_equal(cache1["c"], cache2["c"])
 
 
 class TestForward:
@@ -163,6 +170,22 @@ class TestForward:
         long_window = random_window(cfg, rng, steps=3)
         extended = np.vstack([random_window(cfg, rng, steps=2), long_window])
         assert np.allclose(forward_window(model, extended), forward_window(model, long_window))
+
+    def test_gradient_path_shares_the_window_checks(self):
+        cfg = tiny_config(unroll=3)
+        model = tiny_model(cfg, seed=4)
+        rng = np.random.default_rng(5)
+        target = random_target(cfg, rng)
+        with pytest.raises(ValueError, match="window width"):
+            loss_and_gradients(model, np.zeros((2, cfg.vocab + 1)), target)
+        with pytest.raises(EmptyWindow):
+            loss_and_gradients(model, np.zeros((0, cfg.vocab)), target)
+        window = random_window(cfg, rng, steps=3)
+        extended = np.vstack([random_window(cfg, rng, steps=2), window])
+        loss, grads = loss_and_gradients(model, window, target)
+        long_loss, long_grads = loss_and_gradients(model, extended, target)
+        assert long_loss == loss
+        assert all(np.array_equal(long_grads[name], grads[name]) for name in grads)
 
     def test_inference_pure_function(self):
         model = tiny_model(seed=5)
@@ -243,9 +266,9 @@ class TestBackward:
             for i in range(0, flat.size, 7):  # sample every 7th component
                 orig = flat[i]
                 flat[i] = orig + h
-                lp = logloss(_forward(model.params, cfg, window, masks, False)[0], target)
+                lp = logloss(_forward(model.params, window, masks)[0], target)
                 flat[i] = orig - h
-                lm = logloss(_forward(model.params, cfg, window, masks, False)[0], target)
+                lm = logloss(_forward(model.params, window, masks)[0], target)
                 flat[i] = orig
                 fd = (lp - lm) / (2 * h)
                 worst = max(worst, abs(fd - gflat[i]) / max(1.0, abs(fd), abs(gflat[i])))
@@ -256,6 +279,31 @@ class TestBackward:
         norm = clip_gradients(grads, max_norm=5.0)
         assert norm == pytest.approx(50.0)
         assert np.linalg.norm(grads["a"]) == pytest.approx(5.0)
+
+
+class TestGoldenValues:
+    """The kernel's actual numbers on a seeded model, with and without fixed
+    dropout masks. The values in ``lstm_golden.json`` were computed by a
+    time-major implementation that stepped both layers cell by cell, so they
+    check the layer-major arithmetic rather than its self-consistency; the two
+    sum in different orders, hence the relative tolerance."""
+
+    @pytest.mark.parametrize("case", ["plain", "masked"])
+    def test_matches_pinned_values(self, case):
+        cfg = tiny_config(vocab=4, dense=3, width=4, unroll=4, dropout=0.3)
+        model = tiny_model(cfg, seed=21)
+        window = np.eye(cfg.vocab)[[1, 3, 0, 2]]
+        target = np.eye(cfg.vocab)[2]
+        masks = None
+        if case == "masked":
+            masks = DropoutMasks.sample(cfg, 4, np.random.default_rng(22))
+        golden = json.loads(Path(__file__).with_name("lstm_golden.json").read_text())[case]
+        loss, grads = loss_and_gradients(model, window, target, masks)
+        assert_close(forward_window(model, window, masks), golden["output"])
+        assert_close(loss, golden["loss"])
+        assert sorted(grads) == sorted(golden["grads"])
+        for name, grad in grads.items():
+            assert_close(grad.ravel(), golden["grads"][name])
 
 
 class TestSchedule:
