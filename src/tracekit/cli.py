@@ -1,12 +1,11 @@
-"""Command-line front end wiring the full pipeline.
+"""Command-line front end: one subcommand per pipeline stage, plus tools.
 
 Each subcommand reads declared inputs, writes declared outputs and prints a
 one-line summary. Exit codes: 0 on success, 1 on pipeline errors, 2 on
-usage/configuration errors. Artifacts written by the CLI start with a
-``# tracekit-... v1`` header line and subcommands refuse artifact files
-carrying a different version of that header; headerless files are accepted
-as plain user input. ``split``, ``train-lstm`` and ``mine`` run the same
-stage functions as ``report``; ``predict`` rolls out either model family.
+usage/configuration errors. ``synth`` to ``mine`` each run the ``pipeline``
+stage that ``report`` runs, so chained from one config they write what
+``report`` writes. A directory argument is a pool of ``*.trace`` files. The
+readers refuse another artifact's header; ``predict`` rolls out either model.
 """
 
 from __future__ import annotations
@@ -16,40 +15,14 @@ import sys
 from pathlib import Path
 
 from . import evaluate as evaluate_mod
-from . import lstm, markov, pipeline, restore, trem
+from . import lstm, markov, pipeline, trem
 from .config import RunConfig
 from .core import Event, Trace, build_dictionary
-from .errors import ConfigError, TracekitError, VersionMismatch
-from .ingest import read_trace, write_trace
-from .pipeline import (
-    GAPPED_HEADER,
-    TRACE_HEADER,
-    read_dictionary,
-    run_pipeline,
-    write_dictionary,
-)
-from .restore import LossSpec
-from .synth import generate_trace
-
-
-def _check_artifact_header(path: Path, expected: str) -> None:
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    if first.startswith("# tracekit-") and first != f"# {expected}":
-        raise VersionMismatch(f"{path}: expected `# {expected}`, found {first!r}")
-
-
-def _read_trace(path: str | Path) -> Trace:
-    p = Path(path)
-    _check_artifact_header(p, TRACE_HEADER)
-    return read_trace(p)
-
-
-def _read_trace_dir(directory: str | Path) -> list[Trace]:
-    paths = sorted(Path(directory).glob("*.trace"))
-    if not paths:
-        raise TracekitError(f"no .trace files in {directory}")
-    return [_read_trace(p) for p in paths]
+from .errors import ConfigError, TracekitError
+from .ingest import read_pool, read_trace, write_trace
+from .pipeline import read_dictionary, run_pipeline
+from .restore import LossSpec, predict_step_by_step, read_gapped
+from .synth import generate_trace  # noqa: F401  benchmark/tests checks the tracer restores it here
 
 
 def _load_any_model(path: str | Path):
@@ -61,19 +34,19 @@ def _load_any_model(path: str | Path):
     return markov.MarkovModel.load(path)
 
 
+def _pool_and_dictionary(args):
+    """The ``--train`` pool and the ``--dict`` dictionary, else the pool's own."""
+    pool = read_pool(args.train)
+    return pool, read_dictionary(Path(args.dict)) if args.dict else build_dictionary(pool)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
 def _cmd_synth(args) -> int:
-    config = RunConfig.load(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    count = config.synth_trace_count()
-    for i in range(count):
-        trace = generate_trace(config.generator_spec(i))
-        write_trace(trace, out / f"trace_{i:03d}.trace", header=TRACE_HEADER)
-    print(f"synth: wrote {count} traces to {out}")
+    traces = pipeline.synth(RunConfig.load(args.config), Path(args.out))
+    print(f"synth: wrote {len(traces)} traces to {args.out}")
     return 0
 
 
@@ -82,8 +55,8 @@ def _cmd_ingest(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     total = 0
     for src in args.files:
-        trace = _read_trace(src)
-        write_trace(trace, out / (Path(src).stem + ".trace"), header=TRACE_HEADER)
+        trace = read_trace(src)
+        write_trace(trace, out / f"{trace.label}.trace")
         total += len(trace)
     print(f"ingest: normalized {len(args.files)} files ({total} events) into {out}")
     return 0
@@ -91,25 +64,20 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_split(args) -> int:
     config = RunConfig.load(args.config)
-    train_pool, test_pool = pipeline.split(_read_trace_dir(args.input), config, Path(args.out))
+    train_pool, test_pool = pipeline.split(read_pool(args.input), config, Path(args.out))
     print(f"split: {len(train_pool)} train / {len(test_pool)} test under {args.out}")
     return 0
 
 
 def _cmd_dict(args) -> int:
-    traces = _read_trace_dir(args.input)
-    dictionary = build_dictionary(traces)
-    write_dictionary(dictionary, Path(args.out))
+    dictionary = pipeline.dictionary(read_pool(args.input), Path(args.out))
     print(f"dict: {len(dictionary.ids)} ids (+OTHER) -> {args.out}")
     return 0
 
 
 def _cmd_train_markov(args) -> int:
     config = RunConfig.load(args.config)
-    traces = _read_trace_dir(args.train)
-    dictionary = read_dictionary(Path(args.dict)) if args.dict else None
-    model = markov.learn_transitions(traces, config.markov_order(), dictionary)
-    model.save(args.out)
+    model = pipeline.train_markov(config, *_pool_and_dictionary(args), Path(args.out))
     print(
         f"train-markov: order {model.order_n}, {model.state_count} states -> {args.out}"
     )
@@ -118,9 +86,7 @@ def _cmd_train_markov(args) -> int:
 
 def _cmd_train_lstm(args) -> int:
     config = RunConfig.load(args.config)
-    traces = _read_trace_dir(args.train)
-    dictionary = read_dictionary(Path(args.dict)) if args.dict else build_dictionary(traces)
-    _, history = pipeline.train_lstm(config, traces, dictionary, Path(args.out))
+    _, history = pipeline.train_lstm(config, *_pool_and_dictionary(args), Path(args.out))
     final = history[-1].epochs[-1].val_logloss
     print(
         f"train-lstm: {len(history)} rounds, final val logloss {final:.4f} -> {args.out}"
@@ -129,15 +95,13 @@ def _cmd_train_lstm(args) -> int:
 
 
 def _cmd_inject_loss(args) -> int:
-    trace = _read_trace(args.input)
     spec = LossSpec(
         fraction=args.fraction / 100.0,
         mode=args.mode,
         burst_length=args.burst_length,
         seed=args.seed,
     )
-    gapped = restore.inject_loss(trace, spec)
-    restore.write_gapped(gapped, args.out, header=GAPPED_HEADER)
+    gapped = pipeline.inject(read_trace(args.input), spec, Path(args.out))
     print(
         f"inject-loss: removed {gapped.missing_total()} of "
         f"{gapped.original_length()} events -> {args.out}"
@@ -147,11 +111,10 @@ def _cmd_inject_loss(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = _load_any_model(args.model)
-    seed_trace = _read_trace(args.seed_trace)
-    predicted = restore.predict_step_by_step(model, seed_trace.ids(), args.horizon)
+    seed_trace = read_trace(args.seed_trace)
+    predicted = predict_step_by_step(model, seed_trace.ids(), args.horizon)
     events = _extrapolate_events(seed_trace, predicted)
-    write_trace(Trace(tuple(events), label=f"{seed_trace.label}_pred"), args.out,
-                header=TRACE_HEADER)
+    write_trace(Trace(tuple(events), label=f"{seed_trace.label}_pred"), args.out)
     print(f"predict: {args.horizon} events -> {args.out}")
     return 0
 
@@ -167,12 +130,8 @@ def _extrapolate_events(seed_trace: Trace, predicted):
 
 
 def _cmd_restore(args) -> int:
-    model = _load_any_model(args.model)
-    p = Path(args.input)
-    _check_artifact_header(p, GAPPED_HEADER)
-    gapped = restore.read_gapped(p)
-    restored = restore.restore_trace(model, gapped)
-    write_trace(restored, args.out, header=TRACE_HEADER)
+    gapped = read_gapped(args.input)
+    restored = pipeline.restore(_load_any_model(args.model), gapped, Path(args.out))
     print(
         f"restore: filled {gapped.missing_total()} events, "
         f"{len(restored)} total -> {args.out}"
@@ -181,16 +140,13 @@ def _cmd_restore(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    pred = _read_trace(args.pred)
-    truth = _read_trace(args.truth)
+    pred = read_trace(args.pred)
+    truth = read_trace(args.truth)
     report = evaluate_mod.align_and_classify(
         pred.ids(), truth.ids(), lookahead_w=args.lookahead, order_k=args.order_depth
     )
-    lines = report.to_lines()
     if args.out:
-        Path(args.out).write_text(
-            "\n".join([f"# {REPORT_HEADER_EVAL}"] + lines) + "\n", encoding="utf-8"
-        )
+        Path(args.out).write_text(report.to_text(), encoding="utf-8")
     print(
         f"evaluate: accuracy {report.accuracy:.4f}, {report.omissions} omissions, "
         f"{report.ordering_mistakes} ordering mistakes, "
@@ -199,11 +155,8 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-REPORT_HEADER_EVAL = "tracekit-eval v1"
-
-
 def _cmd_render(args) -> int:
-    trace = _read_trace(args.input)
+    trace = read_trace(args.input)
     dictionary = read_dictionary(Path(args.dict))
     stop = args.start + args.length if args.length else None
     ids = trace.ids()[args.start : stop]
@@ -213,7 +166,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    trace = _read_trace(args.input)
+    trace = read_trace(args.input)
     dictionary = read_dictionary(Path(args.dict))
     report = pipeline.mine(trace, dictionary, args.top_k, Path(args.out))
     print(f"mine: {len(report)} instances -> {args.out}")

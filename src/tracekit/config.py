@@ -6,6 +6,9 @@ file order. Unknown keys are rejected, and every random
 decision in a run flows from the single ``seed`` key through named
 substreams, so there are no wall-clock defaults anywhere.
 
+A key left out takes the default of the stage spec it feeds, so each default
+is stated once. Synthetic traces are labelled ``trace_###``, their file stem.
+
 Example::
 
     seed = 42
@@ -50,7 +53,6 @@ _KNOWN_KEYS = _REPEATABLE | {
     "synth.traces",
     "synth.duration",
     "synth.duration_step",
-    "synth.label",
     "split.train",
     "split.test",
     "markov.order",
@@ -80,12 +82,12 @@ def derive_seed(global_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-def _spec(kind, **fields):
+def _spec(build, **fields):
     """Build a stage spec; a value the spec rejects is a configuration error."""
     try:
-        return kind(**fields)
+        return build(**fields)
     except ValueError as exc:
-        raise ConfigError(f"bad {kind.__name__} values: {exc}") from None
+        raise ConfigError(f"bad {build.__qualname__} values: {exc}") from None
 
 
 @dataclass
@@ -147,6 +149,11 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"key {key!r} must be a number, got {raw!r}") from None
 
+    def _given(self, parse, **keys: str) -> dict:
+        """``{field: parse(key)}`` for each ``field=key`` whose key the file sets;
+        an unset field keeps the default of the spec it builds."""
+        return {name: parse(key) for name, key in keys.items() if key in self.entries}
+
     @property
     def seed(self) -> int:
         return self._int("seed")
@@ -184,14 +191,13 @@ class RunConfig:
             raise ConfigError(f"bad synth message entry: {exc}") from exc
         duration = self._float("synth.duration", 1.0)
         duration += index * self._float("synth.duration_step", 0.0)
-        label = self._one("synth.label", "synthetic")
         return GeneratorSpec(
             periodic=periodic,
             triggered=triggered,
             rare=rare,
             duration=duration,
             seed=derive_seed(self.seed, f"synth:{index}"),
-            label=f"{label}_{index:03d}",
+            label=f"trace_{index:03d}",
         )
 
     def split_spec(self) -> SplitSpec:
@@ -210,25 +216,23 @@ class RunConfig:
 
     def network_config(self, vocab: int) -> NetworkConfig:
         return _spec(
-            NetworkConfig,
+            NetworkConfig.for_vocab,
             vocab=vocab,
-            dense_width=self._int("lstm.dense_width", 2 * vocab),
-            lstm_width=self._int("lstm.lstm_width", 8 * vocab),
-            unroll_steps=self._int("lstm.unroll", 40),
-            input_dropout=self._float("lstm.input_dropout", 0.2),
-            hidden_dropout=self._float("lstm.hidden_dropout", 0.4),
-            recurrent_dropout=self._float("lstm.recurrent_dropout", 0.4),
+            **self._given(self._int, dense_width="lstm.dense_width",
+                          lstm_width="lstm.lstm_width", unroll_steps="lstm.unroll"),
+            **self._given(self._float, input_dropout="lstm.input_dropout",
+                          hidden_dropout="lstm.hidden_dropout",
+                          recurrent_dropout="lstm.recurrent_dropout"),
         )
 
     def training_schedule(self) -> TrainingSchedule:
         return _spec(
             TrainingSchedule,
             rounds=self._int("train.rounds", 4),
-            epochs_flat=self._int("train.epochs_flat", 10),
-            epochs_decay=self._int("train.epochs_decay", 20),
-            base_lr=self._float("train.base_lr", 0.2),
-            decay=self._float("train.decay", 1.0 / 1.1),
             seed=derive_seed(self.seed, "train"),
+            **self._given(self._int, epochs_flat="train.epochs_flat",
+                          epochs_decay="train.epochs_decay"),
+            **self._given(self._float, base_lr="train.base_lr", decay="train.decay"),
         )
 
     def loss_fractions(self) -> list[float]:
@@ -244,9 +248,9 @@ class RunConfig:
         return _spec(
             LossSpec,
             fraction=fraction,
-            mode=self._one("loss.mode", "scattered"),
-            burst_length=self._int("loss.burst_length", 1),
             seed=derive_seed(self.seed, f"loss:{fraction!r}:{trace_label}"),
+            **self._given(self._one, mode="loss.mode"),
+            **self._given(self._int, burst_length="loss.burst_length"),
         )
 
     def restorer(self) -> str:

@@ -72,6 +72,9 @@ def n_forward_accuracy(
 # alignment
 
 
+EVAL_HEADER = "# tracekit-eval v1"
+
+
 @dataclass(frozen=True)
 class AlignmentReport:
     """Counts of alignment decisions between a prediction and the truth.
@@ -110,8 +113,10 @@ class AlignmentReport:
             "events_per_ordering_mistake": self.events_per_ordering_mistake,
         }
 
-    def to_lines(self) -> list[str]:
-        return [f"{key}={value!r}" for key, value in self.to_dict().items()]
+    def to_text(self) -> str:
+        """The report file: the header, then one ``key=value`` line per count."""
+        lines = [EVAL_HEADER] + [f"{key}={value!r}" for key, value in self.to_dict().items()]
+        return "\n".join(lines) + "\n"
 
 
 def _common_prefix(a: Sequence, i: int, b: Sequence, j: int) -> int:

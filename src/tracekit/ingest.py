@@ -9,8 +9,9 @@ token. Lines starting with ``#`` are comments, blank lines are skipped.
 Timestamps must be non-decreasing; ids are uppercase-normalized. The
 conventional file extension is ``.trace``.
 
-``parse_trace`` takes text and ``read_trace`` a path. The gapped form in
-``restore`` reads and writes its event lines with the helpers here.
+Written files open with ``TRACE_HEADER``; text opening with another
+``# tracekit-`` header is refused, headerless text is plain user input. The
+gapped form in ``restore`` reuses the line and header helpers here.
 """
 
 from __future__ import annotations
@@ -20,10 +21,19 @@ import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Event, EventId, Trace
-from .errors import InsufficientTraces, MalformedLine, NonMonotonicTimestamp
+from .errors import InsufficientTraces, MalformedLine, NonMonotonicTimestamp, VersionMismatch
+
+TRACE_HEADER = "# tracekit-trace v1"
+
+
+def check_header(text: str, header: str) -> None:
+    """Refuse text whose first line is a ``# tracekit-`` header other than ``header``."""
+    first = text.partition("\n")[0].strip()
+    if first.startswith("# tracekit-") and first != header:
+        raise VersionMismatch(f"expected `{header}`, found {first!r}")
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
@@ -57,8 +67,9 @@ def parse_trace(text: str, label: str = "") -> Trace:
     """Parse TraceFileFormat text into a Trace.
 
     Raises ``MalformedLine`` / ``NonMonotonicTimestamp`` carrying the
-    1-based line number.
+    1-based line number, and ``VersionMismatch`` for another artifact's header.
     """
+    check_header(text, TRACE_HEADER)
     events: list[Event] = []
     for line_no, raw, parts in content_lines(text):
         prev_ts = events[-1].timestamp if events else None
@@ -72,24 +83,37 @@ def format_event(ev: Event) -> str:
     return f"{ev.timestamp!r} {ev.id}"
 
 
-def serialize_trace(trace: Trace, header: str | None = None) -> str:
-    """Render a trace back into TraceFileFormat text.
+def serialize_trace(trace: Trace) -> str:
+    """Render a trace back into TraceFileFormat text, header first.
 
     ``parse_trace(serialize_trace(t), label=t.label) == t`` holds because
     ``repr(float)`` round-trips exactly. Every event needs a timestamp.
     """
-    lines = [f"# {header}"] if header else []
-    lines.extend(format_event(ev) for ev in trace.events)
+    lines = [TRACE_HEADER] + [format_event(ev) for ev in trace.events]
     return "\n".join(lines) + "\n"
 
 
-def write_trace(trace: Trace, path: str | os.PathLike, header: str | None = None) -> None:
-    Path(path).write_text(serialize_trace(trace, header=header), encoding="utf-8")
+def write_trace(trace: Trace, path: str | os.PathLike) -> None:
+    Path(path).write_text(serialize_trace(trace), encoding="utf-8")
 
 
-def read_trace(path: str | os.PathLike, label: str | None = None) -> Trace:
+def read_trace(path: str | os.PathLike) -> Trace:
+    """The trace in a file, labelled by the file's stem."""
     p = Path(path)
-    return parse_trace(p.read_text(encoding="utf-8"), label=p.stem if label is None else label)
+    return parse_trace(p.read_text(encoding="utf-8"), label=p.stem)
+
+
+def read_pool(directory: str | os.PathLike) -> list[Trace]:
+    """Every ``*.trace`` file of ``directory``, labelled by file stem, in label order."""
+    paths = list(Path(directory).glob("*.trace"))
+    if not paths:
+        raise InsufficientTraces(f"no .trace files in {directory}")
+    return _by_label(read_trace(p) for p in paths)
+
+
+def _by_label(traces: Iterable[Trace]) -> list[Trace]:
+    """The one order of a pool, however it was built or read."""
+    return sorted(traces, key=lambda t: t.label)
 
 
 @dataclass(frozen=True)
@@ -111,7 +135,8 @@ def split_traces(traces: Sequence[Trace], spec: SplitSpec) -> tuple[list[Trace],
     """Deterministically shuffle by seed, then cut train/test pools.
 
     The two pools are disjoint; together they hold the first
-    ``train_count + test_count`` traces of the shuffled order.
+    ``train_count + test_count`` traces of the shuffled order, each pool in
+    label order like ``read_pool``.
     """
     needed = spec.train_count + spec.test_count
     if needed > len(traces):
@@ -121,5 +146,5 @@ def split_traces(traces: Sequence[Trace], spec: SplitSpec) -> tuple[list[Trace],
     order = list(range(len(traces)))
     random.Random(spec.shuffle_seed).shuffle(order)
     picked = [traces[i] for i in order[:needed]]
-    return picked[: spec.train_count], picked[spec.train_count :]
+    return _by_label(picked[: spec.train_count]), _by_label(picked[spec.train_count :])
 

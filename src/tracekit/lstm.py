@@ -237,6 +237,14 @@ class DropoutMasks:
     def recurrent_mask(self, layer: int) -> np.ndarray | None:
         return None if self.recurrent_masks is None else self.recurrent_masks[layer]
 
+    def last(self, steps: int) -> "DropoutMasks":
+        """The masks of the last ``steps`` rows of the window they were sampled for."""
+        return DropoutMasks(
+            input_masks=None if self.input_masks is None else self.input_masks[-steps:],
+            hidden_masks=None if self.hidden_masks is None else self.hidden_masks[:, -steps:],
+            recurrent_masks=self.recurrent_masks,
+        )
+
 
 # ---------------------------------------------------------------------------
 # forward / backward over a window
@@ -343,8 +351,9 @@ def _forward(params, window, masks):
     return output, {"dense": dense, "lstm0": lstm0, "lstm1": lstm1}
 
 
-def _checked_window(model: "LstmModel", window: np.ndarray) -> np.ndarray:
-    """The window as a float (T, V) array of its last ``unroll_steps`` rows."""
+def _checked_window(model: "LstmModel", window: np.ndarray, masks: DropoutMasks | None):
+    """The window as a float (T, V) array of its last ``unroll_steps`` rows,
+    and the masks (none if not given) cut to the same rows."""
     window = np.asarray(window, dtype=np.float64)
     if window.ndim == 1:
         window = window[None, :]
@@ -354,7 +363,8 @@ def _checked_window(model: "LstmModel", window: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"window width {window.shape[1]} != vocabulary {model.config.vocab}"
         )
-    return window[-model.config.unroll_steps :]
+    window = window[-model.config.unroll_steps :]
+    return window, (masks or DropoutMasks.disabled()).last(window.shape[0])
 
 
 def forward_window(
@@ -368,8 +378,8 @@ def forward_window(
     from the zero state. Without masks this is the deterministic inference
     path.
     """
-    window = _checked_window(model, window)
-    return _forward(model.params, window, masks or DropoutMasks.disabled())[0]
+    window, masks = _checked_window(model, window, masks)
+    return _forward(model.params, window, masks)[0]
 
 
 def loss_and_gradients(
@@ -379,8 +389,7 @@ def loss_and_gradients(
     masks: DropoutMasks | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss plus exact reverse-mode gradients for every parameter."""
-    masks = masks or DropoutMasks.disabled()
-    window = _checked_window(model, window)
+    window, masks = _checked_window(model, window, masks)
     target = np.asarray(target, dtype=np.float64)
     params = model.params
 

@@ -1,4 +1,4 @@
-"""End-to-end experiment pipeline.
+"""End-to-end experiment pipeline, built from one function per stage.
 
 Generate synthetic traces, split them, train both model families, evaluate
 continuation quality on held-out traces, then run the loss study: inject a
@@ -9,9 +9,9 @@ byte-identical artifacts.
 
 Artifact layout under the output directory::
 
-    traces/trace_###.trace        generated traces
-    split/train/ , split/test/    the two pools
-    dict.txt                      event dictionary
+    traces/trace_###.trace        generated traces, labelled by file stem
+    split/train/ , split/test/    the two pools, same names, in label order
+    dict.txt                      event dictionary of the training pool
     markov.model , lstm.model     trained models
     rasters/*.pgm                 one-hot rasters (truth vs. rollout)
     loss_<pct>/<label>.gapped     injected loss, per test trace
@@ -19,8 +19,8 @@ Artifact layout under the output directory::
     mine/*.txt                    mining reports
     report.txt , report.json      run summary
 
-``split``, ``train_lstm`` and ``mine`` are stages the matching subcommands
-call too, so they write what the run writes for the same inputs.
+Each stage below writes its artifact and returns its value; the matching
+subcommand runs it too, so the chained subcommands reproduce a run.
 """
 
 from __future__ import annotations
@@ -28,32 +28,40 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from . import evaluate, lstm, markov, restore, trem
+from . import evaluate, lstm, markov, trem
 from .config import RunConfig
 from .core import Dictionary, EventId, Trace, build_dictionary
 from .errors import CorruptModel, VersionMismatch
 from .ingest import split_traces, write_trace
+from .restore import GappedTrace, LossSpec, NextEventPredictor, inject_loss
+from .restore import predict_step_by_step, restore_trace, write_gapped
 from .synth import generate_trace
 
-TRACE_HEADER = "tracekit-trace v1"
-GAPPED_HEADER = "tracekit-gapped v1"
-DICT_HEADER = "tracekit-dict v1"
-REPORT_HEADER = "tracekit-report v1"
-
-
-def write_dictionary(dictionary: Dictionary, path: Path) -> None:
-    lines = [f"# {DICT_HEADER}"] + list(dictionary.ids)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+DICT_HEADER = "# tracekit-dict v1"
+REPORT_HEADER = "# tracekit-report v1"
 
 
 def read_dictionary(path: Path) -> Dictionary:
     lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != f"# {DICT_HEADER}":
+    if not lines or lines[0] != DICT_HEADER:
         raise VersionMismatch(f"{path} lacks the `{DICT_HEADER}` header")
     try:
         return Dictionary(tuple(EventId(t) for t in lines[1:] if t.strip()))
     except ValueError as exc:
         raise CorruptModel(f"{path}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# stages
+
+
+def synth(config: RunConfig, out: Path) -> list[Trace]:
+    """Generate the config's traces and write each to ``out/<label>.trace``."""
+    out.mkdir(parents=True, exist_ok=True)
+    traces = [generate_trace(config.generator_spec(i)) for i in range(config.synth_trace_count())]
+    for trace in traces:
+        write_trace(trace, out / f"{trace.label}.trace")
+    return traces
 
 
 def split(traces: list[Trace], config: RunConfig, out: Path) -> tuple[list[Trace], list[Trace]]:
@@ -63,8 +71,24 @@ def split(traces: list[Trace], config: RunConfig, out: Path) -> tuple[list[Trace
         pool_dir = out / name
         pool_dir.mkdir(parents=True, exist_ok=True)
         for trace in pool:
-            write_trace(trace, pool_dir / f"{trace.label}.trace", header=TRACE_HEADER)
+            write_trace(trace, pool_dir / f"{trace.label}.trace")
     return train_pool, test_pool
+
+
+def dictionary(pool: list[Trace], out: Path) -> Dictionary:
+    """Build the dictionary of a training pool and write it, one id a line."""
+    built = build_dictionary(pool)
+    out.write_text("\n".join([DICT_HEADER, *built.ids]) + "\n", encoding="utf-8")
+    return built
+
+
+def train_markov(
+    config: RunConfig, pool: list[Trace], dictionary: Dictionary, out: Path
+) -> markov.MarkovModel:
+    """Learn and save the benchmark model."""
+    model = markov.learn_transitions(pool, config.markov_order(), dictionary)
+    model.save(out)
+    return model
 
 
 def train_lstm(
@@ -78,6 +102,20 @@ def train_lstm(
     history = lstm.train(model, pool, schedule)
     lstm.save_model(model, out)
     return model, history
+
+
+def inject(trace: Trace, spec: LossSpec, out: Path) -> GappedTrace:
+    """Remove events from ``trace`` as ``spec`` says and write the gapped trace."""
+    gapped = inject_loss(trace, spec)
+    write_gapped(gapped, out)
+    return gapped
+
+
+def restore(model: NextEventPredictor, gapped: GappedTrace, out: Path) -> Trace:
+    """Fill every gap with ``model`` and write the restored trace."""
+    restored = restore_trace(model, gapped)
+    write_trace(restored, out)
+    return restored
 
 
 def mine(trace: Trace, dictionary: Dictionary, top_k: int, out: Path) -> trem.MiningReport:
@@ -94,35 +132,15 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # 1. synthesize
-    traces_dir = out / "traces"
-    traces_dir.mkdir(exist_ok=True)
-    traces: list[Trace] = []
-    for i in range(config.synth_trace_count()):
-        trace = generate_trace(config.generator_spec(i))
-        traces.append(trace)
-        write_trace(trace, traces_dir / f"trace_{i:03d}.trace", header=TRACE_HEADER)
-
-    # 2. split
-    train_pool, test_pool = split(traces, config, out / "split")
-
-    # 3. dictionary (from the training pool only)
-    dictionary = build_dictionary(train_pool)
-    write_dictionary(dictionary, out / "dict.txt")
-
-    # 4. benchmark model
-    markov_model = markov.learn_transitions(
-        train_pool, order_n=config.markov_order(), dictionary=dictionary
-    )
-    markov_model.save(out / "markov.model")
-
-    # 5. network
-    model, history = train_lstm(config, train_pool, dictionary, out / "lstm.model")
+    train_pool, test_pool = split(synth(config, out / "traces"), config, out / "split")
+    vocabulary = dictionary(train_pool, out / "dict.txt")
+    markov_model = train_markov(config, train_pool, vocabulary, out / "markov.model")
+    model, history = train_lstm(config, train_pool, vocabulary, out / "lstm.model")
     unroll = model.config.unroll_steps
 
     summary: dict = {
         "config_digest": config.digest(),
-        "vocab": dictionary.size,
+        "vocab": vocabulary.size,
         "training_rounds": [
             {
                 "round": r.round_index,
@@ -137,7 +155,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
         "loss_study": {},
     }
 
-    # 6. held-out continuation quality
+    # held-out continuation quality
     eval_start = config.eval_start() or unroll
     for trace in test_pool:
         ids = trace.ids()
@@ -150,32 +168,32 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
             "markov": acc_markov,
         }
 
-    # 7. full-trace rollout and rasters for the first test trace
+    # full-trace rollout and rasters for the first test trace
     rasters = out / "rasters"
     rasters.mkdir(exist_ok=True)
     if test_pool:
         probe = test_pool[0]
         ids = probe.ids()
         seed_len = min(unroll, max(1, len(ids) // 4))
-        continuation = restore.predict_step_by_step(model, ids[:seed_len], len(ids) - seed_len)
+        continuation = predict_step_by_step(model, ids[:seed_len], len(ids) - seed_len)
         report = evaluate.align_and_classify(continuation, ids[seed_len:])
         summary["rollout"][probe.label] = report.to_dict()
         segment = slice(0, min(120, len(ids) - seed_len))
         evaluate.render_onehot_image(
-            ids[seed_len:][segment], dictionary, rasters / "true_events.pgm"
+            ids[seed_len:][segment], vocabulary, rasters / "true_events.pgm"
         )
         evaluate.render_onehot_image(
-            continuation[segment], dictionary, rasters / "predicted_events.pgm"
+            continuation[segment], vocabulary, rasters / "predicted_events.pgm"
         )
 
-    # 8. loss / restore / mine study
+    # loss / restore / mine study
     restorer = markov_model if config.restorer() == "markov" else model
     mine_dir = out / "mine"
     mine_dir.mkdir(exist_ok=True)
     top_k = config.mine_top_k()
 
     def mined(trace: Trace, tag: str) -> trem.MiningReport:
-        return mine(trace, dictionary, top_k, mine_dir / f"{tag}.txt")
+        return mine(trace, vocabulary, top_k, mine_dir / f"{tag}.txt")
 
     originals = {t.label: mined(t, f"original_{t.label}") for t in test_pool}
     for fraction in config.loss_fractions():
@@ -186,16 +204,12 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
         kept_lossy = 0
         kept_restored = 0
         for trace in test_pool:
-            gapped = restore.inject_loss(trace, config.loss_spec(fraction, trace.label))
-            restore.write_gapped(gapped, level_dir / f"{trace.label}.gapped", header=GAPPED_HEADER)
-            restored = restore.restore_trace(restorer, gapped)
-            write_trace(
-                restored, level_dir / f"{trace.label}.restored.trace", header=TRACE_HEADER
-            )
-            original_report = originals[trace.label]
+            spec = config.loss_spec(fraction, trace.label)
+            gapped = inject(trace, spec, level_dir / f"{trace.label}.gapped")
+            restored = restore(restorer, gapped, level_dir / f"{trace.label}.restored.trace")
             lossy_report = mined(gapped.known_trace(), f"lossy_{pct:02d}_{trace.label}")
             restored_report = mined(restored, f"restored_{pct:02d}_{trace.label}")
-            original_keys = original_report.keys()
+            original_keys = originals[trace.label].keys()
             total_original += len(original_keys)
             kept_lossy += len(original_keys & lossy_report.keys())
             kept_restored += len(original_keys & restored_report.keys())
@@ -217,7 +231,7 @@ def _write_report(summary: dict, out: Path) -> None:
     (out / "report.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    lines = [f"# {REPORT_HEADER}", f"config_digest={summary['config_digest']}"]
+    lines = [REPORT_HEADER, f"config_digest={summary['config_digest']}"]
     for label in sorted(summary["next_event_accuracy"]):
         acc = summary["next_event_accuracy"][label]
         lines.append(f"nextacc.lstm.{label}={acc['lstm']!r}")

@@ -12,7 +12,8 @@ Gap sizes are known to the restorer by design: loss measurements compare
 fixed-length traces, which presupposes knowing how much was lost.
 Unknown-length gap inference is out of scope.
 
-File form: TraceFileFormat plus sentinel lines ``? <missing_count>``.
+File form: ``GAPPED_HEADER``, then TraceFileFormat plus sentinel lines
+``? <missing_count>``. Other headers are refused as in ``ingest``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from typing import Callable, Protocol, Sequence
 
 from .core import Event, EventId, Trace
 from .errors import DegenerateInput, InvalidFraction, MalformedLine
-from .ingest import content_lines, format_event, parse_event_line
+from .ingest import check_header, content_lines, format_event, parse_event_line
+
+GAPPED_HEADER = "# tracekit-gapped v1"
 
 
 class NextEventPredictor(Protocol):
@@ -262,8 +265,8 @@ def restore_trace(model: NextEventPredictor, gapped: GappedTrace) -> Trace:
 # gapped-trace file form
 
 
-def serialize_gapped(gapped: GappedTrace, header: str | None = None) -> str:
-    lines = [f"# {header}"] if header else []
+def serialize_gapped(gapped: GappedTrace) -> str:
+    lines = [GAPPED_HEADER]
     for seg in gapped.segments:
         if isinstance(seg, Gap):
             lines.append(f"? {seg.missing_count}")
@@ -274,6 +277,7 @@ def serialize_gapped(gapped: GappedTrace, header: str | None = None) -> str:
 
 def parse_gapped(text: str, label: str = "") -> GappedTrace:
     """Parse TraceFileFormat text with ``? <missing_count>`` sentinel lines."""
+    check_header(text, GAPPED_HEADER)
     segments: list[Run | Gap] = []
     run: list[Event] = []
     prev_ts: float | None = None
@@ -301,10 +305,11 @@ def parse_gapped(text: str, label: str = "") -> GappedTrace:
     return GappedTrace(tuple(segments), label=label)
 
 
-def write_gapped(gapped: GappedTrace, path: str | os.PathLike, header: str | None = None) -> None:
-    Path(path).write_text(serialize_gapped(gapped, header=header), encoding="utf-8")
+def write_gapped(gapped: GappedTrace, path: str | os.PathLike) -> None:
+    Path(path).write_text(serialize_gapped(gapped), encoding="utf-8")
 
 
-def read_gapped(path: str | os.PathLike, label: str | None = None) -> GappedTrace:
+def read_gapped(path: str | os.PathLike) -> GappedTrace:
+    """The gapped trace in a file, labelled by the file's stem."""
     p = Path(path)
-    return parse_gapped(p.read_text(encoding="utf-8"), label=p.stem if label is None else label)
+    return parse_gapped(p.read_text(encoding="utf-8"), label=p.stem)

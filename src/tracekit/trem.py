@@ -4,15 +4,17 @@ Two templates are mined, each over ordered pairs (P, S) of distinct known
 ids (the OTHER slot is never a candidate):
 
 * response — every occurrence of P is answered by an S before any further
-  P occurs, and each P-to-S span fits the time bound. One unanswered or
-  re-triggered P disqualifies the pair for the whole trace.
+  P occurs. One unanswered or re-triggered P disqualifies the pair for the
+  whole trace.
 * alternating — restricting the trace to P and S events yields the strict
   alternation P, S, P, S, ..., S (P first, S last); events that are neither
-  P nor S are ignored; each P-to-S pair fits the time bound.
+  P nor S are ignored.
 
-Timestamps are standardized to the [0, 1000] span before mining, and the
-time bound for both templates is that full span, so the bound only excludes
-pairs stretched across (nearly) the entire trace.
+Timestamps are standardized to exactly [0, 1000] before mining. The time
+bound of both templates is that same full span, so it excludes no pair and
+is not checked: every P-to-S delay of a standardized trace lies within it.
+The bound only gains meaning once each instance's observed delay interval
+is mined and compared.
 
 ``match_count`` counts P-to-S segments, while instance identity for set
 comparisons is (template, P, S) alone: comparing reports counts distinct
@@ -24,7 +26,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import Dictionary, Event, EventId, Trace
 from .errors import CorruptModel, DegenerateTimeSpan, EmptyOriginal, VersionMismatch
@@ -52,7 +54,6 @@ class TREInstance:
     p: EventId
     s: EventId
     match_count: int
-    time_bound: tuple[float, float] = (0.0, TIME_SPAN)
 
     def __post_init__(self) -> None:
         if self.p == self.s:
@@ -83,7 +84,11 @@ class MiningReport:
 
 
 def standardize_time(trace: Trace) -> Trace:
-    """Affinely map timestamps so the trace spans exactly [0, 1000]."""
+    """Affinely map timestamps so the trace spans exactly [0, 1000].
+
+    Dividing by the span before scaling maps the last event to 1000 exactly;
+    scaling by ``1000 / span`` first can overshoot it by an ulp.
+    """
     times = [ev.timestamp for ev in trace.events]
     if any(t is None for t in times):
         raise ValueError("standardize_time requires every event to be timestamped")
@@ -92,46 +97,38 @@ def standardize_time(trace: Trace) -> Trace:
     lo, hi = min(times), max(times)
     if hi == lo:
         raise DegenerateTimeSpan("all timestamps are equal")
-    scale = TIME_SPAN / (hi - lo)
-    events = tuple(Event(ev.id, (ev.timestamp - lo) * scale) for ev in trace.events)
+    span = hi - lo
+    events = tuple(Event(ev.id, (ev.timestamp - lo) / span * TIME_SPAN) for ev in trace.events)
     return Trace(events, label=trace.label)
 
 
-def _occurrences(trace: Trace, dictionary: Dictionary) -> dict[EventId, list[tuple[int, float]]]:
-    occ: dict[EventId, list[tuple[int, float]]] = {}
+def _occurrences(trace: Trace, dictionary: Dictionary) -> dict[EventId, list[int]]:
+    """Positions of every known id in the trace."""
+    occ: dict[EventId, list[int]] = {}
     known = set(dictionary.ids)
     for pos, ev in enumerate(trace.events):
         if ev.id in known:
-            occ.setdefault(ev.id, []).append((pos, ev.timestamp))
+            occ.setdefault(ev.id, []).append(pos)
     return occ
-
-
-def _within_bound(t_p: float, t_s: float) -> bool:
-    return 0.0 <= t_s - t_p <= TIME_SPAN
 
 
 def mine_response(trace: Trace, dictionary: Dictionary) -> set[TREInstance]:
     """All response instances of a standardized trace."""
     occ = _occurrences(trace, dictionary)
     instances: set[TREInstance] = set()
-    for p_id, p_occ in occ.items():
-        for s_id, s_occ in occ.items():
+    for p_id, p_positions in occ.items():
+        for s_id, s_positions in occ.items():
             if p_id == s_id:
                 continue
-            s_positions = [pos for pos, _ in s_occ]
             count = 0
             ok = True
-            for idx, (p_pos, p_time) in enumerate(p_occ):
-                next_p = p_occ[idx + 1][0] if idx + 1 < len(p_occ) else None
+            for idx, p_pos in enumerate(p_positions):
+                next_p = p_positions[idx + 1] if idx + 1 < len(p_positions) else None
                 j = bisect_right(s_positions, p_pos)
-                if j == len(s_occ):
+                if j == len(s_positions):
                     ok = False
                     break
-                s_pos, s_time = s_occ[j]
-                if next_p is not None and s_pos > next_p:
-                    ok = False
-                    break
-                if not _within_bound(p_time, s_time):
+                if next_p is not None and s_positions[j] > next_p:
                     ok = False
                     break
                 count += 1
@@ -149,37 +146,23 @@ def mine_alternating(trace: Trace, dictionary: Dictionary) -> set[TREInstance]:
         for s_id in ids:
             if p_id == s_id:
                 continue
-            merged = sorted(
-                [(pos, ts, 0) for pos, ts in occ[p_id]]
-                + [(pos, ts, 1) for pos, ts in occ[s_id]]
-            )
-            if len(merged) < 2 or len(merged) % 2 != 0:
+            roles = [role for _, role in sorted(
+                [(pos, 0) for pos in occ[p_id]] + [(pos, 1) for pos in occ[s_id]]
+            )]
+            if len(roles) < 2 or len(roles) % 2 != 0:
                 continue
-            if any(role != i % 2 for i, (_, _, role) in enumerate(merged)):
+            if any(role != i % 2 for i, role in enumerate(roles)):
                 continue
-            pairs = [
-                (merged[i][1], merged[i + 1][1]) for i in range(0, len(merged), 2)
-            ]
-            if all(_within_bound(tp, ts) for tp, ts in pairs):
-                instances.add(
-                    TREInstance(Template.ALTERNATING, p_id, s_id, len(pairs))
-                )
+            instances.add(TREInstance(Template.ALTERNATING, p_id, s_id, len(roles) // 2))
     return instances
 
 
-def mine_trace(
-    trace: Trace,
-    dictionary: Dictionary,
-    templates: Iterable[Template] = (Template.RESPONSE, Template.ALTERNATING),
-) -> MiningReport:
-    """Standardize the trace and mine the requested templates."""
+def mine_trace(trace: Trace, dictionary: Dictionary) -> MiningReport:
+    """Standardize the trace and mine both templates."""
     standardized = standardize_time(trace)
-    instances: list[TREInstance] = []
-    for template in templates:
-        if template is Template.RESPONSE:
-            instances.extend(mine_response(standardized, dictionary))
-        else:
-            instances.extend(mine_alternating(standardized, dictionary))
+    instances = mine_response(standardized, dictionary) | mine_alternating(
+        standardized, dictionary
+    )
     return MiningReport(
         instances=_sorted_instances(instances, dictionary),
         trace_label=trace.label,

@@ -6,9 +6,9 @@ import pytest
 
 from tracekit import cli, lstm
 from tracekit.core import Event, EventId, Trace, build_dictionary
-from tracekit.ingest import read_trace, write_trace
+from tracekit.ingest import TRACE_HEADER, read_trace, write_trace
 from tracekit.markov import learn_transitions
-from tracekit.pipeline import DICT_HEADER, GAPPED_HEADER, TRACE_HEADER
+from tracekit.pipeline import DICT_HEADER
 from tracekit.restore import (
     LossSpec,
     inject_loss,
@@ -40,9 +40,9 @@ def markov_run(tmp_path):
     train = [generate_trace(spec(seed, 0.5)) for seed in (1, 2)]
     (tmp_path / "train").mkdir()
     for i, trace in enumerate(train):
-        write_trace(trace, tmp_path / "train" / f"t{i}.trace", header=TRACE_HEADER)
+        write_trace(trace, tmp_path / "train" / f"t{i}.trace")
     gapped = inject_loss(generate_trace(spec(3, 1.0)), LossSpec(fraction=0.25, seed=3))
-    write_gapped(gapped, tmp_path / "lossy.gapped", header=GAPPED_HEADER)
+    write_gapped(gapped, tmp_path / "lossy.gapped")
     (tmp_path / "run.cfg").write_text(f"seed = 1\nmarkov.order = {ORDER}\n")
     model = tmp_path / "markov.model"
     code = cli.main(["train-markov", "--config", str(tmp_path / "run.cfg"),
@@ -129,6 +129,15 @@ BAD_INPUTS = {  # case: (argv, a fragment of the error message)
                                "--out", "{d}/r.pgm"], "no events to render"),
     "render past the end": (["render", "--in", "{d}/six.trace", "--dict", "{d}/abc.txt",
                              "--out", "{d}/r.pgm", "--start", "10"], "no events to render"),
+    "newer trace header": (["mine", "--in", "{d}/v2.trace", "--dict", "{d}/abc.txt",
+                            "--out", "{d}/mined.txt"], "found '# tracekit-trace v2'"),
+    "gapped file as a trace": (["mine", "--in", "{d}/lossy.gapped", "--dict", "{d}/abc.txt",
+                                "--out", "{d}/mined.txt"], "found '# tracekit-gapped v1'"),
+    "trace file as a gapped trace": (["restore", "--model", "{d}/markov.model",
+                                      "--in", "{d}/train/t0.trace", "--out", "{d}/r.trace"],
+                                     "found '# tracekit-trace v1'"),
+    "newer dict header": (["mine", "--in", "{d}/train/t0.trace", "--dict", "{d}/v2dict.txt",
+                           "--out", "{d}/mined.txt"], "lacks the `# tracekit-dict v1` header"),
 }
 
 
@@ -136,13 +145,15 @@ BAD_INPUTS = {  # case: (argv, a fragment of the error message)
 def test_bad_inputs_fail_cleanly(markov_run, capsys, case):
     tmp_path, train, _ = markov_run
     (tmp_path / "short").mkdir()
-    write_trace(train[0], tmp_path / "short" / "t0.trace", header=TRACE_HEADER)
-    write_trace(Trace(train[1].events[:1]), tmp_path / "short" / "t1.trace", header=TRACE_HEADER)
-    (tmp_path / "twice.txt").write_text(f"# {DICT_HEADER}\nA\nB\nA\n")
-    (tmp_path / "other.txt").write_text(f"# {DICT_HEADER}\nA\nOTHER\n")
-    (tmp_path / "abc.txt").write_text(f"# {DICT_HEADER}\nA\nB\nC\n")
-    (tmp_path / "empty.trace").write_text(f"# {TRACE_HEADER}\n")
-    write_trace(Trace(train[0].events[:6]), tmp_path / "six.trace", header=TRACE_HEADER)
+    write_trace(train[0], tmp_path / "short" / "t0.trace")
+    write_trace(Trace(train[1].events[:1]), tmp_path / "short" / "t1.trace")
+    (tmp_path / "twice.txt").write_text(f"{DICT_HEADER}\nA\nB\nA\n")
+    (tmp_path / "other.txt").write_text(f"{DICT_HEADER}\nA\nOTHER\n")
+    (tmp_path / "abc.txt").write_text(f"{DICT_HEADER}\nA\nB\nC\n")
+    (tmp_path / "empty.trace").write_text(f"{TRACE_HEADER}\n")
+    write_trace(Trace(train[0].events[:6]), tmp_path / "six.trace")
+    (tmp_path / "v2.trace").write_text("# tracekit-trace v2\n0.0 A\n1.0 B\n")
+    (tmp_path / "v2dict.txt").write_text("# tracekit-dict v2\nA\nB\nC\n")
     argv, message = BAD_INPUTS[case]
     capsys.readouterr()
     assert message in assert_clean_failure(capsys, cli.main([a.format(d=tmp_path) for a in argv]))
@@ -168,7 +179,7 @@ def predict_with(model_path, seed_path, out, horizon=25):
 def test_markov_predict_matches_in_process_rollout(markov_run):
     tmp_path, train, gapped = markov_run
     seed = gapped.known_trace()
-    write_trace(seed, tmp_path / "seed.trace", header=TRACE_HEADER)
+    write_trace(seed, tmp_path / "seed.trace")
     assert predict_with(tmp_path / "markov.model", tmp_path / "seed.trace",
                         tmp_path / "pred.trace") == 0
     expected = predict_step_by_step(learn_transitions(train, ORDER), seed.ids(), 25)
@@ -185,7 +196,7 @@ def test_predict_from_an_empty_seed_trace(markov_run, family):
     else:
         model = tiny_lstm(train)
         lstm.save_model(model, tmp_path / "lstm.model")
-    (tmp_path / "empty.trace").write_text(f"# {TRACE_HEADER}\n")
+    (tmp_path / "empty.trace").write_text(f"{TRACE_HEADER}\n")
     assert predict_with(tmp_path / f"{family}.model", tmp_path / "empty.trace",
                         tmp_path / "pred.trace", horizon=6) == 0
     predicted = read_trace(tmp_path / "pred.trace")

@@ -2,6 +2,8 @@ import pytest
 
 from tracekit.config import RunConfig, derive_seed
 from tracekit.errors import ConfigError
+from tracekit.lstm import NetworkConfig, TrainingSchedule
+from tracekit.restore import LossSpec
 
 
 class TestParse:
@@ -12,6 +14,7 @@ class TestParse:
             ("seed = 1\nseed = 2\n", "line 2: duplicate key 'seed'"),
             ("seed = 1\nmarkov.order 4\n", "line 2: expected `key = value`"),
             ("seed = 1\nmarkov.order =   # no value\n", "line 2: empty value for 'markov.order'"),
+            ("seed = 1\nsynth.label = run\n", "line 2: unknown key 'synth.label'"),
         ],
     )
     def test_rejected_lines(self, text, message):
@@ -57,6 +60,24 @@ class TestValues:
         assert config.mine_top_k() == 0
         assert config.eval_start() is None
         assert config.loss_fractions() == [0.05, 0.1, 0.15, 0.2, 0.25]
+
+    def test_seed_alone_builds_the_spec_defaults(self):
+        config = RunConfig.parse("seed = 1\n")
+        assert config.network_config(5) == NetworkConfig.for_vocab(5)
+        assert config.training_schedule() == TrainingSchedule(
+            rounds=4, seed=derive_seed(1, "train"))
+        assert config.loss_spec(0.1, "t") == LossSpec(0.1, seed=derive_seed(1, "loss:0.1:t"))
+
+    def test_set_keys_override_the_spec_defaults(self):
+        config = RunConfig.parse(
+            "seed = 1\nlstm.lstm_width = 7\ntrain.decay = 0.5\nloss.mode = burst\n")
+        assert config.network_config(5) == NetworkConfig.for_vocab(5, lstm_width=7)
+        assert config.training_schedule().decay == 0.5
+        assert config.loss_spec(0.1, "t").mode == "burst"
+
+    def test_synthetic_traces_are_labelled_like_their_files(self):
+        config = RunConfig.parse("seed = 1\nsynth.periodic = A 0.1 0.0\n")
+        assert config.generator_spec(3).label == "trace_003"
 
     @pytest.mark.parametrize("value", ["lstm", "markov"])
     def test_restorer_accepts_both_families(self, value):

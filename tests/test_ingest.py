@@ -2,8 +2,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tracekit.core import Event, EventId, Trace
-from tracekit.errors import InsufficientTraces, MalformedLine, NonMonotonicTimestamp
-from tracekit.ingest import SplitSpec, parse_trace, read_trace, serialize_trace, split_traces
+from tracekit.errors import (
+    InsufficientTraces,
+    MalformedLine,
+    NonMonotonicTimestamp,
+    VersionMismatch,
+)
+from tracekit.ingest import (
+    TRACE_HEADER,
+    SplitSpec,
+    parse_trace,
+    read_pool,
+    read_trace,
+    serialize_trace,
+    split_traces,
+)
 
 
 class TestParse:
@@ -33,6 +46,11 @@ class TestParse:
         with pytest.raises(MalformedLine):
             parse_trace("inf B0\n")
 
+    def test_header_versions(self):
+        assert len(parse_trace(f"{TRACE_HEADER}\n0.5 B0\n")) == 1
+        with pytest.raises(VersionMismatch, match="tracekit-trace v2"):
+            parse_trace("# tracekit-trace v2\n0.5 B0\n")
+
     def test_reads_from_path(self, tmp_path):
         p = tmp_path / "x.trace"
         p.write_text("0.1 B0\n")
@@ -59,8 +77,9 @@ class TestSerialize:
         times = sorted(t for _, t in raw)
         events = tuple(Event(EventId(i), t) for (i, _), t in zip(raw, times))
         trace = Trace(events, label="roundtrip")
-        again = parse_trace(serialize_trace(trace), label="roundtrip")
-        assert again == trace
+        text = serialize_trace(trace)
+        assert text.startswith(f"{TRACE_HEADER}\n")
+        assert parse_trace(text, label="roundtrip") == trace
 
 
 class TestSplit:
@@ -80,6 +99,15 @@ class TestSplit:
     def test_insufficient(self):
         with pytest.raises(InsufficientTraces):
             split_traces(self.make_traces(3), SplitSpec(15, 5, shuffle_seed=1))
+
+    def test_pools_come_in_label_order_as_read_back(self, tmp_path):
+        train, test = split_traces(self.make_traces(12), SplitSpec(5, 4, shuffle_seed=7))
+        for name, pool in (("train", train), ("test", test)):
+            assert [t.label for t in pool] == sorted(t.label for t in pool)
+            (tmp_path / name).mkdir()
+            for trace in pool:
+                (tmp_path / name / f"{trace.label}.trace").write_text(serialize_trace(trace))
+            assert read_pool(tmp_path / name) == pool
 
     def test_same_seed_same_split(self):
         traces = self.make_traces(25)

@@ -187,6 +187,22 @@ class TestForward:
         assert long_loss == loss
         assert all(np.array_equal(long_grads[name], grads[name]) for name in grads)
 
+    def test_long_window_cuts_its_dropout_masks_too(self):
+        cfg = tiny_config(unroll=3, dropout=0.3)
+        model = tiny_model(cfg, seed=4)
+        rng = np.random.default_rng(6)
+        extended = random_window(cfg, rng, steps=5)
+        target = random_target(cfg, rng)
+        masks = DropoutMasks.sample(cfg, 5, np.random.default_rng(7))
+        cut = DropoutMasks(masks.input_masks[-3:], masks.hidden_masks[:, -3:],
+                           masks.recurrent_masks)
+        assert np.array_equal(forward_window(model, extended, masks),
+                              forward_window(model, extended[-3:], cut))
+        loss, grads = loss_and_gradients(model, extended[-3:], target, cut)
+        long_loss, long_grads = loss_and_gradients(model, extended, target, masks)
+        assert long_loss == loss
+        assert all(np.array_equal(long_grads[name], grads[name]) for name in grads)
+
     def test_inference_pure_function(self):
         model = tiny_model(seed=5)
         window = random_window(model.config, np.random.default_rng(4), steps=4)

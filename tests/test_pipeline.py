@@ -6,6 +6,8 @@ import pytest
 
 from tracekit import cli
 from tracekit.config import RunConfig
+from tracekit.ingest import write_trace
+from tracekit.restore import read_gapped
 
 TINY = """\
 seed = 5
@@ -64,35 +66,50 @@ def test_rerun_is_byte_identical(report):
 
 
 def test_subcommands_reproduce_the_report(report):
+    """From the config alone, the chained subcommands write what ``report`` wrote."""
     d, cfg, config, first = report
-    test_traces = sorted((first / "split" / "test").glob("*.trace"))
-    assert len(test_traces) == 2
+    chain = d / "chain"
+    run("synth", "--config", cfg, "--out", chain / "traces")
+    run("split", "--config", cfg, "--in", chain / "traces", "--out", chain / "split")
+    run("dict", "--in", chain / "split" / "train", "--out", chain / "dict.txt")
+    for family in ("markov", "lstm"):
+        run(f"train-{family}", "--config", cfg, "--train", chain / "split" / "train",
+            "--dict", chain / "dict.txt", "--out", chain / f"{family}.model")
+    for tree in ("traces", "split"):
+        assert digests(chain / tree) == digests(first / tree)
+    for artifact in ("dict.txt", "markov.model", "lstm.model"):
+        assert (chain / artifact).read_bytes() == (first / artifact).read_bytes()
 
-    run("train-markov", "--config", cfg, "--train", first / "split" / "train",
-        "--dict", first / "dict.txt", "--out", d / "markov.model")
-    assert (d / "markov.model").read_bytes() == (first / "markov.model").read_bytes()
+    def mine(trace, tag):
+        run("mine", "--in", trace, "--dict", chain / "dict.txt", "--top-k", config.mine_top_k(),
+            "--out", chain / "mine" / f"{tag}.txt")
 
-    restorer = first / f"{config.restorer()}.model"
-    for trace in test_traces:
-        label = trace.stem
-        gapped = d / f"{label}.gapped"
-        restored = d / f"{label}.restored.trace"
-        mined = d / f"original_{label}.txt"
-        run("inject-loss", "--in", trace, "--out", gapped, "--fraction", 10,
-            "--seed", config.loss_spec(0.1, label).seed)
-        run("restore", "--model", restorer, "--in", gapped, "--out", restored)
-        run("mine", "--in", trace, "--dict", first / "dict.txt", "--top-k",
-            config.mine_top_k(), "--out", mined)
-        assert gapped.read_bytes() == (first / "loss_10" / f"{label}.gapped").read_bytes()
-        assert restored.read_bytes() == (
-            first / "loss_10" / f"{label}.restored.trace").read_bytes()
-        assert mined.read_bytes() == (first / "mine" / f"original_{label}.txt").read_bytes()
-
-
-def test_split_subcommand_writes_the_same_pools(report):
-    d, cfg, _, first = report
-    run("split", "--config", cfg, "--in", first / "traces", "--out", d / "split")
-    # The subcommand labels traces by file stem, so compare contents only.
-    for pool in ("train", "test"):
-        assert sorted(digests(d / "split" / pool).values()) == sorted(
-            digests(first / "split" / pool).values())
+    (chain / "mine").mkdir()
+    labels = sorted(p.stem for p in (chain / "split" / "test").glob("*.trace"))
+    assert len(labels) == 2
+    for label in labels:
+        mine(chain / "split" / "test" / f"{label}.trace", f"original_{label}")
+        for fraction in config.loss_fractions():
+            pct = round(fraction * 100)
+            spec = config.loss_spec(fraction, label)
+            # A mining report records its input's file stem as the label, so
+            # each level's traces go to their own directory as <label>.trace.
+            gapped = chain / f"loss_{pct:02d}" / f"{label}.gapped"
+            lossy = chain / f"lossy_{pct:02d}" / f"{label}.trace"
+            restored = chain / f"restored_{pct:02d}" / f"{label}.trace"
+            for path in (gapped, lossy, restored):
+                path.parent.mkdir(exist_ok=True)
+            run("inject-loss", "--in", chain / "split" / "test" / f"{label}.trace",
+                "--out", gapped, "--fraction", pct, "--mode", spec.mode,
+                "--burst-length", spec.burst_length, "--seed", spec.seed)
+            run("restore", "--model", chain / f"{config.restorer()}.model", "--in", gapped,
+                "--out", restored)
+            # No subcommand writes the surviving events alone; the miner is
+            # fed them as a plain trace.
+            write_trace(read_gapped(gapped).known_trace(), lossy)
+            mine(lossy, f"lossy_{pct:02d}_{label}")
+            mine(restored, f"restored_{pct:02d}_{label}")
+            level = first / f"loss_{pct:02d}"
+            assert gapped.read_bytes() == (level / f"{label}.gapped").read_bytes()
+            assert restored.read_bytes() == (level / f"{label}.restored.trace").read_bytes()
+    assert digests(chain / "mine") == digests(first / "mine")

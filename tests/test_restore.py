@@ -6,6 +6,7 @@ from tracekit.errors import InvalidFraction, MalformedLine
 from tracekit.lstm import forward_window
 from tracekit.markov import learn_transitions
 from tracekit.restore import (
+    GAPPED_HEADER,
     Gap,
     GappedTrace,
     LossSpec,
@@ -171,7 +172,8 @@ class TestGappedFiles:
     def test_round_trip(self):
         trace = trace_of(*"ABCDEF")
         g = gapped_from_flags(trace.events, [False, True, False, False, True, True])
-        text = serialize_gapped(g, header="tracekit-gapped v1")
+        text = serialize_gapped(g)
+        assert text.startswith(f"{GAPPED_HEADER}\n")
         again = parse_gapped(text)
         assert again.segments == g.segments
 
