@@ -104,7 +104,7 @@ def _cmd_inject_loss(args) -> int:
     gapped = pipeline.inject(read_trace(args.input), spec, Path(args.out))
     print(
         f"inject-loss: removed {gapped.missing_total()} of "
-        f"{gapped.original_length()} events -> {args.out}"
+        f"{len(gapped.slots)} events -> {args.out}"
     )
     return 0
 

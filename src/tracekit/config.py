@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import EventId
-from .errors import ConfigError
+from .errors import ConfigError, InvalidFraction, InvalidSpec
 from .ingest import SplitSpec
 from .lstm import NetworkConfig, TrainingSchedule
 from .restore import LossSpec
@@ -86,7 +86,7 @@ def _spec(build, **fields):
     """Build a stage spec; a value the spec rejects is a configuration error."""
     try:
         return build(**fields)
-    except ValueError as exc:
+    except (ValueError, InvalidSpec, InvalidFraction) as exc:
         raise ConfigError(f"bad {build.__qualname__} values: {exc}") from None
 
 
@@ -191,7 +191,8 @@ class RunConfig:
             raise ConfigError(f"bad synth message entry: {exc}") from exc
         duration = self._float("synth.duration", 1.0)
         duration += index * self._float("synth.duration_step", 0.0)
-        return GeneratorSpec(
+        return _spec(
+            GeneratorSpec,
             periodic=periodic,
             triggered=triggered,
             rare=rare,
@@ -242,7 +243,7 @@ class RunConfig:
             percents = [float(tok) for tok in raw.split()]
         except ValueError:
             raise ConfigError(f"loss.fractions must be numbers, got {raw!r}") from None
-        return [p / 100.0 for p in percents]
+        return [_spec(LossSpec, fraction=p / 100.0).fraction for p in percents]
 
     def loss_spec(self, fraction: float, trace_label: str) -> LossSpec:
         return _spec(
@@ -267,6 +268,10 @@ class RunConfig:
         return top_k
 
     def eval_start(self) -> int | None:
+        """First held-out position scored; None means the network's unroll."""
         if "eval.start" not in self.entries:
             return None
-        return self._int("eval.start")
+        start = self._int("eval.start")
+        if start < 1:
+            raise ConfigError(f"eval.start must be >= 1, got {start}")
+        return start

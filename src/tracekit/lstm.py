@@ -239,6 +239,11 @@ class DropoutMasks:
 
     def last(self, steps: int) -> "DropoutMasks":
         """The masks of the last ``steps`` rows of the window they were sampled for."""
+        for mask in (self.input_masks, self.hidden_masks):
+            if mask is not None and mask.shape[-2] < steps:
+                raise ValueError(
+                    f"dropout masks cover {mask.shape[-2]} steps, the window has {steps}"
+                )
         return DropoutMasks(
             input_masks=None if self.input_masks is None else self.input_masks[-steps:],
             hidden_masks=None if self.hidden_masks is None else self.hidden_masks[:, -steps:],

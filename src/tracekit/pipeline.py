@@ -129,6 +129,11 @@ def mine(trace: Trace, dictionary: Dictionary, top_k: int, out: Path) -> trem.Mi
 
 def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
     """Run the whole experiment; returns the summary also written to report.json."""
+    # settings read first, so a bad value fails before any training
+    eval_start = config.eval_start()
+    use_markov = config.restorer() == "markov"
+    top_k = config.mine_top_k()
+    fractions = config.loss_fractions()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -137,6 +142,8 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
     markov_model = train_markov(config, train_pool, vocabulary, out / "markov.model")
     model, history = train_lstm(config, train_pool, vocabulary, out / "lstm.model")
     unroll = model.config.unroll_steps
+    if eval_start is None:
+        eval_start = unroll
 
     summary: dict = {
         "config_digest": config.digest(),
@@ -156,7 +163,6 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
     }
 
     # held-out continuation quality
-    eval_start = config.eval_start() or unroll
     for trace in test_pool:
         ids = trace.ids()
         if len(ids) <= eval_start + 1:
@@ -187,16 +193,15 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
         )
 
     # loss / restore / mine study
-    restorer = markov_model if config.restorer() == "markov" else model
+    restorer = markov_model if use_markov else model
     mine_dir = out / "mine"
     mine_dir.mkdir(exist_ok=True)
-    top_k = config.mine_top_k()
 
     def mined(trace: Trace, tag: str) -> trem.MiningReport:
         return mine(trace, vocabulary, top_k, mine_dir / f"{tag}.txt")
 
     originals = {t.label: mined(t, f"original_{t.label}") for t in test_pool}
-    for fraction in config.loss_fractions():
+    for fraction in fractions:
         pct = round(fraction * 100)
         level_dir = out / f"loss_{pct:02d}"
         level_dir.mkdir(exist_ok=True)

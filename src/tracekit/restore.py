@@ -1,14 +1,15 @@
 """Loss injection, multi-step prediction and gap restoration.
 
-A ``GappedTrace`` alternates runs of surviving events with gaps of known
-size. Restoration walks the segments left to right: every gap is filled by
-step-by-step prediction, where each freshly predicted event immediately
-becomes context for the next one, and the following run of real events
-re-synchronizes the context. Restored events receive timestamps linearly
-interpolated between the flanking known events, so a restored trace has the
-original length and is directly minable.
+A ``GappedTrace`` holds one slot per position of the original trace: the
+surviving event, or ``None`` where the event was lost. ``gaps()`` derives
+the maximal runs of lost slots, and restoration walks them left to right:
+every gap is filled by step-by-step prediction, where each freshly
+predicted event immediately becomes context for the next one, and the
+surviving events after it re-synchronize the context. Restored events
+receive timestamps linearly interpolated between the flanking known events,
+so a restored trace has the original length and is directly minable.
 
-Gap sizes are known to the restorer by design: loss measurements compare
+The restorer knows each gap's size by design: loss measurements compare
 fixed-length traces, which presupposes knowing how much was lost.
 Unknown-length gap inference is out of scope.
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
@@ -35,20 +37,6 @@ class NextEventPredictor(Protocol):
     """Anything that maps an id context to the next id (both model families)."""
 
     def predict_next(self, context: Sequence[EventId]) -> EventId: ...
-
-
-@dataclass(frozen=True)
-class Run:
-    events: tuple[Event, ...]
-
-
-@dataclass(frozen=True)
-class Gap:
-    missing_count: int
-
-    def __post_init__(self) -> None:
-        if self.missing_count < 1:
-            raise ValueError("a gap must be missing at least one event")
 
 
 @dataclass(frozen=True)
@@ -71,116 +59,62 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class GappedTrace:
-    """Alternating known-event runs and fixed-size gaps."""
+    """One slot per original position: the surviving event, or ``None`` if lost."""
 
-    segments: tuple[Run | Gap, ...]
+    slots: tuple[Event | None, ...]
     label: str = ""
-    provenance: LossSpec | None = None
 
     def __post_init__(self) -> None:
-        prev_kind = None
-        for seg in self.segments:
-            kind = type(seg)
-            if kind is prev_kind:
-                raise ValueError("segments must alternate runs and gaps")
-            prev_kind = kind
-
-    def known_events(self) -> list[Event]:
-        out: list[Event] = []
-        for seg in self.segments:
-            if isinstance(seg, Run):
-                out.extend(seg.events)
-        return out
+        if all(slot is None for slot in self.slots):
+            raise DegenerateInput("a gapped trace needs at least one surviving event")
 
     def known_trace(self) -> Trace:
         """The lossy trace as plainly observed (gaps simply absent)."""
-        return Trace(tuple(self.known_events()), label=self.label)
+        return Trace(tuple(ev for ev in self.slots if ev is not None), label=self.label)
 
     def missing_total(self) -> int:
-        return sum(seg.missing_count for seg in self.segments if isinstance(seg, Gap))
-
-    def original_length(self) -> int:
-        return len(self.known_events()) + self.missing_total()
+        return self.slots.count(None)
 
     def gaps(self) -> list[tuple[int, int]]:
-        """(position in the original sequence, missing_count) per gap, in order."""
+        """(start position, missing_count) of each maximal run of lost slots, in order."""
         out: list[tuple[int, int]] = []
         pos = 0
-        for seg in self.segments:
-            if isinstance(seg, Run):
-                pos += len(seg.events)
-            else:
-                out.append((pos, seg.missing_count))
-                pos += seg.missing_count
+        for lost, run in groupby(self.slots, key=lambda slot: slot is None):
+            count = len(list(run))
+            if lost:
+                out.append((pos, count))
+            pos += count
         return out
-
-
-def gapped_from_flags(events: Sequence[Event], missing: Sequence[bool], label: str = "",
-                      provenance: LossSpec | None = None) -> GappedTrace:
-    """Build a GappedTrace from the original events and a per-event missing flag."""
-    segments: list[Run | Gap] = []
-    run: list[Event] = []
-    gap_len = 0
-    for ev, lost in zip(events, missing):
-        if lost:
-            if run:
-                segments.append(Run(tuple(run)))
-                run = []
-            gap_len += 1
-        else:
-            if gap_len:
-                segments.append(Gap(gap_len))
-                gap_len = 0
-            run.append(ev)
-    if run:
-        segments.append(Run(tuple(run)))
-    if gap_len:
-        segments.append(Gap(gap_len))
-    return GappedTrace(tuple(segments), label=label, provenance=provenance)
 
 
 def inject_loss(trace: Trace, spec: LossSpec) -> GappedTrace:
     """Remove exactly ``round(fraction * len)`` events, deterministically by seed.
 
-    Scattered mode removes uniformly random positions; burst mode removes
-    contiguous runs of ``burst_length`` (the last burst truncated to fit the
-    budget).
+    Scattered mode removes uniformly random positions. Burst mode cuts the
+    budget into blocks of ``burst_length`` (the last one truncated) and
+    places the k blocks uniformly among the surviving events by choosing k
+    of ``survivors + k`` places, so the budget is always met; adjacent
+    blocks form one gap.
     """
     if len(trace) < 1:
         raise DegenerateInput("cannot inject loss into an empty trace")
     length = len(trace)
     budget = round(spec.fraction * length)
-    missing = [False] * length
     rng = random.Random(spec.seed)
-    if budget > 0 and spec.mode == "scattered":
-        for pos in rng.sample(range(length), budget):
-            missing[pos] = True
-    elif budget > 0:
-        remaining = budget
-        attempts = 0
-        while remaining > 0:
-            size = min(spec.burst_length, remaining)
-            start = rng.randrange(length - size + 1)
-            attempts += 1
-            if any(missing[start : start + size]):
-                if attempts > 50 * length:
-                    # Dense traces: fall back to the first free slot scan.
-                    start = next(
-                        (
-                            s
-                            for s in range(length - size + 1)
-                            if not any(missing[s : s + size])
-                        ),
-                        None,
-                    )
-                    if start is None:
-                        break
-                else:
-                    continue
-            for i in range(start, start + size):
-                missing[i] = True
-            remaining -= size
-    return gapped_from_flags(trace.events, missing, label=trace.label, provenance=spec)
+    if spec.mode == "scattered":
+        lost = set(rng.sample(range(length), budget))
+        missing = [pos in lost for pos in range(length)]
+    else:
+        full, rest = divmod(budget, spec.burst_length)
+        blocks = [spec.burst_length] * full + ([rest] if rest else [])
+        places = length - budget + len(blocks)
+        chosen = set(rng.sample(range(places), len(blocks)))
+        sizes = iter(blocks)
+        missing = []
+        for place in range(places):
+            missing.extend([True] * next(sizes) if place in chosen else [False])
+    slots = tuple(None if gone else ev for ev, gone in zip(trace.events, missing))
+    return GappedTrace(slots, label=trace.label)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +144,6 @@ def predict_step_by_step(
 
 
 def _interpolate(before: float | None, after: float | None, j: int, count: int) -> float | None:
-    if before is None and after is None:
-        return None
     if before is None:
         return after
     if after is None:
@@ -228,25 +160,19 @@ def fill_gaps(
     ``predict`` receives the full restored-so-far id context (possibly
     empty, for a leading gap) and returns the next id.
     """
-    restored: list[Event] = []
+    restored = list(gapped.slots)
     context: list[EventId] = []
-    segments = gapped.segments
-    for s, seg in enumerate(segments):
-        if isinstance(seg, Run):
-            restored.extend(seg.events)
-            context.extend(ev.id for ev in seg.events)
-            continue
-        before = restored[-1].timestamp if restored else None
-        after = None
-        for later in segments[s + 1 :]:
-            if isinstance(later, Run) and later.events:
-                after = later.events[0].timestamp
-                break
-        for j in range(seg.missing_count):
+    done = 0
+    for start, count in gapped.gaps():
+        end = start + count
+        context.extend(ev.id for ev in restored[done:start])
+        before = restored[start - 1].timestamp if start else None
+        after = restored[end].timestamp if end < len(restored) else None
+        for j in range(count):
             nxt = predict(context)
-            ts = _interpolate(before, after, j, seg.missing_count)
-            restored.append(Event(nxt, ts))
+            restored[start + j] = Event(nxt, _interpolate(before, after, j, count))
             context.append(nxt)
+        done = end
     return Trace(tuple(restored), label=gapped.label)
 
 
@@ -267,42 +193,30 @@ def restore_trace(model: NextEventPredictor, gapped: GappedTrace) -> Trace:
 
 def serialize_gapped(gapped: GappedTrace) -> str:
     lines = [GAPPED_HEADER]
-    for seg in gapped.segments:
-        if isinstance(seg, Gap):
-            lines.append(f"? {seg.missing_count}")
-        else:
-            lines.extend(format_event(ev) for ev in seg.events)
+    done = 0
+    for start, count in gapped.gaps():
+        lines.extend(format_event(ev) for ev in gapped.slots[done:start])
+        lines.append(f"? {count}")
+        done = start + count
+    lines.extend(format_event(ev) for ev in gapped.slots[done:])
     return "\n".join(lines) + "\n"
 
 
 def parse_gapped(text: str, label: str = "") -> GappedTrace:
     """Parse TraceFileFormat text with ``? <missing_count>`` sentinel lines."""
     check_header(text, GAPPED_HEADER)
-    segments: list[Run | Gap] = []
-    run: list[Event] = []
+    slots: list[Event | None] = []
     prev_ts: float | None = None
-
-    def flush_run() -> None:
-        nonlocal run
-        if run:
-            segments.append(Run(tuple(run)))
-            run = []
-
     for line_no, raw, parts in content_lines(text):
         if parts[0] == "?":
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
                 raise MalformedLine(line_no, raw, "expected `? <missing_count>`")
-            flush_run()
-            if segments and isinstance(segments[-1], Gap):
-                segments[-1] = Gap(segments[-1].missing_count + int(parts[1]))
-            else:
-                segments.append(Gap(int(parts[1])))
+            slots.extend([None] * int(parts[1]))
             continue
         ev = parse_event_line(line_no, raw, parts, prev_ts)
         prev_ts = ev.timestamp
-        run.append(ev)
-    flush_run()
-    return GappedTrace(tuple(segments), label=label)
+        slots.append(ev)
+    return GappedTrace(tuple(slots), label=label)
 
 
 def write_gapped(gapped: GappedTrace, path: str | os.PathLike) -> None:

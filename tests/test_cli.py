@@ -10,6 +10,7 @@ from tracekit.ingest import TRACE_HEADER, read_trace, write_trace
 from tracekit.markov import learn_transitions
 from tracekit.pipeline import DICT_HEADER
 from tracekit.restore import (
+    GAPPED_HEADER,
     LossSpec,
     inject_loss,
     predict_step_by_step,
@@ -138,6 +139,11 @@ BAD_INPUTS = {  # case: (argv, a fragment of the error message)
                                      "found '# tracekit-trace v1'"),
     "newer dict header": (["mine", "--in", "{d}/train/t0.trace", "--dict", "{d}/v2dict.txt",
                            "--out", "{d}/mined.txt"], "lacks the `# tracekit-dict v1` header"),
+    "loss of every event": (["inject-loss", "--in", "{d}/two.trace", "--out", "{d}/x.gapped",
+                             "--fraction", "75", "--seed", "1"], "at least one surviving event"),
+    "gapped file with every event lost": (["restore", "--model", "{d}/markov.model",
+                                           "--in", "{d}/all_lost.gapped", "--out", "{d}/r.trace"],
+                                          "at least one surviving event"),
 }
 
 
@@ -152,6 +158,8 @@ def test_bad_inputs_fail_cleanly(markov_run, capsys, case):
     (tmp_path / "abc.txt").write_text(f"{DICT_HEADER}\nA\nB\nC\n")
     (tmp_path / "empty.trace").write_text(f"{TRACE_HEADER}\n")
     write_trace(Trace(train[0].events[:6]), tmp_path / "six.trace")
+    write_trace(Trace(train[0].events[:2]), tmp_path / "two.trace")
+    (tmp_path / "all_lost.gapped").write_text(f"{GAPPED_HEADER}\n? 2\n")
     (tmp_path / "v2.trace").write_text("# tracekit-trace v2\n0.0 A\n1.0 B\n")
     (tmp_path / "v2dict.txt").write_text("# tracekit-dict v2\nA\nB\nC\n")
     argv, message = BAD_INPUTS[case]
@@ -241,6 +249,11 @@ BAD_USAGE = {  # case: (argv, a fragment of the error message)
     "render --length -2": (["render", "--in", "{d}/train/t0.trace", "--dict", "{d}/dict.txt",
                             "--out", "{d}/r.pgm", "--length", "-2"],
                            "argument --length: must be >= 0"),
+    "no synth.periodic": (["synth", "--out", "{d}/traces"],
+                          "at least one periodic message is required"),
+    "loss.fractions = 150": (["report", "--out", "{d}/report"], "loss fraction must be in [0, 1)"),
+    "eval.start = -5": (["report", "--out", "{d}/report"], "eval.start must be >= 1, got -5"),
+    "eval.start = 0": (["report", "--out", "{d}/report"], "eval.start must be >= 1, got 0"),
 }
 
 REPORT_CONFIG = {
@@ -265,9 +278,9 @@ def test_bad_values_and_flags_exit_2_without_traceback(markov_run, capsys, case)
     tmp_path, _, _ = markov_run
     argv, message = BAD_USAGE[case]
     argv = [a.format(d=tmp_path) for a in argv]
-    if "=" in case:
-        key, value = (part.strip() for part in case.split("="))
-        entries = dict(REPORT_CONFIG, **{key: value})
+    if "=" in case or case.startswith("no "):  # a config key set, or left out
+        key, _, value = case.removeprefix("no ").partition(" = ")
+        entries = {k: v for k, v in dict(REPORT_CONFIG, **{key: value}).items() if v}
         (tmp_path / "bad.cfg").write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
         argv += ["--config", str(tmp_path / "bad.cfg")]
     assert cli.main(["dict", "--in", str(tmp_path / "train"),

@@ -98,6 +98,10 @@ class TestValues:
             ("loss.mode = bursty", lambda c: c.loss_spec(0.1, "t")),
             ("mine.top_k = -1", lambda c: c.mine_top_k()),
             ("markov.order = 0", lambda c: c.markov_order()),
+            ("synth.periodic = A 0 0.1", lambda c: c.generator_spec(0)),
+            ("loss.fractions = 10 150", lambda c: c.loss_fractions()),
+            ("eval.start = 0", lambda c: c.eval_start()),
+            ("eval.start = -5", lambda c: c.eval_start()),
         ],
     )
     def test_out_of_range_values_are_config_errors(self, line, build):

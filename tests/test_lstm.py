@@ -203,6 +203,17 @@ class TestForward:
         assert long_loss == loss
         assert all(np.array_equal(long_grads[name], grads[name]) for name in grads)
 
+    def test_short_dropout_masks_are_refused(self):
+        cfg = tiny_config(unroll=3, dropout=0.3)
+        model = tiny_model(cfg, seed=4)
+        rng = np.random.default_rng(6)
+        window = random_window(cfg, rng, steps=3)
+        masks = DropoutMasks.sample(cfg, 2, np.random.default_rng(7))
+        with pytest.raises(ValueError, match="dropout masks cover 2 steps, the window has 3"):
+            forward_window(model, window, masks)
+        with pytest.raises(ValueError, match="dropout masks cover 2 steps, the window has 3"):
+            loss_and_gradients(model, window, random_target(cfg, rng), masks)
+
     def test_inference_pure_function(self):
         model = tiny_model(seed=5)
         window = random_window(model.config, np.random.default_rng(4), steps=4)

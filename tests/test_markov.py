@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tracekit.core import Dictionary, Event, EventId, Trace, build_dictionary
 from tracekit.errors import CorruptModel, EmptyTrainingSet, UntrainedModel, VersionMismatch
 from tracekit.markov import _FORMAT_VERSION, MarkovModel, learn_transitions
-from tracekit.restore import Gap, GappedTrace, Run, restore_trace
+from tracekit.restore import GappedTrace, restore_trace
 from tracekit.synth import GeneratorSpec, PeriodicMessage, generate_trace
 
 
@@ -172,13 +172,8 @@ class TestPeriodicMastery:
 class TestImputation:
     def test_cyclic_gap_fill(self):
         model = learn_transitions([trace_of(*"ABAB" * 10)], order_n=2)
-        gapped = GappedTrace(
-            (
-                Run((Event(EventId("A"), 0.0), Event(EventId("B"), 0.1))),
-                Gap(2),
-                Run((Event(EventId("A"), 0.4),)),
-            )
-        )
+        a, b = Event(EventId("A"), 0.0), Event(EventId("B"), 0.1)
+        gapped = GappedTrace((a, b, None, None, Event(EventId("A"), 0.4)))
         restored = restore_trace(model, gapped)
         assert [str(e.id) for e in restored.events] == ["A", "B", "A", "B", "A"]
         assert [e.timestamp for e in restored.events] == pytest.approx(
@@ -187,15 +182,12 @@ class TestImputation:
 
     def test_zero_gap_identity(self):
         model = learn_transitions([trace_of(*"ABAB")], order_n=2)
-        run = Run((Event(EventId("A"), 0.0), Event(EventId("B"), 0.1)))
-        gapped = GappedTrace((run,))
-        assert restore_trace(model, gapped).events == run.events
+        events = (Event(EventId("A"), 0.0), Event(EventId("B"), 0.1))
+        assert restore_trace(model, GappedTrace(events)).events == events
 
     def test_leading_gap_uses_global_fallback(self):
         model = learn_transitions([trace_of(*"AAB")], order_n=2)
-        gapped = GappedTrace(
-            (Gap(1), Run((Event(EventId("A"), 0.1), Event(EventId("B"), 0.2))))
-        )
+        gapped = GappedTrace((None, Event(EventId("A"), 0.1), Event(EventId("B"), 0.2)))
         restored = restore_trace(model, gapped)
         assert restored.events[0].id == "A"  # global most frequent
 

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from tracekit.core import Event, EventId, Trace, decode_index, encode_ids
-from tracekit.errors import InvalidFraction, MalformedLine
+from tracekit.errors import DegenerateInput, InvalidFraction, MalformedLine
 from tracekit.lstm import forward_window
 from tracekit.markov import learn_transitions
 from tracekit.restore import (
     GAPPED_HEADER,
-    Gap,
     GappedTrace,
     LossSpec,
-    Run,
-    gapped_from_flags,
     inject_loss,
     parse_gapped,
     predict_step_by_step,
@@ -24,29 +22,31 @@ def trace_of(*ids, label=""):
     return Trace(tuple(Event(EventId(i), t * 0.1) for t, i in enumerate(ids)), label=label)
 
 
+def gapped_of(trace, *lost):
+    """``trace`` with the events at the ``lost`` positions removed."""
+    slots = tuple(None if i in lost else ev for i, ev in enumerate(trace.events))
+    return GappedTrace(slots, label=trace.label)
+
+
 class TestGappedTrace:
-    def test_alternation_enforced(self):
-        with pytest.raises(ValueError):
-            GappedTrace((Gap(1), Gap(2)))
+    def test_needs_a_surviving_event(self):
+        for slots in [(), (None,), (None, None)]:
+            with pytest.raises(DegenerateInput, match="at least one surviving event"):
+                GappedTrace(slots)
 
     def test_bookkeeping(self):
         g = GappedTrace(
-            (
-                Run((Event(EventId("A"), 0.0),)),
-                Gap(2),
-                Run((Event(EventId("B"), 0.3), Event(EventId("C"), 0.4))),
-            )
+            (Event(EventId("A"), 0.0), None, None, Event(EventId("B"), 0.3),
+             Event(EventId("C"), 0.4))
         )
         assert g.missing_total() == 2
-        assert g.original_length() == 5
+        assert len(g.slots) == 5
         assert g.gaps() == [(1, 2)]
-        assert [str(e.id) for e in g.known_events()] == ["A", "B", "C"]
+        assert [str(e.id) for e in g.known_trace().events] == ["A", "B", "C"]
 
-    def test_from_flags(self):
-        trace = trace_of(*"ABCDE")
-        g = gapped_from_flags(trace.events, [False, True, True, False, True])
-        assert g.gaps() == [(1, 2), (4, 1)]
-        assert g.original_length() == 5
+    def test_gaps_are_maximal_runs_of_lost_slots(self):
+        assert gapped_of(trace_of(*"ABCDE"), 1, 2, 4).gaps() == [(1, 2), (4, 1)]
+        assert gapped_of(trace_of(*"ABCDEF"), 0, 1, 3, 5).gaps() == [(0, 2), (3, 1), (5, 1)]
 
 
 class TestInjectLoss:
@@ -54,20 +54,21 @@ class TestInjectLoss:
         trace = trace_of(*"ABCD")
         g = inject_loss(trace, LossSpec(fraction=0.0, seed=1))
         assert g.missing_total() == 0
+        assert g.slots == trace.events
         assert g.known_trace().events == trace.events
 
     def test_exact_budget(self):
         trace = trace_of(*(["A"] * 1000))
         g = inject_loss(trace, LossSpec(fraction=0.25, seed=2))
         assert g.missing_total() == 250
-        assert len(g.known_events()) == 750
+        assert len(g.known_trace()) == 750
 
     def test_deterministic_under_seed(self):
         trace = trace_of(*(["A", "B"] * 100))
         a = inject_loss(trace, LossSpec(fraction=0.2, seed=3))
         b = inject_loss(trace, LossSpec(fraction=0.2, seed=3))
         c = inject_loss(trace, LossSpec(fraction=0.2, seed=4))
-        assert a.gaps() == b.gaps()
+        assert a == b
         assert a.gaps() != c.gaps()
 
     def test_burst_mode_contiguity(self):
@@ -75,10 +76,29 @@ class TestInjectLoss:
         g = inject_loss(trace, LossSpec(fraction=0.1, mode="burst", burst_length=5, seed=5))
         assert g.missing_total() == 20
         sizes = [count for _, count in g.gaps()]
-        # bursts may merge when adjacent, but each is at least burst_length
-        # except a truncated final one
+        # adjacent bursts merge, so every gap is a whole number of bursts
         assert sum(sizes) == 20
-        assert max(sizes) >= 5
+        assert all(size % 5 == 0 for size in sizes)
+
+    @pytest.mark.parametrize("length", [5, 10, 23])
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("burst_length", [1, 2, 4, 7])
+    def test_burst_budget_is_exact(self, length, fraction, burst_length):
+        trace = trace_of(*(["A", "B"] * 12)[:length])
+        budget = round(fraction * length)
+        for seed in range(50):
+            spec = LossSpec(fraction=fraction, mode="burst", burst_length=burst_length, seed=seed)
+            g = inject_loss(trace, spec)
+            assert g.missing_total() == budget, seed
+            assert all(slot in (None, ev) for slot, ev in zip(g.slots, trace.events))
+            # whole bursts, then the truncated one last
+            sizes = [count for _, count in g.gaps()] or [0]
+            assert all(size % burst_length == 0 for size in sizes[:-1]), seed
+            assert sizes[-1] % burst_length == budget % burst_length, seed
+
+    def test_every_event_lost_is_refused(self):
+        with pytest.raises(DegenerateInput, match="at least one surviving event"):
+            inject_loss(trace_of("A", "B"), LossSpec(fraction=0.75, seed=1))
 
     def test_invalid_fraction(self):
         with pytest.raises(InvalidFraction):
@@ -99,33 +119,32 @@ class TestRestore:
 
     def test_cyclic_gap_restored_exactly(self, cyclic_model):
         trace = trace_of(*"ABABABAB")
-        g = gapped_from_flags(trace.events, [False, False, True, True] + [False] * 4)
+        g = gapped_of(trace, 2, 3)
         restored = restore_trace(cyclic_model, g)
         assert [str(e.id) for e in restored.events] == list("ABABABAB")
-        assert len(restored) == g.original_length()
+        assert len(restored) == len(g.slots)
 
     def test_known_events_untouched(self, cyclic_model):
         trace = trace_of(*"ABABABABAB")
         g = inject_loss(trace, LossSpec(fraction=0.3, seed=7))
         restored = restore_trace(cyclic_model, g)
-        kept = iter(g.known_events())
-        flags = []
-        pos = 0
-        for seg in g.segments:
-            if isinstance(seg, Run):
-                for ev in seg.events:
-                    assert restored.events[pos] == ev
-                    pos += 1
-            else:
-                pos += seg.missing_count
         assert len(restored) == len(trace)
+        for slot, ev in zip(g.slots, restored.events):
+            assert slot is None or ev == slot
 
     def test_timestamps_interpolated_and_monotone(self, cyclic_model):
         trace = trace_of(*"ABABAB")
-        g = gapped_from_flags(trace.events, [False, True, True, True, False, False])
+        g = gapped_of(trace, 1, 2, 3)
         restored = restore_trace(cyclic_model, g)
         times = [e.timestamp for e in restored.events]
         assert times == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+
+    def test_edge_gaps_take_the_nearest_known_timestamp(self, cyclic_model):
+        trace = trace_of(*"ABABAB")
+        restored = restore_trace(cyclic_model, gapped_of(trace, 0, 1, 4, 5))
+        first, last = (ev.timestamp for ev in trace.events[2:4])
+        assert [e.timestamp for e in restored.events] == [first] * 3 + [last] * 3
+        assert restored.events[2:4] == trace.events[2:4]
 
     def test_restoration_deterministic(self, cyclic_model):
         trace = trace_of(*"ABABABAB")
@@ -168,22 +187,71 @@ class TestLstmRestore:
         assert [str(e.id) for e in restored.events] == [str(e.id) for e in trace.events]
 
 
+@st.composite
+def gapped_traces(draw):
+    """Slots over ids A-C with sorted timestamps, at least one of them surviving."""
+    marks = draw(st.lists(st.sampled_from(["A", "B", "C", None]), min_size=1, max_size=30))
+    assume(any(marks))
+    times = sorted(draw(st.lists(st.floats(0, 1e6), min_size=len(marks), max_size=len(marks))))
+    slots = tuple(None if m is None else Event(EventId(m), t) for m, t in zip(marks, times))
+    return GappedTrace(slots, label=draw(st.sampled_from(["", "t0"])))
+
+
+def split_sentinels(text):
+    """``text`` with every ``? n`` (n >= 2) written as ``? 1`` then ``? n-1``."""
+    lines = []
+    for line in text.splitlines():
+        count = int(line[2:]) if line.startswith("? ") else 0
+        lines.extend(["? 1", f"? {count - 1}"] if count >= 2 else [line])
+    return "\n".join(lines) + "\n"
+
+
 class TestGappedFiles:
     def test_round_trip(self):
-        trace = trace_of(*"ABCDEF")
-        g = gapped_from_flags(trace.events, [False, True, False, False, True, True])
+        g = gapped_of(trace_of(*"ABCDEF", label="t0"), 1, 4, 5)
         text = serialize_gapped(g)
         assert text.startswith(f"{GAPPED_HEADER}\n")
-        again = parse_gapped(text)
-        assert again.segments == g.segments
+        assert text.count("?") == 2
+        assert parse_gapped(text, "t0") == g
+
+    @given(gapped_traces())
+    @example(GappedTrace((None, None, Event(EventId("A"), 0.5), None, None, None)))
+    def test_round_trip_of_any_slots(self, g):
+        text = serialize_gapped(g)
+        assert parse_gapped(text, g.label) == g
+        assert parse_gapped(split_sentinels(text), g.label) == g
+
+    @given(
+        length=st.integers(1, 40),
+        percent=st.integers(0, 99),
+        mode=st.sampled_from(["scattered", "burst"]),
+        burst_length=st.integers(1, 6),
+        seed=st.integers(0, 1000),
+    )
+    def test_injected_loss_round_trips(self, length, percent, mode, burst_length, seed):
+        spec = LossSpec(fraction=percent / 100, mode=mode, burst_length=burst_length, seed=seed)
+        assume(round(spec.fraction * length) < length)
+        g = inject_loss(trace_of(*("AB" * 20)[:length], label="t0"), spec)
+        assert parse_gapped(serialize_gapped(g), g.label) == g
 
     def test_sentinel_parsing(self):
         g = parse_gapped("0.1 B0\n? 3\n0.5 B2\n")
         assert g.gaps() == [(1, 3)]
-        assert [str(e.id) for e in g.known_events()] == ["B0", "B2"]
+        assert [str(e.id) for e in g.known_trace().events] == ["B0", "B2"]
+
+    def test_adjacent_sentinels_are_one_gap(self):
+        g = parse_gapped("? 1\n? 2\n0.5 A\n? 1\n? 1\n")
+        assert g.gaps() == [(0, 3), (4, 2)]
+        assert serialize_gapped(g) == f"{GAPPED_HEADER}\n? 3\n0.5 A\n? 2\n"
+
+    def test_every_event_lost_is_refused(self):
+        with pytest.raises(DegenerateInput, match="at least one surviving event"):
+            parse_gapped(f"{GAPPED_HEADER}\n? 2\n")
 
     def test_bad_sentinel(self):
         with pytest.raises(MalformedLine):
             parse_gapped("? zero\n")
         with pytest.raises(MalformedLine):
             parse_gapped("? 0\n")
+        with pytest.raises(MalformedLine):
+            parse_gapped("0.1 A\n? \u00b2\n")  # a digit that int() does not read
