@@ -1,10 +1,11 @@
 """Command-line front end: one subcommand per pipeline stage, plus tools.
 
 Each subcommand reads declared inputs, writes declared outputs and prints a
-one-line summary. Exit codes: 0 on success, 1 on pipeline errors, 2 on
-usage/configuration errors. ``synth`` to ``mine`` each run the ``pipeline``
-stage that ``report`` runs, so chained from one config they write what
-``report`` writes. A directory argument is a pool of ``*.trace`` files. The
+one-line summary. Exit codes: 0 on success, 1 on pipeline errors and on
+input that cannot be read or is not UTF-8 text, 2 on usage/configuration
+errors. ``synth`` to ``mine`` each run the ``pipeline`` stage that
+``report`` runs, so chained from one config they write what ``report``
+writes. A directory argument is a pool of ``*.trace`` files. The
 readers refuse another artifact's header; ``predict`` rolls out either model.
 """
 
@@ -120,7 +121,7 @@ def _cmd_predict(args) -> int:
 
 
 def _extrapolate_events(seed_trace: Trace, predicted):
-    times = [t for t in seed_trace.timestamps() if t is not None]
+    times = seed_trace.timestamps()
     if len(times) >= 2:
         delta = (times[-1] - times[0]) / (len(times) - 1)
     else:
@@ -209,6 +210,14 @@ def _int_at_least(minimum: int):
     return count
 
 
+def _percent(raw: str) -> float:
+    """A loss percent in [0, 100); ``nan`` is out of range too."""
+    value = float(raw)
+    if not 0 <= value < 100:
+        raise argparse.ArgumentTypeError(f"must be in [0, 100), got {raw}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracekit",
@@ -254,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inject-loss", help="remove a controlled fraction of events")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--fraction", type=float, required=True, help="loss percent, e.g. 25")
+    p.add_argument("--fraction", type=_percent, required=True, help="loss percent, e.g. 25")
     p.add_argument("--mode", choices=("scattered", "burst"), default="scattered")
     p.add_argument("--burst-length", type=_int_at_least(1), default=1)
     p.add_argument("--seed", type=int, required=True)
@@ -322,6 +331,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 1
 
 

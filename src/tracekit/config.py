@@ -7,7 +7,10 @@ decision in a run flows from the single ``seed`` key through named
 substreams, so there are no wall-clock defaults anywhere.
 
 A key left out takes the default of the stage spec it feeds, so each default
-is stated once. Synthetic traces are labelled ``trace_###``, their file stem.
+is stated once. The network's dropout rates and the schedule's learning rate
+and decay have no key: they keep their spec defaults, which ``lstm.model``
+records. Loss levels are distinct whole percents, one ``loss_<pct>``
+directory each. Synthetic traces are labelled ``trace_###``, their file stem.
 
 Example::
 
@@ -52,21 +55,15 @@ _KNOWN_KEYS = _REPEATABLE | {
     "out_dir",
     "synth.traces",
     "synth.duration",
-    "synth.duration_step",
     "split.train",
     "split.test",
     "markov.order",
     "lstm.dense_width",
     "lstm.lstm_width",
     "lstm.unroll",
-    "lstm.input_dropout",
-    "lstm.hidden_dropout",
-    "lstm.recurrent_dropout",
     "train.rounds",
     "train.epochs_flat",
     "train.epochs_decay",
-    "train.base_lr",
-    "train.decay",
     "loss.fractions",
     "loss.mode",
     "loss.burst_length",
@@ -168,12 +165,7 @@ class RunConfig:
         return self._int("synth.traces", 20)
 
     def generator_spec(self, index: int) -> GeneratorSpec:
-        """Spec for the index-th synthetic trace of the run.
-
-        Each trace gets its own derived seed, and the duration can grow by
-        ``synth.duration_step`` per trace so jitter-free runs still differ
-        in length.
-        """
+        """Spec for the index-th synthetic trace of the run, with its own derived seed."""
         try:
             periodic = tuple(
                 PeriodicMessage(EventId(i), float(p), float(j))
@@ -189,14 +181,12 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"bad synth message entry: {exc}") from exc
-        duration = self._float("synth.duration", 1.0)
-        duration += index * self._float("synth.duration_step", 0.0)
         return _spec(
             GeneratorSpec,
             periodic=periodic,
             triggered=triggered,
             rare=rare,
-            duration=duration,
+            duration=self._float("synth.duration", 1.0),
             seed=derive_seed(self.seed, f"synth:{index}"),
             label=f"trace_{index:03d}",
         )
@@ -221,9 +211,6 @@ class RunConfig:
             vocab=vocab,
             **self._given(self._int, dense_width="lstm.dense_width",
                           lstm_width="lstm.lstm_width", unroll_steps="lstm.unroll"),
-            **self._given(self._float, input_dropout="lstm.input_dropout",
-                          hidden_dropout="lstm.hidden_dropout",
-                          recurrent_dropout="lstm.recurrent_dropout"),
         )
 
     def training_schedule(self) -> TrainingSchedule:
@@ -233,16 +220,17 @@ class RunConfig:
             seed=derive_seed(self.seed, "train"),
             **self._given(self._int, epochs_flat="train.epochs_flat",
                           epochs_decay="train.epochs_decay"),
-            **self._given(self._float, base_lr="train.base_lr", decay="train.decay"),
         )
 
     def loss_fractions(self) -> list[float]:
-        """Loss levels as fractions in [0, 1); configured as percents."""
+        """Loss levels as fractions in [0, 1); configured as distinct whole percents."""
         raw = self._one("loss.fractions", "5 10 15 20 25")
         try:
-            percents = [float(tok) for tok in raw.split()]
+            percents = [int(tok) for tok in raw.split()]
         except ValueError:
-            raise ConfigError(f"loss.fractions must be numbers, got {raw!r}") from None
+            raise ConfigError(f"loss.fractions must be whole percents, got {raw!r}") from None
+        if len(set(percents)) != len(percents):
+            raise ConfigError(f"loss.fractions repeats a level: {raw!r}")
         return [_spec(LossSpec, fraction=p / 100.0).fraction for p in percents]
 
     def loss_spec(self, fraction: float, trace_label: str) -> LossSpec:

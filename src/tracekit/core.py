@@ -1,10 +1,11 @@
 """Domain types shared by every other module.
 
-Events are identified by short hexadecimal message-id tokens. A trace is an
-ordered, optionally timestamped recording of such events. The dictionary maps
-each id observed during training to a dense index and reserves one trailing
-OTHER index that absorbs ids never seen during training (and events named
-``OTHER``), so encoded vectors have a fixed width of ``len(ids) + 1``.
+Events are identified by short hexadecimal message-id tokens, and every event
+carries its timestamp. A trace is an ordered recording of such events. The
+dictionary maps each id observed during training to a dense index and
+reserves one trailing OTHER index that absorbs ids never seen during training
+(and events named ``OTHER``), so encoded vectors have a fixed width of
+``len(ids) + 1``.
 """
 
 from __future__ import annotations
@@ -43,27 +44,26 @@ class EventId(str):
 
 @dataclass(frozen=True)
 class Event:
-    """One bus message occurrence: an id plus an optional timestamp in seconds."""
+    """One bus message occurrence: an id plus its timestamp in seconds."""
 
     id: EventId
-    timestamp: float | None = None
+    timestamp: float
 
     def __post_init__(self) -> None:
         if not isinstance(self.id, EventId):
             object.__setattr__(self, "id", EventId(self.id))
-        if self.timestamp is not None:
-            ts = float(self.timestamp)
-            if not math.isfinite(ts) or ts < 0:
-                raise ValueError(f"timestamp must be finite and >= 0, got {ts!r}")
-            object.__setattr__(self, "timestamp", ts)
+        ts = float(self.timestamp)
+        if not math.isfinite(ts) or ts < 0:
+            raise ValueError(f"timestamp must be finite and >= 0, got {ts!r}")
+        object.__setattr__(self, "timestamp", ts)
 
 
 @dataclass(frozen=True)
 class Trace:
     """An ordered sequence of events from one recording session.
 
-    Timestamps, where present, must be non-decreasing; the restoration
-    pipeline relies on that ordering.
+    Timestamps must be non-decreasing; the restoration pipeline relies on
+    that ordering.
     """
 
     events: tuple[Event, ...]
@@ -71,13 +71,9 @@ class Trace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
-        prev = None
-        for ev in self.events:
-            if ev.timestamp is None:
-                continue
-            if prev is not None and ev.timestamp < prev:
-                raise ValueError("trace timestamps must be non-decreasing")
-            prev = ev.timestamp
+        times = self.timestamps()
+        if any(b < a for a, b in zip(times, times[1:])):
+            raise ValueError("trace timestamps must be non-decreasing")
 
     def __len__(self) -> int:
         return len(self.events)
@@ -85,11 +81,8 @@ class Trace:
     def ids(self) -> list[EventId]:
         return [ev.id for ev in self.events]
 
-    def timestamps(self) -> list[float | None]:
+    def timestamps(self) -> list[float]:
         return [ev.timestamp for ev in self.events]
-
-    def has_timestamps(self) -> bool:
-        return all(ev.timestamp is not None for ev in self.events)
 
 
 @dataclass(frozen=True)

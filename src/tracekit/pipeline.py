@@ -17,7 +17,7 @@ Artifact layout under the output directory::
     loss_<pct>/<label>.gapped     injected loss, per test trace
     loss_<pct>/<label>.restored.trace
     mine/*.txt                    mining reports
-    report.txt , report.json      run summary
+    report.json                   run summary, the one results file
 
 Each stage below writes its artifact and returns its value; the matching
 subcommand runs it too, so the chained subcommands reproduce a run.
@@ -38,7 +38,6 @@ from .restore import predict_step_by_step, restore_trace, write_gapped
 from .synth import generate_trace
 
 DICT_HEADER = "# tracekit-dict v1"
-REPORT_HEADER = "# tracekit-report v1"
 
 
 def read_dictionary(path: Path) -> Dictionary:
@@ -224,32 +223,12 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
             "restored_decrease_pct": _decrease_pct(kept_restored, total_original),
         }
 
-    _write_report(summary, out)
+    (out / "report.json").write_text(
+        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
     return summary
 
 
 def _decrease_pct(kept: int, total: int) -> float:
     return 100.0 * (1.0 - kept / total) if total else 0.0
 
-
-def _write_report(summary: dict, out: Path) -> None:
-    (out / "report.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    lines = [REPORT_HEADER, f"config_digest={summary['config_digest']}"]
-    for label in sorted(summary["next_event_accuracy"]):
-        acc = summary["next_event_accuracy"][label]
-        lines.append(f"nextacc.lstm.{label}={acc['lstm']!r}")
-        lines.append(f"nextacc.markov.{label}={acc['markov']!r}")
-    for label in sorted(summary["rollout"]):
-        roll = summary["rollout"][label]
-        for key in sorted(roll):
-            lines.append(f"rollout.{label}.{key}={roll[key]!r}")
-    for pct in sorted(summary["loss_study"], key=int):
-        level = summary["loss_study"][pct]
-        lines.append(f"loss.{pct}.original_instances={level['original_instances']}")
-        lines.append(f"loss.{pct}.lossy_decrease_pct={level['lossy_decrease_pct']!r}")
-        lines.append(
-            f"loss.{pct}.restored_decrease_pct={level['restored_decrease_pct']!r}"
-        )
-    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -143,7 +143,7 @@ def predict_step_by_step(
 # restoration
 
 
-def _interpolate(before: float | None, after: float | None, j: int, count: int) -> float | None:
+def _interpolate(before: float | None, after: float | None, j: int, count: int) -> float:
     if before is None:
         return after
     if after is None:

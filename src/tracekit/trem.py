@@ -89,9 +89,7 @@ def standardize_time(trace: Trace) -> Trace:
     Dividing by the span before scaling maps the last event to 1000 exactly;
     scaling by ``1000 / span`` first can overshoot it by an ulp.
     """
-    times = [ev.timestamp for ev in trace.events]
-    if any(t is None for t in times):
-        raise ValueError("standardize_time requires every event to be timestamped")
+    times = trace.timestamps()
     if not times:
         raise DegenerateTimeSpan("empty trace has no time span")
     lo, hi = min(times), max(times)
@@ -249,4 +247,7 @@ def report_from_text(text: str) -> MiningReport:
             )
         except ValueError as exc:
             raise CorruptModel(f"malformed report line {line!r}: {exc}") from exc
-    return MiningReport(instances=tuple(instances), trace_label=label)
+    try:
+        return MiningReport(instances=tuple(instances), trace_label=label)
+    except ValueError as exc:
+        raise CorruptModel(f"bad mining report: {exc}") from None

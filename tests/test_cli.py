@@ -144,6 +144,19 @@ BAD_INPUTS = {  # case: (argv, a fragment of the error message)
     "gapped file with every event lost": (["restore", "--model", "{d}/markov.model",
                                            "--in", "{d}/all_lost.gapped", "--out", "{d}/r.trace"],
                                           "at least one surviving event"),
+    "non-UTF-8 trace": (["mine", "--in", "{d}/utf16.bin", "--dict", "{d}/abc.txt",
+                         "--out", "{d}/mined.txt"], "not UTF-8"),
+    "non-UTF-8 gapped file": (["restore", "--model", "{d}/markov.model", "--in", "{d}/utf16.bin",
+                               "--out", "{d}/r.trace"], "not UTF-8"),
+    "non-UTF-8 dict": (["mine", "--in", "{d}/train/t0.trace", "--dict", "{d}/utf16.bin",
+                        "--out", "{d}/mined.txt"], "not UTF-8"),
+    "non-UTF-8 Markov model": (["restore", "--model", "{d}/utf16.bin",
+                                "--in", "{d}/lossy.gapped", "--out", "{d}/r.trace"], "not UTF-8"),
+    "non-UTF-8 mining report": (["compare", "--original", "{d}/utf16.bin",
+                                 "--other", "{d}/utf16.bin"], "not UTF-8"),
+    "mining report repeats an instance": (["compare", "--original", "{d}/twice_mined.txt",
+                                           "--other", "{d}/twice_mined.txt"],
+                                          "duplicate (template, P, S)"),
 }
 
 
@@ -162,6 +175,9 @@ def test_bad_inputs_fail_cleanly(markov_run, capsys, case):
     (tmp_path / "all_lost.gapped").write_text(f"{GAPPED_HEADER}\n? 2\n")
     (tmp_path / "v2.trace").write_text("# tracekit-trace v2\n0.0 A\n1.0 B\n")
     (tmp_path / "v2dict.txt").write_text("# tracekit-dict v2\nA\nB\nC\n")
+    (tmp_path / "utf16.bin").write_bytes("0.0 A\n".encode("utf-16"))  # opens 0xff 0xfe
+    (tmp_path / "twice_mined.txt").write_text(
+        "tracekit-mine v1\nlabel t\nresponse A B 1\nresponse A B 2\n")
     argv, message = BAD_INPUTS[case]
     capsys.readouterr()
     assert message in assert_clean_failure(capsys, cli.main([a.format(d=tmp_path) for a in argv]))
@@ -232,6 +248,15 @@ BAD_USAGE = {  # case: (argv, a fragment of the error message)
                                       "--out", "{d}/x.gapped", "--fraction", "10", "--seed", "1",
                                       "--mode", "burst", "--burst-length", "0"],
                                      "argument --burst-length: must be >= 1"),
+    "inject-loss --fraction 150": (["inject-loss", "--in", "{d}/train/t0.trace",
+                                    "--out", "{d}/x.gapped", "--fraction", "150", "--seed", "1"],
+                                   "argument --fraction: must be in [0, 100), got 150"),
+    "inject-loss --fraction -5": (["inject-loss", "--in", "{d}/train/t0.trace",
+                                   "--out", "{d}/x.gapped", "--fraction", "-5", "--seed", "1"],
+                                  "argument --fraction: must be in [0, 100), got -5"),
+    "inject-loss --fraction nan": (["inject-loss", "--in", "{d}/train/t0.trace",
+                                    "--out", "{d}/x.gapped", "--fraction", "nan", "--seed", "1"],
+                                   "argument --fraction: must be in [0, 100), got nan"),
     "predict --horizon -1": (["predict", "--model", "{d}/markov.model", "--seed-trace",
                               "{d}/train/t0.trace", "--horizon", "-1", "--out", "{d}/p.trace"],
                              "argument --horizon: must be >= 0"),
@@ -252,6 +277,8 @@ BAD_USAGE = {  # case: (argv, a fragment of the error message)
     "no synth.periodic": (["synth", "--out", "{d}/traces"],
                           "at least one periodic message is required"),
     "loss.fractions = 150": (["report", "--out", "{d}/report"], "loss fraction must be in [0, 1)"),
+    "loss.fractions = 10.4 10.2 12.5": (["report", "--out", "{d}/report"],
+                                        "loss.fractions must be whole percents"),
     "eval.start = -5": (["report", "--out", "{d}/report"], "eval.start must be >= 1, got -5"),
     "eval.start = 0": (["report", "--out", "{d}/report"], "eval.start must be >= 1, got 0"),
 }

@@ -15,6 +15,10 @@ class TestParse:
             ("seed = 1\nmarkov.order 4\n", "line 2: expected `key = value`"),
             ("seed = 1\nmarkov.order =   # no value\n", "line 2: empty value for 'markov.order'"),
             ("seed = 1\nsynth.label = run\n", "line 2: unknown key 'synth.label'"),
+        ] + [  # spec fields that keep their defaults have no key
+            (f"seed = 1\n{key} = 0.5\n", f"line 2: unknown key '{key}'")
+            for key in ("synth.duration_step", "lstm.input_dropout", "lstm.hidden_dropout",
+                        "lstm.recurrent_dropout", "train.base_lr", "train.decay")
         ],
     )
     def test_rejected_lines(self, text, message):
@@ -70,9 +74,9 @@ class TestValues:
 
     def test_set_keys_override_the_spec_defaults(self):
         config = RunConfig.parse(
-            "seed = 1\nlstm.lstm_width = 7\ntrain.decay = 0.5\nloss.mode = burst\n")
+            "seed = 1\nlstm.lstm_width = 7\ntrain.epochs_decay = 5\nloss.mode = burst\n")
         assert config.network_config(5) == NetworkConfig.for_vocab(5, lstm_width=7)
-        assert config.training_schedule().decay == 0.5
+        assert config.training_schedule().epochs_decay == 5
         assert config.loss_spec(0.1, "t").mode == "burst"
 
     def test_synthetic_traces_are_labelled_like_their_files(self):
@@ -100,6 +104,8 @@ class TestValues:
             ("markov.order = 0", lambda c: c.markov_order()),
             ("synth.periodic = A 0 0.1", lambda c: c.generator_spec(0)),
             ("loss.fractions = 10 150", lambda c: c.loss_fractions()),
+            ("loss.fractions = 10.4 10.2 12.5", lambda c: c.loss_fractions()),
+            ("loss.fractions = 10 5 10", lambda c: c.loss_fractions()),
             ("eval.start = 0", lambda c: c.eval_start()),
             ("eval.start = -5", lambda c: c.eval_start()),
         ],

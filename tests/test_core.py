@@ -43,18 +43,14 @@ class TestEvent:
             Event(EventId("B0"), -1.0)
         with pytest.raises(ValueError):
             Event(EventId("B0"), float("nan"))
-        assert Event(EventId("B0")).timestamp is None
+        with pytest.raises(TypeError):
+            Event(EventId("B0"))
 
 
 class TestTrace:
     def test_rejects_decreasing_timestamps(self):
         with pytest.raises(ValueError):
             Trace((Event(EventId("A"), 0.2), Event(EventId("B"), 0.1)))
-
-    def test_allows_missing_timestamps(self):
-        t = Trace((Event(EventId("A")), Event(EventId("B"), 0.5), Event(EventId("C"))))
-        assert len(t) == 3
-        assert not t.has_timestamps()
 
 
 class TestDictionary:

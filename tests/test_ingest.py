@@ -59,10 +59,6 @@ class TestParse:
 
 
 class TestSerialize:
-    def test_requires_timestamps(self):
-        with pytest.raises(ValueError):
-            serialize_trace(Trace((Event(EventId("A")),)))
-
     @given(
         st.lists(
             st.tuples(

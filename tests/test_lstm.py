@@ -365,54 +365,59 @@ def periodic_pool(n_traces=4, length=48):
     return pool
 
 
-class TestTraining:
-    def make(self, rounds=1, seed=3):
-        pool = periodic_pool()
-        d = build_dictionary(pool)
-        cfg = NetworkConfig(
-            vocab=d.size, dense_width=6, lstm_width=10, unroll_steps=6,
-            input_dropout=0.1, hidden_dropout=0.1, recurrent_dropout=0.1,
-        )
-        model = LstmModel.initialize(cfg, d, seed=seed)
-        return model, pool, TrainingSchedule(rounds=rounds, seed=seed)
+def training_setup(rounds=1, seed=3):
+    pool = periodic_pool()
+    d = build_dictionary(pool)
+    cfg = NetworkConfig(
+        vocab=d.size, dense_width=6, lstm_width=10, unroll_steps=6,
+        input_dropout=0.1, hidden_dropout=0.1, recurrent_dropout=0.1,
+    )
+    model = LstmModel.initialize(cfg, d, seed=seed)
+    return model, pool, TrainingSchedule(rounds=rounds, seed=seed)
 
+
+@pytest.fixture(scope="module")
+def three_rounds():
+    """One 3-round training run, shared by the tests that only read its result."""
+    model, pool, sched = training_setup(rounds=3)
+    return model, train(model, pool, sched)
+
+
+class TestTraining:
     def test_requires_two_traces(self):
-        model, pool, sched = self.make()
+        model, pool, sched = training_setup()
         with pytest.raises(InsufficientTraces):
             train(model, pool[:1], sched)
 
-    def test_metrics_shape_and_lr_schedule(self):
-        model, pool, sched = self.make(rounds=2)
-        history = train(model, pool, sched)
-        assert len(history) == 2
+    def test_metrics_shape_and_lr_schedule(self, three_rounds):
+        _, history = three_rounds
+        assert len(history) == 3
         for round_metrics in history:
             assert len(round_metrics.epochs) == 30
             assert round_metrics.epochs[0].learning_rate == pytest.approx(0.2)
             assert round_metrics.epochs[10].learning_rate == pytest.approx(0.2 / 1.1)
             assert round_metrics.train_label != round_metrics.val_label
 
-    def test_weights_carry_across_rounds(self):
-        model, pool, sched = self.make(rounds=3)
-        history = train(model, pool, sched)
+    def test_weights_carry_across_rounds(self, three_rounds):
+        _, history = three_rounds
         for prev, nxt in zip(history, history[1:]):
             assert prev.checksum_end == nxt.checksum_start
         assert history[0].checksum_start != history[-1].checksum_end
 
     def test_bitwise_determinism(self):
-        m1, pool, sched = self.make(rounds=1, seed=5)
-        m2, _, _ = self.make(rounds=1, seed=5)
+        m1, pool, sched = training_setup(rounds=1, seed=5)
+        m2, _, _ = training_setup(rounds=1, seed=5)
         train(m1, pool, sched)
         train(m2, pool, TrainingSchedule(rounds=1, seed=5))
         assert parameters_checksum(m1.params) == parameters_checksum(m2.params)
 
-    def test_marks_trained_and_records_frequencies(self):
-        model, pool, sched = self.make()
-        train(model, pool, sched)
+    def test_marks_trained_and_records_frequencies(self, three_rounds):
+        model, _ = three_rounds
         assert model.trained
         assert model.prior_event() == "A"
 
     def test_untrained_predict_rejected(self):
-        model, pool, sched = self.make()
+        model, pool, sched = training_setup()
         with pytest.raises(UntrainedModel):
             model.predict_next([EventId("A")])
 
