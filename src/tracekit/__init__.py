@@ -3,7 +3,7 @@
 The package learns next-event structure from clean traces with two model
 families (an order-n transition-frequency benchmark and a from-scratch
 layer-normalized LSTM), fills controlled gaps by step-by-step prediction,
-and measures quality both directly (strict multi-step accuracy, alignment
+and measures quality both directly (next-event accuracy, alignment
 scoring) and downstream (timed-property mining on original vs. lossy vs.
 restored traces).
 """
@@ -15,7 +15,6 @@ from .core import (
     Trace,
     build_dictionary,
     decode_index,
-    encode_event,
     encode_ids,
 )
 from .ingest import SplitSpec, parse_trace, serialize_trace, split_traces
@@ -44,7 +43,6 @@ __all__ = [
     "TriggeredMessage",
     "build_dictionary",
     "decode_index",
-    "encode_event",
     "encode_ids",
     "generate_trace",
     "inject_loss",

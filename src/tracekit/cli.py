@@ -19,8 +19,8 @@ from . import evaluate as evaluate_mod
 from . import lstm, markov, pipeline, trem
 from .config import RunConfig
 from .core import Event, Trace, build_dictionary
-from .errors import ConfigError, TracekitError
-from .ingest import read_pool, read_trace, write_trace
+from .errors import ConfigError, EmptyOriginal, TracekitError
+from .ingest import read_pool, read_text, read_trace, write_trace
 from .pipeline import read_dictionary, run_pipeline
 from .restore import LossSpec, predict_step_by_step, read_gapped
 from .synth import generate_trace  # noqa: F401  benchmark/tests checks the tracer restores it here
@@ -175,9 +175,11 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    original = trem.report_from_text(Path(args.original).read_text(encoding="utf-8"))
-    other = trem.report_from_text(Path(args.other).read_text(encoding="utf-8"))
-    decrease = trem.compare_reports(original, other)
+    original = trem.report_from_text(read_text(args.original))
+    other = trem.report_from_text(read_text(args.other))
+    if len(original) == 0:
+        raise EmptyOriginal(f"{args.original} has no instances")
+    decrease = trem.compare_reports([(original, other)])
     print(f"compare: {decrease!r} percent of original instances lost")
     return 0
 
@@ -331,9 +333,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
-        return 1
-    except UnicodeDecodeError as exc:
-        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 1
 
 

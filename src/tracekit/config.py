@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .core import EventId
 from .errors import ConfigError, InvalidFraction, InvalidSpec
-from .ingest import SplitSpec
+from .ingest import SplitSpec, read_text
 from .lstm import NetworkConfig, TrainingSchedule
 from .restore import LossSpec
 from .synth import GeneratorSpec, PeriodicMessage, RareMessage, TriggeredMessage
@@ -117,7 +116,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        return cls.parse(Path(path).read_text(encoding="utf-8"))
+        return cls.parse(read_text(path))
 
     def digest(self) -> str:
         return hashlib.sha256(self.source_text.encode("utf-8")).hexdigest()

@@ -140,20 +140,8 @@ def build_dictionary(traces: Sequence[Trace]) -> Dictionary:
     return Dictionary(tuple(seen))
 
 
-def encode_event(eid: EventId | str, dictionary: Dictionary) -> np.ndarray:
-    """One-hot encode ``eid`` into a length-V float vector.
-
-    Unknown ids activate the OTHER index; there is no error path.
-    """
-    if dictionary.size < 2:
-        raise ValueError("dictionary is degenerate (V < 2)")
-    vec = np.zeros(dictionary.size, dtype=np.float64)
-    vec[dictionary.index_of(eid)] = 1.0
-    return vec
-
-
 def encode_ids(ids: Sequence[EventId | str], dictionary: Dictionary) -> np.ndarray:
-    """One-hot encode a sequence of ids into an (L, V) matrix."""
+    """One-hot encode a sequence of ids into an (L, V) matrix; unknown ids are OTHER."""
     mat = np.zeros((len(ids), dictionary.size), dtype=np.float64)
     for row, eid in enumerate(ids):
         mat[row, dictionary.index_of(eid)] = 1.0
@@ -161,7 +149,7 @@ def encode_ids(ids: Sequence[EventId | str], dictionary: Dictionary) -> np.ndarr
 
 
 def decode_index(index: int, dictionary: Dictionary) -> EventId:
-    """Inverse of ``encode_event``: index back to id, OTHER at the last slot."""
+    """Inverse of ``encode_ids`` for one row's index: the id, OTHER at the last slot."""
     if not 0 <= index < dictionary.size:
         raise IndexOutOfRange(f"index {index} outside vocabulary of size {dictionary.size}")
     if index == dictionary.other_index:
@@ -180,10 +168,11 @@ def pick_most_frequent(counts: Mapping[EventId, int], dictionary: Dictionary) ->
     return min(counts, key=lambda eid: (-counts[eid], dictionary.index_of(eid), eid))
 
 
-def event_frequencies(traces: Iterable[Trace]) -> dict[EventId, int]:
-    """Count id occurrences over a pool of traces."""
+def event_frequencies(traces: Iterable[Trace], dictionary: Dictionary) -> dict[EventId, int]:
+    """Count id occurrences over a pool of traces, unknown ids pooled as OTHER."""
     freq: dict[EventId, int] = {}
     for trace in traces:
         for ev in trace.events:
-            freq[ev.id] = freq.get(ev.id, 0) + 1
+            eid = decode_index(dictionary.index_of(ev.id), dictionary)
+            freq[eid] = freq.get(eid, 0) + 1
     return freq

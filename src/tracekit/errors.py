@@ -70,11 +70,11 @@ class DegenerateInput(TracekitError):
 
 
 class DegenerateTimeSpan(TracekitError):
-    """A trace has no usable time span to standardize."""
+    """A trace to mine is empty or has no time span."""
 
 
 class EmptyOriginal(TracekitError):
-    """A mining comparison was requested against an empty original report."""
+    """A mining report to compare against has no instances."""
 
 
 class ConfigError(TracekitError):

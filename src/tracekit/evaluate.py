@@ -2,8 +2,8 @@
 
 Two complementary views:
 
-* ``n_forward_accuracy`` is the strict multi-step metric: a prediction step
-  counts as correct only when all n of its predictions match the truth.
+* ``next_event_accuracy`` is teacher-forced: every prediction reads the
+  true history before it.
 * ``align_and_classify`` mirrors how long rollouts are scored by hand: the
   predicted and true sequences are scanned together and every mismatch is
   explained as an omission (the model skipped a true event and stays in sync
@@ -29,43 +29,6 @@ from typing import IO, Sequence
 
 from .core import Dictionary, EventId, encode_ids
 from .errors import DegenerateInput, LengthMismatch
-
-
-def expected_accuracy(acc1: float, n: int) -> float:
-    """Multi-step accuracy a derail-on-first-mistake model would achieve: acc1**n."""
-    if not 0.0 <= acc1 <= 1.0:
-        raise ValueError("acc1 must be in [0, 1]")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return acc1**n
-
-
-def n_forward_accuracy(
-    predictions: Sequence[Sequence[EventId]],
-    truth: Sequence[EventId],
-    n: int,
-) -> float:
-    """Fraction of steps whose n predictions were all correct.
-
-    ``predictions[s]`` is the n-tuple predicted at step s and is compared
-    against ``truth[s : s + n]``, so ``truth`` must start at the first
-    predicted position and extend ``n - 1`` events past the last step.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not predictions:
-        raise LengthMismatch("no prediction steps given")
-    if len(truth) < len(predictions) + n - 1:
-        raise LengthMismatch(
-            f"truth has {len(truth)} events, need {len(predictions) + n - 1}"
-        )
-    correct = 0
-    for s, step in enumerate(predictions):
-        if len(step) != n:
-            raise LengthMismatch(f"step {s} has {len(step)} predictions, expected {n}")
-        if all(step[j] == truth[s + j] for j in range(n)):
-            correct += 1
-    return correct / len(predictions)
 
 
 # ---------------------------------------------------------------------------

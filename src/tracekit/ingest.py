@@ -24,9 +24,23 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .core import Event, EventId, Trace
-from .errors import InsufficientTraces, MalformedLine, NonMonotonicTimestamp, VersionMismatch
+from .errors import (
+    InsufficientTraces,
+    MalformedLine,
+    NonMonotonicTimestamp,
+    TracekitError,
+    VersionMismatch,
+)
 
 TRACE_HEADER = "# tracekit-trace v1"
+
+
+def read_text(path: str | os.PathLike) -> str:
+    """A file's UTF-8 text; other bytes raise an error that names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TracekitError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def check_header(text: str, header: str) -> None:
@@ -98,7 +112,7 @@ def write_trace(trace: Trace, path: str | os.PathLike) -> None:
 def read_trace(path: str | os.PathLike) -> Trace:
     """The trace in a file, labelled by the file's stem."""
     p = Path(path)
-    return parse_trace(p.read_text(encoding="utf-8"), label=p.stem)
+    return parse_trace(read_text(p), label=p.stem)
 
 
 def read_pool(directory: str | os.PathLike) -> list[Trace]:

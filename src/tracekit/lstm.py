@@ -541,7 +541,7 @@ def train(
             raise EmptyTrainingSet(f"trace {trace.label!r} too short for training windows")
 
     rng = np.random.Generator(np.random.PCG64(schedule.seed))
-    model.event_freq = event_frequencies(pool)
+    model.event_freq = event_frequencies(pool, model.dictionary)
     encoded_pool = [encode_ids(t.ids(), model.dictionary) for t in pool]
 
     history: list[RoundMetrics] = []

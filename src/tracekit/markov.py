@@ -46,6 +46,7 @@ from typing import Sequence
 
 from .core import Dictionary, EventId, Trace, build_dictionary, decode_index, pick_most_frequent
 from .errors import CorruptModel, EmptyTrainingSet, UntrainedModel, VersionMismatch
+from .ingest import read_text
 
 _FORMAT_NAME = "tracekit-markov"
 _FORMAT_VERSION = 2
@@ -212,7 +213,7 @@ class MarkovModel:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "MarkovModel":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        return cls.from_text(read_text(path))
 
 
 def _parse_counts(field_text: str, index: dict[str, int]) -> dict[int, int]:

@@ -32,7 +32,7 @@ from . import evaluate, lstm, markov, trem
 from .config import RunConfig
 from .core import Dictionary, EventId, Trace, build_dictionary
 from .errors import CorruptModel, VersionMismatch
-from .ingest import split_traces, write_trace
+from .ingest import read_text, split_traces, write_trace
 from .restore import GappedTrace, LossSpec, NextEventPredictor, inject_loss
 from .restore import predict_step_by_step, restore_trace, write_gapped
 from .synth import generate_trace
@@ -41,7 +41,7 @@ DICT_HEADER = "# tracekit-dict v1"
 
 
 def read_dictionary(path: Path) -> Dictionary:
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != DICT_HEADER:
         raise VersionMismatch(f"{path} lacks the `{DICT_HEADER}` header")
     try:
@@ -200,35 +200,27 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
         return mine(trace, vocabulary, top_k, mine_dir / f"{tag}.txt")
 
     originals = {t.label: mined(t, f"original_{t.label}") for t in test_pool}
+    original_instances = sum(len(originals[t.label]) for t in test_pool)
     for fraction in fractions:
         pct = round(fraction * 100)
         level_dir = out / f"loss_{pct:02d}"
         level_dir.mkdir(exist_ok=True)
-        total_original = 0
-        kept_lossy = 0
-        kept_restored = 0
+        lossy_pairs, restored_pairs = [], []
         for trace in test_pool:
             spec = config.loss_spec(fraction, trace.label)
             gapped = inject(trace, spec, level_dir / f"{trace.label}.gapped")
             restored = restore(restorer, gapped, level_dir / f"{trace.label}.restored.trace")
-            lossy_report = mined(gapped.known_trace(), f"lossy_{pct:02d}_{trace.label}")
-            restored_report = mined(restored, f"restored_{pct:02d}_{trace.label}")
-            original_keys = originals[trace.label].keys()
-            total_original += len(original_keys)
-            kept_lossy += len(original_keys & lossy_report.keys())
-            kept_restored += len(original_keys & restored_report.keys())
+            original = originals[trace.label]
+            tag = f"{pct:02d}_{trace.label}"
+            lossy_pairs.append((original, mined(gapped.known_trace(), f"lossy_{tag}")))
+            restored_pairs.append((original, mined(restored, f"restored_{tag}")))
         summary["loss_study"][str(pct)] = {
-            "original_instances": total_original,
-            "lossy_decrease_pct": _decrease_pct(kept_lossy, total_original),
-            "restored_decrease_pct": _decrease_pct(kept_restored, total_original),
+            "original_instances": original_instances,
+            "lossy_decrease_pct": trem.compare_reports(lossy_pairs),
+            "restored_decrease_pct": trem.compare_reports(restored_pairs),
         }
 
     (out / "report.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     return summary
-
-
-def _decrease_pct(kept: int, total: int) -> float:
-    return 100.0 * (1.0 - kept / total) if total else 0.0
-

@@ -28,7 +28,7 @@ from typing import Callable, Protocol, Sequence
 
 from .core import Event, EventId, Trace
 from .errors import DegenerateInput, InvalidFraction, MalformedLine
-from .ingest import check_header, content_lines, format_event, parse_event_line
+from .ingest import check_header, content_lines, format_event, parse_event_line, read_text
 
 GAPPED_HEADER = "# tracekit-gapped v1"
 
@@ -226,4 +226,4 @@ def write_gapped(gapped: GappedTrace, path: str | os.PathLike) -> None:
 def read_gapped(path: str | os.PathLike) -> GappedTrace:
     """The gapped trace in a file, labelled by the file's stem."""
     p = Path(path)
-    return parse_gapped(p.read_text(encoding="utf-8"), label=p.stem)
+    return parse_gapped(read_text(p), label=p.stem)

@@ -1,37 +1,34 @@
 """Simplified timed-property miner over event traces.
 
 Two templates are mined, each over ordered pairs (P, S) of distinct known
-ids (the OTHER slot is never a candidate):
+ids (the OTHER slot is never a candidate). For a pair, the positions of P
+and S merge into one role string: the trace restricted to P and S events,
+each written as its role. Events that are neither P nor S are ignored.
 
 * response — every occurrence of P is answered by an S before any further
-  P occurs. One unanswered or re-triggered P disqualifies the pair for the
-  whole trace.
-* alternating — restricting the trace to P and S events yields the strict
-  alternation P, S, P, S, ..., S (P first, S last); events that are neither
-  P nor S are ignored.
+  P occurs: the role string has no ``PP`` and ends in ``S``. One unanswered
+  or re-triggered P disqualifies the pair for the whole trace.
+* alternating — the role string is the strict alternation P, S, P, S, ...,
+  S: a response string that also starts with ``P`` and has no ``SS``.
 
-Timestamps are standardized to exactly [0, 1000] before mining. The time
-bound of both templates is that same full span, so it excludes no pair and
-is not checked: every P-to-S delay of a standardized trace lies within it.
-The bound only gains meaning once each instance's observed delay interval
-is mined and compared.
+Mining reads no timestamp, so a trace is mined on its own clock and is never
+rescaled. It only has to have a span: an empty trace, or one whose first and
+last timestamps are equal (timestamps never decrease), raises
+``DegenerateTimeSpan``. No time bound is checked: each instance's observed
+delay interval is not mined yet.
 
-``match_count`` counts P-to-S segments, while instance identity for set
-comparisons is (template, P, S) alone: comparing reports counts distinct
-surviving rules, not how often they fired.
+``match_count`` counts P-to-S segments (the occurrences of P), while
+instance identity for set comparisons is (template, P, S) alone: comparing
+reports counts distinct surviving rules, not how often they fired.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
 
-from .core import Dictionary, Event, EventId, Trace
-from .errors import CorruptModel, DegenerateTimeSpan, EmptyOriginal, VersionMismatch
-
-TIME_SPAN = 1000.0
+from .core import Dictionary, EventId, Trace
+from .errors import CorruptModel, DegenerateTimeSpan, VersionMismatch
 
 _FORMAT_NAME = "tracekit-mine"
 _FORMAT_VERSION = 1
@@ -83,103 +80,38 @@ class MiningReport:
         return len(self.instances)
 
 
-def standardize_time(trace: Trace) -> Trace:
-    """Affinely map timestamps so the trace spans exactly [0, 1000].
-
-    Dividing by the span before scaling maps the last event to 1000 exactly;
-    scaling by ``1000 / span`` first can overshoot it by an ulp.
-    """
-    times = trace.timestamps()
-    if not times:
-        raise DegenerateTimeSpan("empty trace has no time span")
-    lo, hi = min(times), max(times)
-    if hi == lo:
-        raise DegenerateTimeSpan("all timestamps are equal")
-    span = hi - lo
-    events = tuple(Event(ev.id, (ev.timestamp - lo) / span * TIME_SPAN) for ev in trace.events)
-    return Trace(events, label=trace.label)
-
-
-def _occurrences(trace: Trace, dictionary: Dictionary) -> dict[EventId, list[int]]:
-    """Positions of every known id in the trace."""
-    occ: dict[EventId, list[int]] = {}
-    known = set(dictionary.ids)
-    for pos, ev in enumerate(trace.events):
-        if ev.id in known:
-            occ.setdefault(ev.id, []).append(pos)
-    return occ
-
-
-def mine_response(trace: Trace, dictionary: Dictionary) -> set[TREInstance]:
-    """All response instances of a standardized trace."""
-    occ = _occurrences(trace, dictionary)
-    instances: set[TREInstance] = set()
-    for p_id, p_positions in occ.items():
-        for s_id, s_positions in occ.items():
-            if p_id == s_id:
-                continue
-            count = 0
-            ok = True
-            for idx, p_pos in enumerate(p_positions):
-                next_p = p_positions[idx + 1] if idx + 1 < len(p_positions) else None
-                j = bisect_right(s_positions, p_pos)
-                if j == len(s_positions):
-                    ok = False
-                    break
-                if next_p is not None and s_positions[j] > next_p:
-                    ok = False
-                    break
-                count += 1
-            if ok and count:
-                instances.add(TREInstance(Template.RESPONSE, p_id, s_id, count))
-    return instances
-
-
-def mine_alternating(trace: Trace, dictionary: Dictionary) -> set[TREInstance]:
-    """All alternating instances of a standardized trace."""
-    occ = _occurrences(trace, dictionary)
-    instances: set[TREInstance] = set()
-    ids = [eid for eid in dictionary.ids if eid in occ]
-    for p_id in ids:
-        for s_id in ids:
-            if p_id == s_id:
-                continue
-            roles = [role for _, role in sorted(
-                [(pos, 0) for pos in occ[p_id]] + [(pos, 1) for pos in occ[s_id]]
-            )]
-            if len(roles) < 2 or len(roles) % 2 != 0:
-                continue
-            if any(role != i % 2 for i, role in enumerate(roles)):
-                continue
-            instances.add(TREInstance(Template.ALTERNATING, p_id, s_id, len(roles) // 2))
-    return instances
-
-
 def mine_trace(trace: Trace, dictionary: Dictionary) -> MiningReport:
-    """Standardize the trace and mine both templates."""
-    standardized = standardize_time(trace)
-    instances = mine_response(standardized, dictionary) | mine_alternating(
-        standardized, dictionary
-    )
-    return MiningReport(
-        instances=_sorted_instances(instances, dictionary),
-        trace_label=trace.label,
-    )
+    """Mine both templates over every ordered pair of distinct known ids.
 
-
-def _sorted_instances(
-    instances: Iterable[TREInstance], dictionary: Dictionary
-) -> tuple[TREInstance, ...]:
-    return tuple(
-        sorted(
-            instances,
-            key=lambda inst: (
-                inst.template.rank,
-                dictionary.index_of(inst.p),
-                dictionary.index_of(inst.s),
-            ),
-        )
-    )
+    Instances come in (template, P index, S index) order: response first.
+    """
+    if not trace.events:
+        raise DegenerateTimeSpan("empty trace has no time span")
+    if trace.events[0].timestamp == trace.events[-1].timestamp:
+        raise DegenerateTimeSpan("all timestamps are equal")
+    # Each known id's positions, doubled, and + 1 in the S role: a merge
+    # sorts by position, and each mark's parity is its role.
+    known = set(dictionary.ids)
+    as_p: dict[EventId, list[int]] = {}
+    for pos, eid in enumerate(trace.ids()):
+        if eid in known:
+            as_p.setdefault(eid, []).append(2 * pos)
+    as_s = {eid: [mark + 1 for mark in marks] for eid, marks in as_p.items()}
+    ids = [eid for eid in dictionary.ids if eid in as_p]
+    response: list[TREInstance] = []
+    alternating: list[TREInstance] = []
+    for p in ids:
+        for s in ids:
+            if p == s:
+                continue
+            roles = "".join(["PS"[mark & 1] for mark in sorted(as_p[p] + as_s[s])])
+            if "PP" in roles or roles[-1] != "S":
+                continue
+            count = len(as_p[p])
+            response.append(TREInstance(Template.RESPONSE, p, s, count))
+            if roles[0] == "P" and "SS" not in roles:
+                alternating.append(TREInstance(Template.ALTERNATING, p, s, count))
+    return MiningReport(instances=tuple(response + alternating), trace_label=trace.label)
 
 
 def rank_dominant(report: MiningReport, top_k: int, dictionary: Dictionary) -> MiningReport:
@@ -202,12 +134,18 @@ def rank_dominant(report: MiningReport, top_k: int, dictionary: Dictionary) -> M
     return MiningReport(instances=tuple(ranked[:top_k]), trace_label=report.trace_label)
 
 
-def compare_reports(original: MiningReport, other: MiningReport) -> float:
-    """Percent of original instances missing from ``other``, keyed (template, P, S)."""
-    if len(original) == 0:
-        raise EmptyOriginal("original report has no instances")
-    lost = original.keys() - other.keys()
-    return 100.0 * len(lost) / len(original)
+def compare_reports(pairs: list[tuple[MiningReport, MiningReport]]) -> float:
+    """Percent of original instances missing from the other report, pooled over pairs.
+
+    Each pair is (original, other) and instances are keyed (template, P, S).
+    With no original instance there is nothing to lose, so the result is 0.0.
+    """
+    total = kept = 0
+    for original, other in pairs:
+        keys = original.keys()
+        total += len(keys)
+        kept += len(keys & other.keys())
+    return 100.0 * (1.0 - kept / total) if total else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,8 @@ BAD_INPUTS = {  # case: (argv, a fragment of the error message)
                                 "--in", "{d}/lossy.gapped", "--out", "{d}/r.trace"], "not UTF-8"),
     "non-UTF-8 mining report": (["compare", "--original", "{d}/utf16.bin",
                                  "--other", "{d}/utf16.bin"], "not UTF-8"),
+    "non-UTF-8 other mining report": (["compare", "--original", "{d}/one_mined.txt",
+                                       "--other", "{d}/utf16.bin"], "utf16.bin: not UTF-8"),
     "mining report repeats an instance": (["compare", "--original", "{d}/twice_mined.txt",
                                            "--other", "{d}/twice_mined.txt"],
                                           "duplicate (template, P, S)"),
@@ -178,9 +180,32 @@ def test_bad_inputs_fail_cleanly(markov_run, capsys, case):
     (tmp_path / "utf16.bin").write_bytes("0.0 A\n".encode("utf-16"))  # opens 0xff 0xfe
     (tmp_path / "twice_mined.txt").write_text(
         "tracekit-mine v1\nlabel t\nresponse A B 1\nresponse A B 2\n")
+    (tmp_path / "one_mined.txt").write_text("tracekit-mine v1\nlabel t\nresponse A B 1\n")
     argv, message = BAD_INPUTS[case]
     capsys.readouterr()
     assert message in assert_clean_failure(capsys, cli.main([a.format(d=tmp_path) for a in argv]))
+
+
+@pytest.mark.parametrize("family", ["markov", "lstm"])
+def test_leading_gap_is_filled_from_the_dictionary(tmp_path, family):
+    # 7F, the pool's most frequent id, is not in the dictionary, so the
+    # prior that fills a leading gap must pool it as OTHER.
+    (tmp_path / "pool").mkdir()
+    for i, ids in enumerate(["7F 7F A 7F 7F B 7F", "7F B 7F 7F A 7F 7F"]):
+        events = tuple(Event(EventId(e), t * 0.1) for t, e in enumerate(ids.split()))
+        write_trace(Trace(events), tmp_path / "pool" / f"t{i}.trace")
+    (tmp_path / "dict.txt").write_text(f"{DICT_HEADER}\nA\nB\n")
+    (tmp_path / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in REPORT_CONFIG.items()))
+    (tmp_path / "lossy.gapped").write_text(f"{GAPPED_HEADER}\n? 2\n1.0 A\n2.0 B\n")
+    model = str(tmp_path / "model")
+    assert cli.main([f"train-{family}", "--config", str(tmp_path / "run.cfg"),
+                     "--train", str(tmp_path / "pool"), "--dict", str(tmp_path / "dict.txt"),
+                     "--out", model]) == 0
+    assert cli.main(["restore", "--model", model, "--in", str(tmp_path / "lossy.gapped"),
+                     "--out", str(tmp_path / "restored.trace")]) == 0
+    restored = read_trace(tmp_path / "restored.trace").ids()
+    assert restored[0] == "OTHER"
+    assert set(restored) <= {"A", "B", "OTHER"}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from tracekit.core import (
     Trace,
     build_dictionary,
     decode_index,
-    encode_event,
     encode_ids,
     event_frequencies,
     pick_most_frequent,
@@ -91,18 +90,18 @@ class TestDictionary:
 class TestEncoding:
     def test_one_hot_position(self):
         d = Dictionary((EventId("A"), EventId("B"), EventId("C")))
-        vec = encode_event(EventId("C"), d)
-        assert vec.tolist() == [0.0, 0.0, 1.0, 0.0]
+        mat = encode_ids([EventId("C")], d)
+        assert mat.tolist() == [[0.0, 0.0, 1.0, 0.0]]
 
     def test_unknown_id_maps_to_other(self):
         d = build_dictionary([trace_of(*[f"{i:X}" for i in range(43)])])
-        vec = encode_event(EventId("FFF"), d)
+        (vec,) = encode_ids([EventId("FFF")], d)
         assert vec[43] == 1.0
         assert vec.sum() == 1.0
 
     def test_exactly_one_active_element(self):
         d = build_dictionary([trace_of(*[f"{i:X}" for i in range(43)])])
-        vec = encode_event(EventId("5"), d)
+        (vec,) = encode_ids([EventId("5")], d)
         assert (vec == 0.0).sum() == 43
         assert (vec == 1.0).sum() == 1
 
@@ -124,10 +123,9 @@ class TestEncoding:
     @given(st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=30))
     def test_round_trip(self, ids):
         d = build_dictionary([trace_of(*ids)])
-        for eid in d.ids:
-            vec = encode_event(eid, d)
-            assert len(vec) == d.size
-            assert decode_index(int(np.argmax(vec)), d) == eid
+        mat = encode_ids(d.ids, d)
+        assert mat.shape == (len(d.ids), d.size)
+        assert [decode_index(int(i), d) for i in np.argmax(mat, axis=1)] == list(d.ids)
 
 
 class TestFrequencies:
@@ -137,5 +135,9 @@ class TestFrequencies:
         assert pick_most_frequent(counts, d) == "B"
 
     def test_event_frequencies(self):
-        freq = event_frequencies([trace_of("A", "B", "A")])
+        d = Dictionary((EventId("A"), EventId("B")))
+        freq = event_frequencies([trace_of("A", "B", "A")], d)
         assert freq == {"A": 2, "B": 1}
+        # Ids outside the dictionary pool as OTHER.
+        freq = event_frequencies([trace_of("7F", "A", "7E", "OTHER")], Dictionary(("A",)))
+        assert freq == {"A": 1, "OTHER": 3}

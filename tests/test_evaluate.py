@@ -4,63 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracekit.core import Dictionary, EventId
-from tracekit.errors import DegenerateInput, LengthMismatch
+from tracekit.errors import DegenerateInput
 from tracekit.evaluate import (
     AlignmentReport,
     align_and_classify,
-    expected_accuracy,
-    n_forward_accuracy,
     render_onehot_image,
 )
 
 
 def ids(*tokens):
     return [EventId(t) for t in tokens]
-
-
-class TestExpectedAccuracy:
-    def test_reference_values_to_three_decimals(self):
-        assert round(expected_accuracy(0.895, 10), 3) == 0.330
-        assert round(expected_accuracy(0.895, 20), 3) == 0.109
-
-    def test_identity_at_one_step(self):
-        assert expected_accuracy(0.42, 1) == 0.42
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            expected_accuracy(1.5, 2)
-        with pytest.raises(ValueError):
-            expected_accuracy(0.5, 0)
-
-
-class TestNForwardAccuracy:
-    def test_all_correct(self):
-        truth = ids("A", "B", "C", "D")
-        steps = [tuple(truth[s : s + 2]) for s in range(3)]
-        assert n_forward_accuracy(steps, truth, 2) == 1.0
-
-    def test_partial_steps(self):
-        truth = ids("A", "B", "C", "D")
-        steps = [
-            (EventId("A"), EventId("B")),  # both right
-            (EventId("B"), EventId("C")),  # both right
-            (EventId("C"), EventId("X")),  # one wrong
-        ]
-        assert n_forward_accuracy(steps, truth, 2) == pytest.approx(2 / 3)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            n_forward_accuracy([(EventId("A"),)], [], 1)
-        with pytest.raises(LengthMismatch):
-            n_forward_accuracy([ids("A", "B")], ids("A"), 2)
-
-    def test_step_order_insensitive(self):
-        truth = ids("A", "B", "A", "B", "A")
-        steps = [tuple(truth[s : s + 2]) for s in range(4)]
-        steps[1] = (EventId("X"), EventId("X"))
-        acc = n_forward_accuracy(steps, truth, 2)
-        # Moving the wrong step elsewhere cannot change c and w.
-        assert acc == pytest.approx(3 / 4)
 
 
 class TestAlignmentFixtures:

@@ -3,11 +3,11 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tracekit import cli
 from tracekit.core import Dictionary, Event, EventId, Trace, build_dictionary
 from tracekit.errors import (
     CorruptModel,
     DegenerateTimeSpan,
-    EmptyOriginal,
     VersionMismatch,
 )
 from tracekit.trem import (
@@ -15,13 +15,10 @@ from tracekit.trem import (
     Template,
     TREInstance,
     compare_reports,
-    mine_alternating,
-    mine_response,
     mine_trace,
     rank_dominant,
     report_from_text,
     report_to_text,
-    standardize_time,
 )
 
 
@@ -33,43 +30,15 @@ def evenly_timed(*ids, label=""):
     return timed_trace(*((i, t * 1.0) for t, i in enumerate(ids)), label=label)
 
 
-class TestStandardizeTime:
-    def test_affine_endpoints(self):
-        t = timed_trace(("A", 2.0), ("B", 3.0), ("C", 4.0))
-        out = standardize_time(t)
-        assert [e.timestamp for e in out.events] == pytest.approx([0.0, 500.0, 1000.0])
-
-    def test_already_standardized_unchanged(self):
-        t = timed_trace(("A", 0.0), ("B", 250.0), ("C", 1000.0))
-        out = standardize_time(t)
-        assert [e.timestamp for e in out.events] == pytest.approx([0.0, 250.0, 1000.0])
-
-    def test_degenerate_span(self):
-        with pytest.raises(DegenerateTimeSpan):
-            standardize_time(timed_trace(("A", 1.0), ("B", 1.0)))
-
-    def test_last_event_lands_exactly_on_the_span(self):
-        # (t - lo) * (1000 / span) overshoots 1000 by an ulp for 48 of these
-        # step counts (15, 19, 29, 30, ...).
-        overshoot = [
-            steps for steps in range(1, 200)
-            if standardize_time(evenly_timed(*"A" * (steps + 1))).events[-1].timestamp != 1000.0
-        ]
-        assert overshoot == []
-
-    def test_idempotent_mining(self):
-        t = evenly_timed(*"PSPSQ")
-        d = build_dictionary([t])
-        once = standardize_time(t)
-        twice = standardize_time(once)
-        assert mine_response(once, d) == mine_response(twice, d)
-        assert mine_alternating(once, d) == mine_alternating(twice, d)
+def mined(trace, template):
+    """(P, S) -> match count of every ``template`` instance mined from ``trace``."""
+    report = mine_trace(trace, build_dictionary([trace]))
+    return {(i.p, i.s): i.match_count for i in report.instances if i.template is template}
 
 
 class TestResponse:
     def mine(self, trace):
-        d = build_dictionary([trace])
-        return {(i.p, i.s): i.match_count for i in mine_response(standardize_time(trace), d)}
+        return mined(trace, Template.RESPONSE)
 
     def test_every_p_answered(self):
         got = self.mine(timed_trace(("P", 0.0), ("S", 100.0), ("P", 200.0), ("S", 300.0)))
@@ -91,7 +60,7 @@ class TestResponse:
         assert ("P", "S") not in got
 
     def test_pair_spanning_the_whole_trace(self):
-        # 15 steps: scaling by 1000 / 15 first put S just past the span.
+        # One P-S pair across the whole trace, 15 steps long.
         got = self.mine(evenly_timed("P", *"X" * 14, "S"))
         assert got[("P", "S")] == 1
 
@@ -102,11 +71,7 @@ class TestResponse:
 
 class TestAlternating:
     def mine(self, trace):
-        d = build_dictionary([trace])
-        return {
-            (i.p, i.s): i.match_count
-            for i in mine_alternating(standardize_time(trace), d)
-        }
+        return mined(trace, Template.ALTERNATING)
 
     def test_strict_alternation(self):
         got = self.mine(evenly_timed("P", "S", "P", "S"))
@@ -130,47 +95,65 @@ class TestAlternating:
         assert with_noise[("P", "S")] == without[("P", "S")] == 2
 
 
+def regex_oracle(tokens, pattern):
+    """(P, S, count of P) for every pair whose projected role string matches ``pattern``."""
+    expected = set()
+    symbols = list(dict.fromkeys(tokens))
+    for p in symbols:
+        for s in symbols:
+            if p == s:
+                continue
+            mapped = "".join("P" if t == p else "S" for t in tokens if t in (p, s))
+            if re.fullmatch(pattern, mapped):
+                expected.add((p, s, mapped.count("P")))
+    return expected
+
+
+def mined_triples(tokens, template):
+    found = mined(evenly_timed(*tokens), template)
+    return {(str(p), str(s), count) for (p, s), count in found.items()}
+
+
+def token_draws(test):
+    """The oracles' shared Hypothesis draws over PSXY, with the worked examples."""
+    for tokens in (
+        # Ids that equal a role letter: S in the P role, then P in the S role.
+        ["S", "P"],
+        ["X", "P", "X", "P"],
+        # One P-S pair across the whole trace, 15 steps long.
+        ["P", *"X" * 14, "S"],
+    ):
+        test = example(tokens=tokens)(test)
+    test = given(st.lists(st.sampled_from("PSXY"), min_size=2, max_size=40))(test)
+    return settings(max_examples=120, deadline=None)(test)
+
+
+class TestResponseOracle:
+    """Cross-check against a direct regex on the projected symbol string."""
+
+    @token_draws
+    def test_matches_regex_oracle(self, tokens):
+        response = mined_triples(tokens, Template.RESPONSE)
+        assert response == regex_oracle(tokens, r"S*(PS+)+")
+        assert mined_triples(tokens, Template.ALTERNATING) <= response
+
+
 class TestAlternatingOracle:
     """Cross-check against a direct regex on the projected symbol string."""
 
-    @settings(max_examples=120, deadline=None)
-    @given(st.lists(st.sampled_from("PSXY"), min_size=2, max_size=40))
-    # Ids that equal a role letter: S in the P role, then P in the S role.
-    @example(tokens=["S", "P"])
-    @example(tokens=["X", "P", "X", "P"])
-    # One P-S pair across the whole trace, 15 steps long.
-    @example(tokens=["P", *"X" * 14, "S"])
+    @token_draws
     def test_matches_regex_oracle(self, tokens):
-        trace = evenly_timed(*tokens)
-        d = build_dictionary([trace])
-        mined = {
-            (str(i.p), str(i.s), i.match_count)
-            for i in mine_alternating(standardize_time(trace), d)
-        }
-        expected = set()
-        symbols = list(dict.fromkeys(tokens))
-        for p in symbols:
-            for s in symbols:
-                if p == s:
-                    continue
-                mapped = "".join("P" if t == p else "S" for t in tokens if t in (p, s))
-                # Every P-S delay lies within the standardized span, so the
-                # time bound excludes no pair.
-                if re.fullmatch(r"(PS)+", mapped):
-                    expected.add((p, s, len(mapped) // 2))
-        assert mined == expected
+        assert mined_triples(tokens, Template.ALTERNATING) == regex_oracle(tokens, r"(PS)+")
 
     def test_alternating_implies_answered_response_pairs(self):
         # Restricting response semantics to P/S events only: alternation
         # means every P is answered before the next P.
         trace = evenly_timed("P", "X", "S", "P", "S")
-        d = build_dictionary([trace])
-        alternating = mine_alternating(standardize_time(trace), d)
-        for inst in alternating:
-            projected = [t for t in trace.ids() if t in (inst.p, inst.s)]
+        for p, s in mined(trace, Template.ALTERNATING):
+            projected = [t for t in trace.ids() if t in (p, s)]
             pending = False
             for tok in projected:
-                if tok == inst.p:
+                if tok == p:
                     assert not pending
                     pending = True
                 else:
@@ -215,28 +198,59 @@ class TestCompare:
 
     def test_identical_reports(self):
         r = self.make([("A", "B"), ("B", "C")])
-        assert compare_reports(r, r) == 0.0
+        assert compare_reports([(r, r)]) == 0.0
 
     def test_empty_other(self):
         r = self.make([("A", "B"), ("B", "C")])
-        assert compare_reports(r, MiningReport(())) == 100.0
+        assert compare_reports([(r, MiningReport(()))]) == 100.0
 
     def test_partial_overlap(self):
         original = self.make([("A", "B"), ("B", "C"), ("C", "D"), ("D", "E")])
         other = self.make([("A", "B"), ("C", "D"), ("E", "F")])
-        assert compare_reports(original, other) == pytest.approx(50.0)
+        assert compare_reports([(original, other)]) == pytest.approx(50.0)
 
-    def test_empty_original_rejected(self):
-        with pytest.raises(EmptyOriginal):
-            compare_reports(MiningReport(()), MiningReport(()))
+    def test_pooled_over_pairs_of_different_sizes(self):
+        big = self.make([("A", "B"), ("B", "C"), ("C", "D"), ("D", "E")])
+        small = self.make([("A", "B")])
+        # 75 % of the big report is lost and none of the small one: the pool
+        # loses 3 of 5 instances, not the mean of 75 and 0.
+        assert compare_reports([(big, small), (small, small)]) == pytest.approx(60.0)
+
+    def test_no_original_instance_loses_nothing(self):
+        r = self.make([("A", "B")])
+        assert compare_reports([(MiningReport(()), r)]) == 0.0
+        assert compare_reports([]) == 0.0
+
+    def test_empty_original_rejected(self, tmp_path, capsys):
+        # One pair with nothing to lose is an error when asked for on its own.
+        (tmp_path / "none.txt").write_text(report_to_text(MiningReport(())))
+        (tmp_path / "one.txt").write_text(report_to_text(self.make([("A", "B")])))
+        code = cli.main(["compare", "--original", str(tmp_path / "none.txt"),
+                         "--other", str(tmp_path / "one.txt")])
+        assert code == 1
+        assert "none.txt has no instances" in capsys.readouterr().err
 
     def test_count_changes_do_not_matter(self):
         a = MiningReport((TREInstance(Template.RESPONSE, EventId("A"), EventId("B"), 5),))
         b = MiningReport((TREInstance(Template.RESPONSE, EventId("A"), EventId("B"), 2),))
-        assert compare_reports(a, b) == 0.0
+        assert compare_reports([(a, b)]) == 0.0
 
 
 class TestMineTrace:
+    def test_degenerate_span(self):
+        with pytest.raises(DegenerateTimeSpan):
+            mine_trace(timed_trace(("A", 1.0), ("B", 1.0)), build_dictionary([evenly_timed("A")]))
+        with pytest.raises(DegenerateTimeSpan):
+            mine_trace(Trace(()), build_dictionary([evenly_timed("A")]))
+
+    def test_instances_by_template_then_dictionary_index(self):
+        trace = evenly_timed(*"PSQPSQ")
+        d = Dictionary((EventId("Q"), EventId("S"), EventId("P")))
+        report = mine_trace(trace, d)
+        order = [(i.template.rank, d.index_of(i.p), d.index_of(i.s)) for i in report.instances]
+        assert len(order) == 6  # (P, S), (P, Q) and (S, Q), once per template
+        assert order == sorted(order)
+
     def test_other_excluded_from_candidates(self):
         trace = evenly_timed("P", "S", "P", "S")
         d = Dictionary((EventId("P"),))  # S is unknown -> OTHER
