@@ -185,17 +185,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    config = RunConfig.load(args.config)
-    out = args.out or config.out_dir
-    if not out:
-        raise ConfigError("no output directory: pass --out or set out_dir in the config")
-    summary = run_pipeline(config, out)
+    summary = run_pipeline(RunConfig.load(args.config), args.out)
     levels = ", ".join(
         f"{pct}%: lossy {level['lossy_decrease_pct']:.1f} / restored "
         f"{level['restored_decrease_pct']:.1f}"
         for pct, level in sorted(summary["loss_study"].items(), key=lambda kv: int(kv[0]))
     )
-    print(f"report: wrote {out} (instance decrease {levels})")
+    print(f"report: wrote {args.out} (instance decrease {levels})")
     return 0
 
 
@@ -314,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run the full pipeline from a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)
 
     return parser

@@ -6,6 +6,13 @@ file order. Unknown keys are rejected, and every random
 decision in a run flows from the single ``seed`` key through named
 substreams, so there are no wall-clock defaults anywhere.
 
+``RunConfig.parse`` reads, converts and range-checks every key once, so a
+bad value fails when the file is loaded, before any stage runs. The one
+exception is the generator spec, which needs a ``synth.periodic`` line that a
+config for real traces does not have: ``synth``, ``report``'s first stage,
+builds and checks it for each trace. The output directory is no key:
+``report --out`` names it and is required.
+
 A key left out takes the default of the stage spec it feeds, so each default
 is stated once. The network's dropout rates and the schedule's learning rate
 and decay have no key: they keep their spec defaults, which ``lstm.model``
@@ -34,7 +41,7 @@ Example::
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .core import EventId
 from .errors import ConfigError, InvalidFraction, InvalidSpec
@@ -51,7 +58,6 @@ _REPEATABLE = {
 
 _KNOWN_KEYS = _REPEATABLE | {
     "seed",
-    "out_dir",
     "synth.traces",
     "synth.duration",
     "split.train",
@@ -86,14 +92,27 @@ def _spec(build, **fields):
         raise ConfigError(f"bad {build.__qualname__} values: {exc}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration entries plus typed accessors for each stage."""
+    """Every value of a run, read and checked by ``parse``.
 
-    entries: dict[str, list[str]] = field(default_factory=dict)
-    source_text: str = ""
+    The methods build the specs that need caller data: a trace index, a
+    vocabulary size or a loss level.
+    """
 
-    # -- parsing -----------------------------------------------------------
+    seed: int
+    synth_traces: int
+    synth: dict  # GeneratorSpec fields other than seed and label
+    split: SplitSpec
+    markov_order: int
+    network: dict  # NetworkConfig fields the file sets
+    schedule: TrainingSchedule
+    loss_fractions: tuple[float, ...]
+    loss: LossSpec  # mode and burst length; fraction and seed come per call
+    restorer: str
+    mine_top_k: int
+    eval_start: int | None  # None means the network's unroll
+    source_text: str
 
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
@@ -112,7 +131,104 @@ class RunConfig:
             if key in entries and key not in _REPEATABLE:
                 raise ConfigError(f"line {line_no}: duplicate key {key!r}")
             entries.setdefault(key, []).append(value)
-        return cls(entries=entries, source_text=text)
+
+        def one(key: str, default: str | None = None) -> str:
+            value = entries.get(key, [default])[0]
+            if value is None:
+                raise ConfigError(f"missing required key {key!r}")
+            return value
+
+        def integer(key: str, default: int | None = None) -> int:
+            raw = one(key, None if default is None else str(default))
+            try:
+                return int(raw)
+            except ValueError:
+                raise ConfigError(f"key {key!r} must be an integer, got {raw!r}") from None
+
+        def at_least(minimum: int, key: str, default: int | None = None) -> int:
+            value = integer(key, default)
+            if value < minimum:
+                raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+            return value
+
+        def given(convert, **keys: str) -> dict:
+            """``{field: convert(key)}`` for each ``field=key`` whose key the file
+            sets; an unset field keeps the default of the spec it builds."""
+            return {name: convert(key) for name, key in keys.items() if key in entries}
+
+        seed = integer("seed")
+        duration = one("synth.duration", "1.0")
+        try:
+            synth = dict(
+                periodic=tuple(
+                    PeriodicMessage(EventId(i), float(p), float(j))
+                    for i, p, j in (v.split() for v in entries.get("synth.periodic", []))
+                ),
+                triggered=tuple(
+                    TriggeredMessage(EventId(i), EventId(t), float(pr), float(d))
+                    for i, t, pr, d in (v.split() for v in entries.get("synth.triggered", []))
+                ),
+                rare=tuple(
+                    RareMessage(EventId(i), float(r))
+                    for i, r in (v.split() for v in entries.get("synth.rare", []))
+                ),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"bad synth message entry: {exc}") from exc
+        try:
+            synth["duration"] = float(duration)
+        except ValueError:
+            raise ConfigError(f"key 'synth.duration' must be a number, got {duration!r}") from None
+
+        network = given(integer, dense_width="lstm.dense_width",
+                        lstm_width="lstm.lstm_width", unroll_steps="lstm.unroll")
+        _spec(NetworkConfig.for_vocab, vocab=1, **network)
+
+        raw_levels = one("loss.fractions", "5 10 15 20 25")
+        try:
+            percents = [int(tok) for tok in raw_levels.split()]
+        except ValueError:
+            raise ConfigError(
+                f"loss.fractions must be whole percents, got {raw_levels!r}") from None
+        if len(set(percents)) != len(percents):
+            raise ConfigError(f"loss.fractions repeats a level: {raw_levels!r}")
+
+        restorer = one("loss.restorer", "lstm")
+        if restorer not in ("lstm", "markov"):
+            raise ConfigError(f"loss.restorer must be lstm or markov, got {restorer!r}")
+
+        return cls(
+            seed=seed,
+            synth_traces=at_least(1, "synth.traces", 20),
+            synth=synth,
+            split=_spec(
+                SplitSpec,
+                train_count=integer("split.train", 15),
+                test_count=integer("split.test", 5),
+                shuffle_seed=derive_seed(seed, "split"),
+            ),
+            markov_order=at_least(1, "markov.order", 40),
+            network=network,
+            schedule=_spec(
+                TrainingSchedule,
+                rounds=integer("train.rounds", 4),
+                seed=derive_seed(seed, "train"),
+                **given(integer, epochs_flat="train.epochs_flat",
+                        epochs_decay="train.epochs_decay"),
+            ),
+            loss_fractions=tuple(
+                _spec(LossSpec, fraction=p / 100.0).fraction for p in percents),
+            loss=_spec(
+                LossSpec,
+                fraction=0.0,
+                **given(one, mode="loss.mode"),
+                **given(integer, burst_length="loss.burst_length"),
+            ),
+            restorer=restorer,
+            mine_top_k=at_least(0, "mine.top_k", 0),  # 0 disables dominant-instance ranking
+            eval_start=at_least(1, "eval.start") if "eval.start" in entries else None,
+            source_text=text,
+        )
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -121,144 +237,21 @@ class RunConfig:
     def digest(self) -> str:
         return hashlib.sha256(self.source_text.encode("utf-8")).hexdigest()
 
-    # -- scalar access -----------------------------------------------------
-
-    def _one(self, key: str, default: str | None = None) -> str:
-        values = self.entries.get(key)
-        if values is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        return values[0]
-
-    def _int(self, key: str, default: int | None = None) -> int:
-        raw = self._one(key, None if default is None else str(default))
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r} must be an integer, got {raw!r}") from None
-
-    def _float(self, key: str, default: float | None = None) -> float:
-        raw = self._one(key, None if default is None else repr(default))
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r} must be a number, got {raw!r}") from None
-
-    def _given(self, parse, **keys: str) -> dict:
-        """``{field: parse(key)}`` for each ``field=key`` whose key the file sets;
-        an unset field keeps the default of the spec it builds."""
-        return {name: parse(key) for name, key in keys.items() if key in self.entries}
-
-    @property
-    def seed(self) -> int:
-        return self._int("seed")
-
-    @property
-    def out_dir(self) -> str | None:
-        return self.entries.get("out_dir", [None])[0]
-
-    # -- stage specs ---------------------------------------------------------
-
-    def synth_trace_count(self) -> int:
-        return self._int("synth.traces", 20)
-
     def generator_spec(self, index: int) -> GeneratorSpec:
         """Spec for the index-th synthetic trace of the run, with its own derived seed."""
-        try:
-            periodic = tuple(
-                PeriodicMessage(EventId(i), float(p), float(j))
-                for i, p, j in (v.split() for v in self.entries.get("synth.periodic", []))
-            )
-            triggered = tuple(
-                TriggeredMessage(EventId(i), EventId(t), float(pr), float(d))
-                for i, t, pr, d in (v.split() for v in self.entries.get("synth.triggered", []))
-            )
-            rare = tuple(
-                RareMessage(EventId(i), float(r))
-                for i, r in (v.split() for v in self.entries.get("synth.rare", []))
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad synth message entry: {exc}") from exc
         return _spec(
             GeneratorSpec,
-            periodic=periodic,
-            triggered=triggered,
-            rare=rare,
-            duration=self._float("synth.duration", 1.0),
+            **self.synth,
             seed=derive_seed(self.seed, f"synth:{index}"),
             label=f"trace_{index:03d}",
         )
 
-    def split_spec(self) -> SplitSpec:
-        return _spec(
-            SplitSpec,
-            train_count=self._int("split.train", 15),
-            test_count=self._int("split.test", 5),
-            shuffle_seed=derive_seed(self.seed, "split"),
-        )
-
-    def markov_order(self) -> int:
-        order = self._int("markov.order", 40)
-        if order < 1:
-            raise ConfigError(f"markov.order must be >= 1, got {order}")
-        return order
-
     def network_config(self, vocab: int) -> NetworkConfig:
-        return _spec(
-            NetworkConfig.for_vocab,
-            vocab=vocab,
-            **self._given(self._int, dense_width="lstm.dense_width",
-                          lstm_width="lstm.lstm_width", unroll_steps="lstm.unroll"),
-        )
-
-    def training_schedule(self) -> TrainingSchedule:
-        return _spec(
-            TrainingSchedule,
-            rounds=self._int("train.rounds", 4),
-            seed=derive_seed(self.seed, "train"),
-            **self._given(self._int, epochs_flat="train.epochs_flat",
-                          epochs_decay="train.epochs_decay"),
-        )
-
-    def loss_fractions(self) -> list[float]:
-        """Loss levels as fractions in [0, 1); configured as distinct whole percents."""
-        raw = self._one("loss.fractions", "5 10 15 20 25")
-        try:
-            percents = [int(tok) for tok in raw.split()]
-        except ValueError:
-            raise ConfigError(f"loss.fractions must be whole percents, got {raw!r}") from None
-        if len(set(percents)) != len(percents):
-            raise ConfigError(f"loss.fractions repeats a level: {raw!r}")
-        return [_spec(LossSpec, fraction=p / 100.0).fraction for p in percents]
+        return _spec(NetworkConfig.for_vocab, vocab=vocab, **self.network)
 
     def loss_spec(self, fraction: float, trace_label: str) -> LossSpec:
-        return _spec(
-            LossSpec,
+        return replace(
+            self.loss,
             fraction=fraction,
             seed=derive_seed(self.seed, f"loss:{fraction!r}:{trace_label}"),
-            **self._given(self._one, mode="loss.mode"),
-            **self._given(self._int, burst_length="loss.burst_length"),
         )
-
-    def restorer(self) -> str:
-        value = self._one("loss.restorer", "lstm")
-        if value not in ("lstm", "markov"):
-            raise ConfigError(f"loss.restorer must be lstm or markov, got {value!r}")
-        return value
-
-    def mine_top_k(self) -> int:
-        """0 disables dominant-instance ranking before comparison."""
-        top_k = self._int("mine.top_k", 0)
-        if top_k < 0:
-            raise ConfigError(f"mine.top_k must be >= 0, got {top_k}")
-        return top_k
-
-    def eval_start(self) -> int | None:
-        """First held-out position scored; None means the network's unroll."""
-        if "eval.start" not in self.entries:
-            return None
-        start = self._int("eval.start")
-        if start < 1:
-            raise ConfigError(f"eval.start must be >= 1, got {start}")
-        return start

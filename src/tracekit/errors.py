@@ -69,10 +69,6 @@ class DegenerateInput(TracekitError):
     """A sequence is too short for the operation: alignment, loss injection or rendering."""
 
 
-class DegenerateTimeSpan(TracekitError):
-    """A trace to mine is empty or has no time span."""
-
-
 class EmptyOriginal(TracekitError):
     """A mining report to compare against has no instances."""
 

@@ -56,8 +56,8 @@ def read_dictionary(path: Path) -> Dictionary:
 
 def synth(config: RunConfig, out: Path) -> list[Trace]:
     """Generate the config's traces and write each to ``out/<label>.trace``."""
+    traces = [generate_trace(config.generator_spec(i)) for i in range(config.synth_traces)]
     out.mkdir(parents=True, exist_ok=True)
-    traces = [generate_trace(config.generator_spec(i)) for i in range(config.synth_trace_count())]
     for trace in traces:
         write_trace(trace, out / f"{trace.label}.trace")
     return traces
@@ -65,7 +65,7 @@ def synth(config: RunConfig, out: Path) -> list[Trace]:
 
 def split(traces: list[Trace], config: RunConfig, out: Path) -> tuple[list[Trace], list[Trace]]:
     """Cut the train/test pools and write them to ``out/train`` and ``out/test``."""
-    train_pool, test_pool = split_traces(traces, config.split_spec())
+    train_pool, test_pool = split_traces(traces, config.split)
     for name, pool in (("train", train_pool), ("test", test_pool)):
         pool_dir = out / name
         pool_dir.mkdir(parents=True, exist_ok=True)
@@ -85,7 +85,7 @@ def train_markov(
     config: RunConfig, pool: list[Trace], dictionary: Dictionary, out: Path
 ) -> markov.MarkovModel:
     """Learn and save the benchmark model."""
-    model = markov.learn_transitions(pool, config.markov_order(), dictionary)
+    model = markov.learn_transitions(pool, config.markov_order, dictionary)
     model.save(out)
     return model
 
@@ -94,7 +94,7 @@ def train_lstm(
     config: RunConfig, pool: list[Trace], dictionary: Dictionary, out: Path
 ) -> tuple[lstm.LstmModel, list[lstm.RoundMetrics]]:
     """Initialize, train and save the network; returns it with its history."""
-    schedule = config.training_schedule()
+    schedule = config.schedule
     model = lstm.LstmModel.initialize(
         config.network_config(dictionary.size), dictionary, seed=schedule.seed
     )
@@ -128,21 +128,13 @@ def mine(trace: Trace, dictionary: Dictionary, top_k: int, out: Path) -> trem.Mi
 
 def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
     """Run the whole experiment; returns the summary also written to report.json."""
-    # settings read first, so a bad value fails before any training
-    eval_start = config.eval_start()
-    use_markov = config.restorer() == "markov"
-    top_k = config.mine_top_k()
-    fractions = config.loss_fractions()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     train_pool, test_pool = split(synth(config, out / "traces"), config, out / "split")
     vocabulary = dictionary(train_pool, out / "dict.txt")
     markov_model = train_markov(config, train_pool, vocabulary, out / "markov.model")
     model, history = train_lstm(config, train_pool, vocabulary, out / "lstm.model")
     unroll = model.config.unroll_steps
-    if eval_start is None:
-        eval_start = unroll
+    eval_start = config.eval_start or unroll
 
     summary: dict = {
         "config_digest": config.digest(),
@@ -192,16 +184,16 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
         )
 
     # loss / restore / mine study
-    restorer = markov_model if use_markov else model
+    restorer = markov_model if config.restorer == "markov" else model
     mine_dir = out / "mine"
     mine_dir.mkdir(exist_ok=True)
 
     def mined(trace: Trace, tag: str) -> trem.MiningReport:
-        return mine(trace, vocabulary, top_k, mine_dir / f"{tag}.txt")
+        return mine(trace, vocabulary, config.mine_top_k, mine_dir / f"{tag}.txt")
 
     originals = {t.label: mined(t, f"original_{t.label}") for t in test_pool}
     original_instances = sum(len(originals[t.label]) for t in test_pool)
-    for fraction in fractions:
+    for fraction in config.loss_fractions:
         pct = round(fraction * 100)
         level_dir = out / f"loss_{pct:02d}"
         level_dir.mkdir(exist_ok=True)

@@ -12,10 +12,10 @@ each written as its role. Events that are neither P nor S are ignored.
   S: a response string that also starts with ``P`` and has no ``SS``.
 
 Mining reads no timestamp, so a trace is mined on its own clock and is never
-rescaled. It only has to have a span: an empty trace, or one whose first and
-last timestamps are equal (timestamps never decrease), raises
-``DegenerateTimeSpan``. No time bound is checked: each instance's observed
-delay interval is not mined yet.
+rescaled. A trace without a time span (empty, or its first and last
+timestamps equal; timestamps never decrease) has no timed instance, so its
+report is empty. No time bound is checked: each instance's observed delay
+interval is not mined yet.
 
 ``match_count`` counts P-to-S segments (the occurrences of P), while
 instance identity for set comparisons is (template, P, S) alone: comparing
@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass
 
 from .core import Dictionary, EventId, Trace
-from .errors import CorruptModel, DegenerateTimeSpan, VersionMismatch
+from .errors import CorruptModel, VersionMismatch
 
 _FORMAT_NAME = "tracekit-mine"
 _FORMAT_VERSION = 1
@@ -85,10 +85,8 @@ def mine_trace(trace: Trace, dictionary: Dictionary) -> MiningReport:
 
     Instances come in (template, P index, S index) order: response first.
     """
-    if not trace.events:
-        raise DegenerateTimeSpan("empty trace has no time span")
-    if trace.events[0].timestamp == trace.events[-1].timestamp:
-        raise DegenerateTimeSpan("all timestamps are equal")
+    if not trace.events or trace.events[0].timestamp == trace.events[-1].timestamp:
+        return MiningReport(instances=(), trace_label=trace.label)
     # Each known id's positions, doubled, and + 1 in the S role: a merge
     # sorts by position, and each mark's parity is its role.
     known = set(dictionary.ids)
@@ -145,7 +143,7 @@ def compare_reports(pairs: list[tuple[MiningReport, MiningReport]]) -> float:
         keys = original.keys()
         total += len(keys)
         kept += len(keys & other.keys())
-    return 100.0 * (1.0 - kept / total) if total else 0.0
+    return 100.0 * (total - kept) / total if total else 0.0
 
 
 # ---------------------------------------------------------------------------

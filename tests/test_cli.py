@@ -1,6 +1,8 @@
 import hashlib
+import json
 import struct
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -265,6 +267,12 @@ BAD_USAGE = {  # case: (argv, a fragment of the error message)
     "markov.order = 0": (["train-markov", "--train", "{d}/train", "--out", "{d}/m.model"],
                          "markov.order must be >= 1"),
     "loss.burst_length = 0": (["report", "--out", "{d}/report"], "burst_length must be >= 1"),
+    "loss.mode = bursty": (["report", "--out", "{d}/report"], "unknown loss mode 'bursty'"),
+    "train-markov: loss.mode = bursty": (["train-markov", "--train", "{d}/train",
+                                          "--out", "{d}/m.model"], "unknown loss mode 'bursty'"),
+    "report: lstm.unroll = 0": (["report", "--out", "{d}/report"], "unroll_steps must be >= 1"),
+    "train.rounds = 0": (["report", "--out", "{d}/report"], "rounds must be >= 1"),
+    "synth.periodic = A 0 0.1": (["report", "--out", "{d}/report"], "period of A must be > 0"),
     "mine.top_k = -1": (["report", "--out", "{d}/report"], "mine.top_k must be >= 0"),
     "mine --top-k -1": (["mine", "--in", "{d}/train/t0.trace", "--dict", "{d}/dict.txt",
                          "--out", "{d}/mined.txt", "--top-k", "-1"],
@@ -330,8 +338,9 @@ def test_bad_values_and_flags_exit_2_without_traceback(markov_run, capsys, case)
     tmp_path, _, _ = markov_run
     argv, message = BAD_USAGE[case]
     argv = [a.format(d=tmp_path) for a in argv]
-    if "=" in case or case.startswith("no "):  # a config key set, or left out
-        key, _, value = case.removeprefix("no ").partition(" = ")
+    is_config = "=" in case or case.startswith("no ")  # a config key set, or left out
+    if is_config:  # "<subcommand>: " may lead, where two cases set the same key
+        key, _, value = case.split(": ")[-1].removeprefix("no ").partition(" = ")
         entries = {k: v for k, v in dict(REPORT_CONFIG, **{key: value}).items() if v}
         (tmp_path / "bad.cfg").write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
         argv += ["--config", str(tmp_path / "bad.cfg")]
@@ -345,3 +354,21 @@ def test_bad_values_and_flags_exit_2_without_traceback(markov_run, capsys, case)
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and "Traceback" not in err
+    if is_config:  # refused before any stage writes a file
+        assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
+def test_report_mines_a_lossy_trace_that_keeps_one_event(tmp_path):
+    """75 % loss on a 5-event trace keeps one event, which has no time span."""
+    settings = dict(REPORT_CONFIG, **{"synth.duration": "0.021", "synth.triggered": "B A 1 0.001",
+                                      "loss.fractions": "75"})
+    (tmp_path / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    out = tmp_path / "report"
+    assert cli.main(["report", "--config", str(tmp_path / "run.cfg"), "--out", str(out)]) == 0
+    (test_trace,) = (out / "split" / "test").glob("*.trace")
+    assert [e.id for e in read_trace(test_trace).events] == list("ABABA")
+    lossy = (out / "mine" / f"lossy_75_{test_trace.stem}.txt").read_text()
+    assert lossy.splitlines()[2:] == []  # no instance below the header and label
+    study = json.loads((out / "report.json").read_text())["loss_study"]["75"]
+    assert study["original_instances"] == 1  # response (B, A)
+    assert study["lossy_decrease_pct"] == 100.0

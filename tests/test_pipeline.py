@@ -81,7 +81,7 @@ def test_subcommands_reproduce_the_report(report):
         assert (chain / artifact).read_bytes() == (first / artifact).read_bytes()
 
     def mine(trace, tag):
-        run("mine", "--in", trace, "--dict", chain / "dict.txt", "--top-k", config.mine_top_k(),
+        run("mine", "--in", trace, "--dict", chain / "dict.txt", "--top-k", config.mine_top_k,
             "--out", chain / "mine" / f"{tag}.txt")
 
     (chain / "mine").mkdir()
@@ -89,7 +89,7 @@ def test_subcommands_reproduce_the_report(report):
     assert len(labels) == 2
     for label in labels:
         mine(chain / "split" / "test" / f"{label}.trace", f"original_{label}")
-        for fraction in config.loss_fractions():
+        for fraction in config.loss_fractions:
             pct = round(fraction * 100)
             spec = config.loss_spec(fraction, label)
             # A mining report records its input's file stem as the label, so
@@ -102,7 +102,7 @@ def test_subcommands_reproduce_the_report(report):
             run("inject-loss", "--in", chain / "split" / "test" / f"{label}.trace",
                 "--out", gapped, "--fraction", pct, "--mode", spec.mode,
                 "--burst-length", spec.burst_length, "--seed", spec.seed)
-            run("restore", "--model", chain / f"{config.restorer()}.model", "--in", gapped,
+            run("restore", "--model", chain / f"{config.restorer}.model", "--in", gapped,
                 "--out", restored)
             # No subcommand writes the surviving events alone; the miner is
             # fed them as a plain trace.

@@ -5,11 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tracekit import cli
 from tracekit.core import Dictionary, Event, EventId, Trace, build_dictionary
-from tracekit.errors import (
-    CorruptModel,
-    DegenerateTimeSpan,
-    VersionMismatch,
-)
+from tracekit.errors import CorruptModel, VersionMismatch
 from tracekit.trem import (
     MiningReport,
     Template,
@@ -230,6 +226,15 @@ class TestCompare:
         assert code == 1
         assert "none.txt has no instances" in capsys.readouterr().err
 
+    def test_cli_prints_the_exact_percent(self, tmp_path, capsys):
+        pairs = [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "F")]
+        (tmp_path / "five.txt").write_text(report_to_text(self.make(pairs)))
+        (tmp_path / "four.txt").write_text(report_to_text(self.make(pairs[1:])))
+        code = cli.main(["compare", "--original", str(tmp_path / "five.txt"),
+                         "--other", str(tmp_path / "four.txt")])
+        assert code == 0
+        assert capsys.readouterr().out == "compare: 20.0 percent of original instances lost\n"
+
     def test_count_changes_do_not_matter(self):
         a = MiningReport((TREInstance(Template.RESPONSE, EventId("A"), EventId("B"), 5),))
         b = MiningReport((TREInstance(Template.RESPONSE, EventId("A"), EventId("B"), 2),))
@@ -238,10 +243,11 @@ class TestCompare:
 
 class TestMineTrace:
     def test_degenerate_span(self):
-        with pytest.raises(DegenerateTimeSpan):
-            mine_trace(timed_trace(("A", 1.0), ("B", 1.0)), build_dictionary([evenly_timed("A")]))
-        with pytest.raises(DegenerateTimeSpan):
-            mine_trace(Trace(()), build_dictionary([evenly_timed("A")]))
+        # Without a time span there is no timed instance: (A, B) would hold.
+        d = build_dictionary([evenly_timed("A", "B")])
+        same_time = mine_trace(timed_trace(("A", 1.0), ("B", 1.0), label="x"), d)
+        assert same_time == MiningReport((), trace_label="x")
+        assert mine_trace(Trace((), label="y"), d) == MiningReport((), trace_label="y")
 
     def test_instances_by_template_then_dictionary_index(self):
         trace = evenly_timed(*"PSQPSQ")
