@@ -169,7 +169,7 @@ def _cmd_render(args) -> int:
 def _cmd_mine(args) -> int:
     trace = read_trace(args.input)
     dictionary = read_dictionary(Path(args.dict))
-    report = pipeline.mine(trace, dictionary, args.top_k, Path(args.out))
+    report = pipeline.mine(trace, dictionary, Path(args.out))
     print(f"mine: {len(report)} instances -> {args.out}")
     return 0
 
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--out")
-    p.add_argument("--lookahead", type=_int_at_least(0), default=3)
+    p.add_argument("--lookahead", type=_int_at_least(0), default=evaluate_mod.LOOKAHEAD_W)
     p.add_argument("--order-depth", type=_int_at_least(0), default=10)
     p.set_defaults(func=_cmd_evaluate)
 
@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--dict", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--top-k", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_mine)
 
     p = sub.add_parser("compare", help="percent decrease between mining reports")

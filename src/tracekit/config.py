@@ -14,10 +14,11 @@ builds and checks it for each trace. The output directory is no key:
 ``report --out`` names it and is required.
 
 A key left out takes the default of the stage spec it feeds, so each default
-is stated once. The network's dropout rates and the schedule's learning rate
-and decay have no key: they keep their spec defaults, which ``lstm.model``
-records. Loss levels are distinct whole percents, one ``loss_<pct>``
-directory each. Synthetic traces are labelled ``trace_###``, their file stem.
+is stated once. The network's dropout rates have no key: they keep their
+``NetworkConfig`` defaults, which ``lstm.model`` records. The learning rate
+and its per-epoch decay are constants of ``lstm``. Loss levels are distinct
+whole percents, one ``loss_<pct>`` directory each. Synthetic traces are
+labelled ``trace_###``, their file stem.
 
 Example::
 
@@ -73,7 +74,6 @@ _KNOWN_KEYS = _REPEATABLE | {
     "loss.mode",
     "loss.burst_length",
     "loss.restorer",
-    "mine.top_k",
     "eval.start",
 }
 
@@ -110,7 +110,6 @@ class RunConfig:
     loss_fractions: tuple[float, ...]
     loss: LossSpec  # mode and burst length; fraction and seed come per call
     restorer: str
-    mine_top_k: int
     eval_start: int | None  # None means the network's unroll
     source_text: str
 
@@ -157,7 +156,6 @@ class RunConfig:
             return {name: convert(key) for name, key in keys.items() if key in entries}
 
         seed = integer("seed")
-        duration = one("synth.duration", "1.0")
         try:
             synth = dict(
                 periodic=tuple(
@@ -175,10 +173,13 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"bad synth message entry: {exc}") from exc
-        try:
-            synth["duration"] = float(duration)
-        except ValueError:
-            raise ConfigError(f"key 'synth.duration' must be a number, got {duration!r}") from None
+        if "synth.duration" in entries:
+            duration = one("synth.duration")
+            try:
+                synth["duration"] = float(duration)
+            except ValueError:
+                raise ConfigError(
+                    f"key 'synth.duration' must be a number, got {duration!r}") from None
 
         network = given(integer, dense_width="lstm.dense_width",
                         lstm_width="lstm.lstm_width", unroll_steps="lstm.unroll")
@@ -225,7 +226,6 @@ class RunConfig:
                 **given(integer, burst_length="loss.burst_length"),
             ),
             restorer=restorer,
-            mine_top_k=at_least(0, "mine.top_k", 0),  # 0 disables dominant-instance ranking
             eval_start=at_least(1, "eval.start") if "eval.start" in entries else None,
             source_text=text,
         )

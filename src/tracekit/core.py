@@ -119,9 +119,6 @@ class Dictionary:
         """Dense index of ``eid``; unknown ids map to the OTHER index."""
         return self._index.get(EventId(eid), self.other_index)
 
-    def __contains__(self, eid: object) -> bool:
-        return isinstance(eid, str) and EventId(eid) in self._index
-
 
 def build_dictionary(traces: Sequence[Trace]) -> Dictionary:
     """Build a dictionary from training traces, indices in first-occurrence order.

@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 from .core import Dictionary, EventId, encode_ids
 from .errors import DegenerateInput, LengthMismatch
@@ -36,6 +36,7 @@ from .errors import DegenerateInput, LengthMismatch
 
 
 EVAL_HEADER = "# tracekit-eval v1"
+LOOKAHEAD_W = 3
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def _supported(run: int, avail: int, w: int) -> bool:
 def align_and_classify(
     predicted: Sequence[EventId],
     truth: Sequence[EventId],
-    lookahead_w: int = 3,
+    lookahead_w: int = LOOKAHEAD_W,
     order_k: int = 10,
 ) -> AlignmentReport:
     """Scan both sequences and classify every mismatch; see module docstring.
@@ -162,22 +163,22 @@ def align_and_classify(
         ins_avail = min(len(pred) - p - 1, len(tru) - t)
         ins_ok = _supported(ins_run, ins_avail, lookahead_w)
 
-        best = None  # (run, priority) — higher run wins, then omission > ordering > spurious
+        best = None  # (run, kind): the longest run wins, ties to omission, then ordering
         if om_ok:
-            best = (om_run, 3, "omission")
+            best = (om_run, "omission")
         if ord_ok and (best is None or ord_run > best[0]):
-            best = (ord_run, 2, "ordering")
+            best = (ord_run, "ordering")
         if ins_ok and (best is None or ins_run > best[0]):
-            best = (ins_run, 1, "spurious")
+            best = (ins_run, "spurious")
 
         if best is None:
             substitutions += 1
             p += 1
             t += 1
-        elif best[2] == "omission":
+        elif best[1] == "omission":
             omissions += 1
             t += 1
-        elif best[2] == "ordering":
+        elif best[1] == "ordering":
             ordering += 1
             t += 1
             del pred[ord_q]
@@ -222,7 +223,7 @@ def next_event_accuracy(model, ids: Sequence[EventId], *, start: int) -> float:
 def render_onehot_image(
     events: Sequence[EventId],
     dictionary: Dictionary,
-    sink: str | os.PathLike | IO[bytes],
+    path: str | os.PathLike,
 ) -> None:
     """Write the one-hot raster of an event sequence as a text PGM (P2).
 
@@ -236,8 +237,4 @@ def render_onehot_image(
     lines = ["P2", f"{width} {height}", "1"]
     for row in mat.astype(int):
         lines.append(" ".join(str(v) for v in row))
-    payload = ("\n".join(lines) + "\n").encode("ascii")
-    if hasattr(sink, "write"):
-        sink.write(payload)
-    else:
-        Path(sink).write_bytes(payload)
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))

@@ -60,6 +60,8 @@ from .errors import (
 
 LN_EPS = 1e-5
 GRAD_CLIP_NORM = 5.0
+BASE_LR = 0.2
+LR_DECAY = 1.0 / 1.1
 _PROB_FLOOR = 1e-12
 
 _MAGIC = b"TKLSTMF\x00"
@@ -112,13 +114,12 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class TrainingSchedule:
-    """Round-based schedule: flat-rate epochs, then per-epoch decay."""
+    """Round-based schedule: flat-rate epochs at ``BASE_LR``, then epochs
+    whose rate falls by ``LR_DECAY`` each."""
 
     rounds: int
     epochs_flat: int = 10
     epochs_decay: int = 20
-    base_lr: float = 0.2
-    decay: float = 1.0 / 1.1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -126,10 +127,12 @@ class TrainingSchedule:
             raise ValueError("rounds must be >= 1")
         if self.epochs_flat < 0 or self.epochs_decay < 0:
             raise ValueError("epoch counts must be >= 0")
+        if self.epochs_flat + self.epochs_decay < 1:
+            raise ValueError("a round needs at least one epoch")
 
     def learning_rate(self, epoch: int) -> float:
         """Learning rate for a 1-based epoch index within any round."""
-        return self.base_lr * self.decay ** max(0, epoch - self.epochs_flat)
+        return BASE_LR * LR_DECAY ** max(0, epoch - self.epochs_flat)
 
     @property
     def epochs_per_round(self) -> int:
@@ -426,11 +429,11 @@ def loss_and_gradients(
     return loss, grads
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = GRAD_CLIP_NORM) -> float:
-    """Scale gradients in place to a global norm of at most ``max_norm``."""
+def clip_gradients(grads: dict[str, np.ndarray]) -> float:
+    """Scale gradients in place to a global norm of at most ``GRAD_CLIP_NORM``."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm > 0:
-        scale = max_norm / total
+    if total > GRAD_CLIP_NORM:
+        scale = GRAD_CLIP_NORM / total
         for g in grads.values():
             g *= scale
     return total
@@ -512,8 +515,6 @@ def _window_bounds(length: int, unroll: int) -> list[tuple[int, int]]:
 
 def _validation_loss(model: LstmModel, encoded: np.ndarray) -> float:
     bounds = _window_bounds(encoded.shape[0], model.config.unroll_steps)
-    if not bounds:
-        return float("nan")
     total = 0.0
     for start, end in bounds:
         total += logloss(forward_window(model, encoded[start:end]), encoded[end])
@@ -571,7 +572,7 @@ def train(
                 EpochMetrics(
                     epoch=epoch,
                     learning_rate=lr,
-                    train_logloss=running_loss / max(1, len(bounds)),
+                    train_logloss=running_loss / len(bounds),
                     val_logloss=_validation_loss(model, val_mat),
                 )
             )

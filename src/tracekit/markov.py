@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .core import Dictionary, EventId, Trace, build_dictionary, decode_index, pick_most_frequent
+from .core import Dictionary, EventId, Trace, decode_index, pick_most_frequent
 from .errors import CorruptModel, EmptyTrainingSet, UntrainedModel, VersionMismatch
 from .ingest import read_text
 
@@ -233,22 +233,13 @@ def _parse_counts(field_text: str, index: dict[str, int]) -> dict[int, int]:
 
 
 def learn_transitions(
-    traces: Sequence[Trace],
-    order_n: int = 40,
-    dictionary: Dictionary | None = None,
+    traces: Sequence[Trace], order_n: int, dictionary: Dictionary
 ) -> MarkovModel:
-    """Train a MarkovModel on a pool of traces.
-
-    The default order matches the benchmark setting used alongside the
-    40-step network. The dictionary defaults to first-occurrence order over
-    the training traces.
-    """
+    """Train a MarkovModel of order ``order_n`` on a pool of traces."""
     if order_n < 1:
         raise ValueError("order_n must be >= 1")
     if not traces or all(len(t) == 0 for t in traces):
         raise EmptyTrainingSet("no events to learn transitions from")
-    if dictionary is None:
-        dictionary = build_dictionary(traces)
     model = MarkovModel(order_n=order_n, dictionary=dictionary)
     for trace in traces:
         model.learn_trace(trace)

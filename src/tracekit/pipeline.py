@@ -13,14 +13,17 @@ Artifact layout under the output directory::
     split/train/ , split/test/    the two pools, same names, in label order
     dict.txt                      event dictionary of the training pool
     markov.model , lstm.model     trained models
-    rasters/*.pgm                 one-hot rasters (truth vs. rollout)
+    rasters/*.pgm                 one-hot rasters (truth vs. rollout) of the
+                                  first test trace, if it is long enough to align
     loss_<pct>/<label>.gapped     injected loss, per test trace
     loss_<pct>/<label>.restored.trace
     mine/*.txt                    mining reports
     report.json                   run summary, the one results file
 
 Each stage below writes its artifact and returns its value; the matching
-subcommand runs it too, so the chained subcommands reproduce a run.
+subcommand runs it too, so the chained subcommands reproduce a run. A mining
+report names no trace, so ``mine`` of ``loss_<pct>/<label>.restored.trace``
+writes the bytes of ``mine/restored_<pct>_<label>.txt``.
 """
 
 from __future__ import annotations
@@ -117,11 +120,9 @@ def restore(model: NextEventPredictor, gapped: GappedTrace, out: Path) -> Trace:
     return restored
 
 
-def mine(trace: Trace, dictionary: Dictionary, top_k: int, out: Path) -> trem.MiningReport:
-    """Mine ``trace``, keep the ``top_k`` dominant instances (0 keeps all), write the report."""
+def mine(trace: Trace, dictionary: Dictionary, out: Path) -> trem.MiningReport:
+    """Mine ``trace`` and write the report."""
     report = trem.mine_trace(trace, dictionary)
-    if top_k > 0:
-        report = trem.rank_dominant(report, top_k, dictionary)
     out.write_text(trem.report_to_text(report), encoding="utf-8")
     return report
 
@@ -144,7 +145,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
                 "round": r.round_index,
                 "train": r.train_label,
                 "val": r.val_label,
-                "final_val_logloss": r.epochs[-1].val_logloss if r.epochs else None,
+                "final_val_logloss": r.epochs[-1].val_logloss,
             }
             for r in history
         ],
@@ -165,13 +166,14 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
             "markov": acc_markov,
         }
 
-    # full-trace rollout and rasters for the first test trace
+    # full-trace rollout and rasters for the first test trace, if it can be aligned
     rasters = out / "rasters"
     rasters.mkdir(exist_ok=True)
-    if test_pool:
-        probe = test_pool[0]
+    for probe in test_pool[:1]:
         ids = probe.ids()
         seed_len = min(unroll, max(1, len(ids) // 4))
+        if len(ids) - seed_len <= evaluate.LOOKAHEAD_W:
+            continue
         continuation = predict_step_by_step(model, ids[:seed_len], len(ids) - seed_len)
         report = evaluate.align_and_classify(continuation, ids[seed_len:])
         summary["rollout"][probe.label] = report.to_dict()
@@ -189,7 +191,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
     mine_dir.mkdir(exist_ok=True)
 
     def mined(trace: Trace, tag: str) -> trem.MiningReport:
-        return mine(trace, vocabulary, config.mine_top_k, mine_dir / f"{tag}.txt")
+        return mine(trace, vocabulary, mine_dir / f"{tag}.txt")
 
     originals = {t.label: mined(t, f"original_{t.label}") for t in test_pool}
     original_instances = sum(len(originals[t.label]) for t in test_pool)

@@ -20,6 +20,10 @@ interval is not mined yet.
 ``match_count`` counts P-to-S segments (the occurrences of P), while
 instance identity for set comparisons is (template, P, S) alone: comparing
 reports counts distinct surviving rules, not how often they fired.
+
+A report file is the header ``tracekit-mine v2``, then one sorted
+``template P S match_count`` line per instance. It names no trace, so the
+same events mine to the same bytes whatever file they were read from.
 """
 
 from __future__ import annotations
@@ -31,16 +35,12 @@ from .core import Dictionary, EventId, Trace
 from .errors import CorruptModel, VersionMismatch
 
 _FORMAT_NAME = "tracekit-mine"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 class Template(enum.Enum):
     RESPONSE = "response"
     ALTERNATING = "alternating"
-
-    @property
-    def rank(self) -> int:
-        return 0 if self is Template.RESPONSE else 1
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ class TREInstance:
 @dataclass(frozen=True)
 class MiningReport:
     instances: tuple[TREInstance, ...]
-    trace_label: str = ""
 
     def __post_init__(self) -> None:
         keys = [inst.key for inst in self.instances]
@@ -86,7 +85,7 @@ def mine_trace(trace: Trace, dictionary: Dictionary) -> MiningReport:
     Instances come in (template, P index, S index) order: response first.
     """
     if not trace.events or trace.events[0].timestamp == trace.events[-1].timestamp:
-        return MiningReport(instances=(), trace_label=trace.label)
+        return MiningReport(instances=())
     # Each known id's positions, doubled, and + 1 in the S role: a merge
     # sorts by position, and each mark's parity is its role.
     known = set(dictionary.ids)
@@ -109,27 +108,7 @@ def mine_trace(trace: Trace, dictionary: Dictionary) -> MiningReport:
             response.append(TREInstance(Template.RESPONSE, p, s, count))
             if roles[0] == "P" and "SS" not in roles:
                 alternating.append(TREInstance(Template.ALTERNATING, p, s, count))
-    return MiningReport(instances=tuple(response + alternating), trace_label=trace.label)
-
-
-def rank_dominant(report: MiningReport, top_k: int, dictionary: Dictionary) -> MiningReport:
-    """Keep the ``top_k`` most frequently matched instances.
-
-    Sorted by match count descending; ties resolve by (template, P index,
-    S index) ascending so the ranking is reproducible.
-    """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    ranked = sorted(
-        report.instances,
-        key=lambda inst: (
-            -inst.match_count,
-            inst.template.rank,
-            dictionary.index_of(inst.p),
-            dictionary.index_of(inst.s),
-        ),
-    )
-    return MiningReport(instances=tuple(ranked[:top_k]), trace_label=report.trace_label)
+    return MiningReport(instances=tuple(response + alternating))
 
 
 def compare_reports(pairs: list[tuple[MiningReport, MiningReport]]) -> float:
@@ -151,7 +130,7 @@ def compare_reports(pairs: list[tuple[MiningReport, MiningReport]]) -> float:
 
 
 def report_to_text(report: MiningReport) -> str:
-    lines = [f"{_FORMAT_NAME} v{_FORMAT_VERSION}", f"label {report.trace_label}"]
+    lines = [f"{_FORMAT_NAME} v{_FORMAT_VERSION}"]
     body = sorted(
         f"{inst.template.value} {inst.p} {inst.s} {inst.match_count}"
         for inst in report.instances
@@ -168,13 +147,9 @@ def report_from_text(text: str) -> MiningReport:
         raise CorruptModel(f"bad header: {lines[0]!r}")
     if header[1] != f"v{_FORMAT_VERSION}":
         raise VersionMismatch(f"unsupported report version {header[1]!r}")
-    label = ""
     instances: list[TREInstance] = []
     for line in lines[1:]:
         if not line.strip():
-            continue
-        if line.startswith("label"):
-            label = line[len("label") :].strip()
             continue
         try:
             template, p, s, count = line.split()
@@ -184,6 +159,6 @@ def report_from_text(text: str) -> MiningReport:
         except ValueError as exc:
             raise CorruptModel(f"malformed report line {line!r}: {exc}") from exc
     try:
-        return MiningReport(instances=tuple(instances), trace_label=label)
+        return MiningReport(instances=tuple(instances))
     except ValueError as exc:
         raise CorruptModel(f"bad mining report: {exc}") from None

@@ -70,7 +70,7 @@ def assert_clean_failure(capsys, code):
 def test_markov_restore_matches_in_process(markov_run, capsys):
     tmp_path, train, gapped = markov_run
     assert restore_with(tmp_path / "markov.model", tmp_path) == 0
-    expected = restore_trace(learn_transitions(train, ORDER), gapped)
+    expected = restore_trace(learn_transitions(train, ORDER, build_dictionary(train)), gapped)
     restored = read_trace(tmp_path / "restored.trace")
     assert restored.events == expected.events
     assert gapped.missing_total() > 0
@@ -109,7 +109,7 @@ def test_model_sniffing_closes_the_file(tmp_path, family):
     path = tmp_path / "model"
     trace = Trace(tuple(Event(EventId(i), t * 0.1) for t, i in enumerate("ABAB")))
     if family == "markov":
-        learn_transitions([trace], order_n=2).save(path)
+        learn_transitions([trace], 2, build_dictionary([trace])).save(path)
     else:
         config = lstm.NetworkConfig(vocab=3, dense_width=2, lstm_width=2, unroll_steps=2)
         lstm.save_model(lstm.LstmModel.initialize(config, build_dictionary([trace]), seed=0), path)
@@ -181,8 +181,8 @@ def test_bad_inputs_fail_cleanly(markov_run, capsys, case):
     (tmp_path / "v2dict.txt").write_text("# tracekit-dict v2\nA\nB\nC\n")
     (tmp_path / "utf16.bin").write_bytes("0.0 A\n".encode("utf-16"))  # opens 0xff 0xfe
     (tmp_path / "twice_mined.txt").write_text(
-        "tracekit-mine v1\nlabel t\nresponse A B 1\nresponse A B 2\n")
-    (tmp_path / "one_mined.txt").write_text("tracekit-mine v1\nlabel t\nresponse A B 1\n")
+        "tracekit-mine v2\nresponse A B 1\nresponse A B 2\n")
+    (tmp_path / "one_mined.txt").write_text("tracekit-mine v2\nresponse A B 1\n")
     argv, message = BAD_INPUTS[case]
     capsys.readouterr()
     assert message in assert_clean_failure(capsys, cli.main([a.format(d=tmp_path) for a in argv]))
@@ -233,7 +233,8 @@ def test_markov_predict_matches_in_process_rollout(markov_run):
     write_trace(seed, tmp_path / "seed.trace")
     assert predict_with(tmp_path / "markov.model", tmp_path / "seed.trace",
                         tmp_path / "pred.trace") == 0
-    expected = predict_step_by_step(learn_transitions(train, ORDER), seed.ids(), 25)
+    model = learn_transitions(train, ORDER, build_dictionary(train))
+    expected = predict_step_by_step(model, seed.ids(), 25)
     predicted = read_trace(tmp_path / "pred.trace")
     assert predicted.ids() == expected
     assert predicted.events[0].timestamp > seed.events[-1].timestamp
@@ -243,7 +244,7 @@ def test_markov_predict_matches_in_process_rollout(markov_run):
 def test_predict_from_an_empty_seed_trace(markov_run, family):
     tmp_path, train, _ = markov_run
     if family == "markov":
-        model = learn_transitions(train, ORDER)
+        model = learn_transitions(train, ORDER, build_dictionary(train))
     else:
         model = tiny_lstm(train)
         lstm.save_model(model, tmp_path / "lstm.model")
@@ -273,10 +274,13 @@ BAD_USAGE = {  # case: (argv, a fragment of the error message)
     "report: lstm.unroll = 0": (["report", "--out", "{d}/report"], "unroll_steps must be >= 1"),
     "train.rounds = 0": (["report", "--out", "{d}/report"], "rounds must be >= 1"),
     "synth.periodic = A 0 0.1": (["report", "--out", "{d}/report"], "period of A must be > 0"),
-    "mine.top_k = -1": (["report", "--out", "{d}/report"], "mine.top_k must be >= 0"),
+    # with REPORT_CONFIG's train.epochs_decay = 0, a round has no epoch
+    "train.epochs_flat = 0": (["train-lstm", "--train", "{d}/train", "--out", "{d}/lstm.model"],
+                              "a round needs at least one epoch"),
+    "mine.top_k = -1": (["report", "--out", "{d}/report"], "unknown key 'mine.top_k'"),
     "mine --top-k -1": (["mine", "--in", "{d}/train/t0.trace", "--dict", "{d}/dict.txt",
                          "--out", "{d}/mined.txt", "--top-k", "-1"],
-                        "argument --top-k: must be >= 0"),
+                        "unrecognized arguments: --top-k -1"),
     "inject-loss --burst-length 0": (["inject-loss", "--in", "{d}/train/t0.trace",
                                       "--out", "{d}/x.gapped", "--fraction", "10", "--seed", "1",
                                       "--mode", "burst", "--burst-length", "0"],
@@ -368,7 +372,22 @@ def test_report_mines_a_lossy_trace_that_keeps_one_event(tmp_path):
     (test_trace,) = (out / "split" / "test").glob("*.trace")
     assert [e.id for e in read_trace(test_trace).events] == list("ABABA")
     lossy = (out / "mine" / f"lossy_75_{test_trace.stem}.txt").read_text()
-    assert lossy.splitlines()[2:] == []  # no instance below the header and label
+    assert lossy.splitlines()[1:] == []  # no instance below the header
     study = json.loads((out / "report.json").read_text())["loss_study"]["75"]
     assert study["original_instances"] == 1  # response (B, A)
     assert study["lossy_decrease_pct"] == 100.0
+
+
+def test_report_skips_a_rollout_probe_too_short_to_align(tmp_path):
+    """3-event traces: the probe's 2-event continuation cannot be aligned."""
+    settings = dict(REPORT_CONFIG, **{"synth.duration": "0.15", "synth.periodic": "A 0.1 0.0"})
+    (tmp_path / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in settings.items())
+                                      + "synth.periodic = B 0.2 0.0\n")
+    out = tmp_path / "report"
+    assert cli.main(["report", "--config", str(tmp_path / "run.cfg"), "--out", str(out)]) == 0
+    (test_trace,) = (out / "split" / "test").glob("*.trace")
+    assert len(read_trace(test_trace)) == 3
+    summary = json.loads((out / "report.json").read_text())
+    assert summary["rollout"] == {} and summary["next_event_accuracy"] == {}
+    assert list((out / "rasters").iterdir()) == []
+    assert set(summary["loss_study"]) == {"10"}

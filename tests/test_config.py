@@ -3,13 +3,36 @@ import re
 
 import pytest
 
-from tracekit.config import RunConfig, derive_seed
+from tracekit.config import _KNOWN_KEYS, RunConfig, derive_seed
 from tracekit.core import EventId
 from tracekit.errors import ConfigError
 from tracekit.ingest import SplitSpec
 from tracekit.lstm import NetworkConfig, TrainingSchedule
 from tracekit.restore import LossSpec
 from tracekit.synth import PeriodicMessage
+
+NON_DEFAULT_VALUES = {  # a valid value for each key, other than its default
+    "seed": "2",
+    "synth.traces": "3",
+    "synth.duration": "0.5",
+    "synth.periodic": "A 0.1 0.0",
+    "synth.triggered": "B A 0.5 0.001",
+    "synth.rare": "C 1.0",
+    "split.train": "3",
+    "split.test": "2",
+    "markov.order": "6",
+    "lstm.dense_width": "3",
+    "lstm.lstm_width": "4",
+    "lstm.unroll": "8",
+    "train.rounds": "2",
+    "train.epochs_flat": "1",
+    "train.epochs_decay": "1",
+    "loss.fractions": "10",
+    "loss.mode": "burst",
+    "loss.burst_length": "2",
+    "loss.restorer": "markov",
+    "eval.start": "5",
+}
 
 
 class TestParse:
@@ -21,10 +44,10 @@ class TestParse:
             ("seed = 1\nmarkov.order 4\n", "line 2: expected `key = value`"),
             ("seed = 1\nmarkov.order =   # no value\n", "line 2: empty value for 'markov.order'"),
             ("seed = 1\nsynth.label = run\n", "line 2: unknown key 'synth.label'"),
-        ] + [  # spec fields that keep their defaults have no key
+        ] + [  # constants, spec fields that keep their defaults, and removed keys
             (f"seed = 1\n{key} = 0.5\n", f"line 2: unknown key '{key}'")
             for key in ("synth.duration_step", "lstm.input_dropout", "lstm.hidden_dropout",
-                        "lstm.recurrent_dropout", "train.base_lr", "train.decay")
+                        "lstm.recurrent_dropout", "train.base_lr", "train.decay", "mine.top_k")
         ],
     )
     def test_rejected_lines(self, text, message):
@@ -69,7 +92,6 @@ class TestValues:
         assert config.synth_traces == 20
         assert config.markov_order == 40
         assert config.restorer == "lstm"
-        assert config.mine_top_k == 0
         assert config.eval_start is None
         assert config.loss_fractions == (0.05, 0.1, 0.15, 0.2, 0.25)
 
@@ -107,7 +129,6 @@ class TestValues:
             ("train.rounds = 0", lambda c: c.schedule),
             ("loss.burst_length = 0", lambda c: c.loss_spec(0.1, "t")),
             ("loss.mode = bursty", lambda c: c.loss_spec(0.1, "t")),
-            ("mine.top_k = -1", lambda c: c.mine_top_k),
             ("markov.order = 0", lambda c: c.markov_order),
             ("synth.periodic = A 0 0.1", lambda c: c.generator_spec(0)),
             ("loss.fractions = 10 150", lambda c: c.loss_fractions),
@@ -129,9 +150,10 @@ class TestValues:
             ("lstm.dense_width = 0", "bad NetworkConfig.for_vocab values: all widths must be >= 1"),
             ("train.rounds = 0", "bad TrainingSchedule values: rounds must be >= 1"),
             ("train.epochs_flat = -1", "bad TrainingSchedule values: epoch counts must be >= 0"),
+            ("train.epochs_flat = 0\ntrain.epochs_decay = 0",
+             "bad TrainingSchedule values: a round needs at least one epoch"),
             ("loss.burst_length = 0", "bad LossSpec values: burst_length must be >= 1"),
             ("loss.mode = bursty", "bad LossSpec values: unknown loss mode 'bursty'"),
-            ("mine.top_k = -1", "mine.top_k must be >= 0, got -1"),
             ("markov.order = 0", "markov.order must be >= 1, got 0"),
             ("synth.traces = many", "key 'synth.traces' must be an integer, got 'many'"),
             ("synth.traces = 0", "synth.traces must be >= 1, got 0"),
@@ -147,6 +169,16 @@ class TestValues:
     def test_every_value_is_checked_when_the_config_is_read(self, line, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             RunConfig.parse(f"seed = 1\n{line}\n")
+
+    @pytest.mark.parametrize("key", sorted(_KNOWN_KEYS))
+    def test_every_key_changes_the_parsed_config(self, key):
+        # A key that nothing reads would parse to the same config as its absence.
+        def parse(entries):
+            config = RunConfig.parse("".join(f"{k} = {v}\n" for k, v in entries.items()))
+            return dataclasses.replace(config, source_text="")
+
+        base = {"seed": "1"}
+        assert parse(dict(base, **{key: NON_DEFAULT_VALUES[key]})) != parse(base)
 
     def test_generator_values_are_checked_when_a_trace_is_generated(self):
         # A config for real traces sets no generator key, so only synth refuses it.

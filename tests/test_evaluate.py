@@ -1,5 +1,3 @@
-import io
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -105,11 +103,10 @@ class TestAlignmentProperties:
 
 
 class TestRender:
-    def test_single_event_raster(self):
+    def test_single_event_raster(self, tmp_path):
         d = Dictionary((EventId("A"), EventId("B")))
-        buf = io.BytesIO()
-        render_onehot_image([EventId("A")], d, buf)
-        assert buf.getvalue() == b"P2\n1 3\n1\n1\n0\n0\n"
+        render_onehot_image([EventId("A")], d, tmp_path / "r.pgm")
+        assert (tmp_path / "r.pgm").read_bytes() == b"P2\n1 3\n1\n1\n0\n0\n"
 
     def test_byte_identical_output(self, tmp_path):
         d = Dictionary((EventId("A"), EventId("B"), EventId("C")))
@@ -127,7 +124,8 @@ class TestRender:
         header = path.read_bytes().split(b"\n")[:3]
         assert header == [b"P2", b"100 44", b"1"]
 
-    def test_rejects_empty(self):
+    def test_rejects_empty(self, tmp_path):
         d = Dictionary((EventId("A"),))
         with pytest.raises(DegenerateInput):
-            render_onehot_image([], d, io.BytesIO())
+            render_onehot_image([], d, tmp_path / "r.pgm")
+        assert not (tmp_path / "r.pgm").exists()

@@ -303,7 +303,7 @@ class TestBackward:
 
     def test_clip_gradients(self):
         grads = {"a": np.array([30.0, 40.0])}
-        norm = clip_gradients(grads, max_norm=5.0)
+        norm = clip_gradients(grads)
         assert norm == pytest.approx(50.0)
         assert np.linalg.norm(grads["a"]) == pytest.approx(5.0)
 

@@ -3,8 +3,10 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tracekit import cli
 from tracekit.core import Dictionary, Event, EventId, Trace, build_dictionary
 from tracekit.errors import CorruptModel, EmptyTrainingSet, UntrainedModel, VersionMismatch
+from tracekit.ingest import write_trace
 from tracekit.markov import _FORMAT_VERSION, MarkovModel, learn_transitions
 from tracekit.restore import GappedTrace, restore_trace
 from tracekit.synth import GeneratorSpec, PeriodicMessage, generate_trace
@@ -12,6 +14,11 @@ from tracekit.synth import GeneratorSpec, PeriodicMessage, generate_trace
 
 def trace_of(*ids, label=""):
     return Trace(tuple(Event(EventId(i), t * 0.1) for t, i in enumerate(ids)), label=label)
+
+
+def learn(traces, order_n):
+    """``learn_transitions`` with the pool's own dictionary."""
+    return learn_transitions(traces, order_n, build_dictionary(traces))
 
 
 def table_by_ids(model):
@@ -53,7 +60,7 @@ def history_search_oracle(train_sequences, context, order_n, dictionary):
 
 class TestLearning:
     def test_hand_traced_order2_table(self):
-        model = learn_transitions([trace_of(*"ABABAB")], order_n=2)
+        model = learn([trace_of(*"ABABAB")], order_n=2)
         table = table_by_ids(model)
         assert table == {
             ("A", "B"): {"A": 2},
@@ -63,45 +70,52 @@ class TestLearning:
         }
 
     def test_order1_self_loop(self):
-        model = learn_transitions([trace_of("A", "A", "A")], order_n=1)
+        model = learn([trace_of("A", "A", "A")], order_n=1)
         assert table_by_ids(model) == {("A",): {"A": 2}}
 
-    def test_default_order_is_40(self):
-        model = learn_transitions([trace_of(*"AB" * 30)])
-        assert model.order_n == 40
+    def test_default_order_is_40(self, tmp_path):
+        # A run config without markov.order trains at order 40.
+        (tmp_path / "pool").mkdir()
+        for i in range(2):
+            write_trace(trace_of(*"AB" * 30), tmp_path / "pool" / f"t{i}.trace")
+        (tmp_path / "run.cfg").write_text("seed = 1\n")
+        assert cli.main(["train-markov", "--config", str(tmp_path / "run.cfg"),
+                         "--train", str(tmp_path / "pool"),
+                         "--out", str(tmp_path / "m.model")]) == 0
+        assert MarkovModel.load(tmp_path / "m.model").order_n == 40
 
     def test_global_freq_counts_every_event(self):
-        model = learn_transitions([trace_of(*"AABAB")], order_n=2)
+        model = learn([trace_of(*"AABAB")], order_n=2)
         assert sum(model.counts[0].values()) == 5
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
-            learn_transitions([], order_n=2)
+            learn([], order_n=2)
 
     def test_no_state_spans_trace_boundaries(self):
-        model = learn_transitions([trace_of("A", "B"), trace_of("C", "D")], order_n=2)
+        model = learn([trace_of("A", "B"), trace_of("C", "D")], order_n=2)
         assert ("B", "C") not in table_by_ids(model)
 
     def test_materialized_states_bounded(self):
         traces = [trace_of(*"ABCDE" * 8)]
-        model = learn_transitions(traces, order_n=40)
+        model = learn(traces, order_n=40)
         total_events = sum(len(t) for t in traces)
         assert model.state_count <= 40 * total_events
 
 
 class TestPrediction:
     def test_argmax_of_table(self):
-        model = learn_transitions([trace_of(*"ABA", "C", *"ABA")], order_n=2)
+        model = learn([trace_of(*"ABA", "C", *"ABA")], order_n=2)
         # D[(A,B)] = {A: 2}
         assert model.predict_next([EventId("A"), EventId("B")]) == "A"
 
     def test_backoff_to_shorter_suffix(self):
-        model = learn_transitions([trace_of(*"ABABAB")], order_n=2)
+        model = learn([trace_of(*"ABABAB")], order_n=2)
         # (C, A) unseen at k=2; D[(A,)] = {B: 3} answers via backoff.
         assert model.predict_next([EventId("C"), EventId("A")]) == "B"
 
     def test_empty_context_uses_global_frequency(self):
-        model = learn_transitions([trace_of(*"AABAB")], order_n=2)
+        model = learn([trace_of(*"AABAB")], order_n=2)
         assert model.predict_next([]) == "A"
 
     def test_untrained_model(self):
@@ -111,8 +125,8 @@ class TestPrediction:
 
     def test_determinism(self):
         traces = [trace_of(*"ABCABD"), trace_of(*"ABCABD")]
-        a = learn_transitions(traces, order_n=3)
-        b = learn_transitions(traces, order_n=3)
+        a = learn(traces, order_n=3)
+        b = learn(traces, order_n=3)
         ctx = [EventId("A"), EventId("B")]
         assert a.predict_next(ctx) == b.predict_next(ctx)
         assert a.to_text() == b.to_text()
@@ -128,7 +142,7 @@ class TestPrediction:
         ]
         order = data.draw(st.integers(1, 8))
         traces = [trace_of(*s) for s in seqs]
-        model = learn_transitions(traces, order_n=order)
+        model = learn(traces, order_n=order)
         context = data.draw(st.lists(st.sampled_from(alphabet), min_size=0, max_size=20))
         loaded = MarkovModel.from_text(model.to_text())
         # Every prefix of the context, so contexts both shorter and longer
@@ -160,7 +174,7 @@ class TestPeriodicMastery:
         test_trace = generate_trace(
             GeneratorSpec(periodic=spec.periodic, duration=1.0, seed=1)
         )
-        model = learn_transitions([train_trace], order_n=40)
+        model = learn([train_trace], order_n=40)
         ids = test_trace.ids()
         cycle = 7
         hits = sum(
@@ -171,7 +185,7 @@ class TestPeriodicMastery:
 
 class TestImputation:
     def test_cyclic_gap_fill(self):
-        model = learn_transitions([trace_of(*"ABAB" * 10)], order_n=2)
+        model = learn([trace_of(*"ABAB" * 10)], order_n=2)
         a, b = Event(EventId("A"), 0.0), Event(EventId("B"), 0.1)
         gapped = GappedTrace((a, b, None, None, Event(EventId("A"), 0.4)))
         restored = restore_trace(model, gapped)
@@ -181,12 +195,12 @@ class TestImputation:
         )
 
     def test_zero_gap_identity(self):
-        model = learn_transitions([trace_of(*"ABAB")], order_n=2)
+        model = learn([trace_of(*"ABAB")], order_n=2)
         events = (Event(EventId("A"), 0.0), Event(EventId("B"), 0.1))
         assert restore_trace(model, GappedTrace(events)).events == events
 
     def test_leading_gap_uses_global_fallback(self):
-        model = learn_transitions([trace_of(*"AAB")], order_n=2)
+        model = learn([trace_of(*"AAB")], order_n=2)
         gapped = GappedTrace((None, Event(EventId("A"), 0.1), Event(EventId("B"), 0.2)))
         restored = restore_trace(model, gapped)
         assert restored.events[0].id == "A"  # global most frequent
@@ -222,7 +236,7 @@ BAD_BODIES = {
 
 class TestSerialization:
     def make_model(self):
-        return learn_transitions(
+        return learn(
             [trace_of(*"ABCABDAB"), trace_of(*"BACBAD")], order_n=3
         )
 
@@ -278,7 +292,7 @@ class TestSerialization:
     def test_event_named_other_is_the_other_slot(self, tmp_path):
         # `OTHER` is not a dictionary id, so the learned model and the one
         # read back from its file see the same contexts and agree.
-        model = learn_transitions([trace_of("OTHER", "A", "OTHER", "A", "B")], order_n=2)
+        model = learn([trace_of("OTHER", "A", "OTHER", "A", "B")], order_n=2)
         assert model.dictionary.ids == ("A", "B")
         model.save(tmp_path / "m.model")
         again = MarkovModel.load(tmp_path / "m.model")

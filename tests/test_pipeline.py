@@ -28,7 +28,6 @@ train.rounds = 1
 train.epochs_flat = 1
 train.epochs_decay = 1
 loss.fractions = 10 25
-mine.top_k = 3
 eval.start = 8
 loss.restorer = {restorer}
 """
@@ -81,24 +80,22 @@ def test_subcommands_reproduce_the_report(report):
         assert (chain / artifact).read_bytes() == (first / artifact).read_bytes()
 
     def mine(trace, tag):
-        run("mine", "--in", trace, "--dict", chain / "dict.txt", "--top-k", config.mine_top_k,
+        run("mine", "--in", trace, "--dict", chain / "dict.txt",
             "--out", chain / "mine" / f"{tag}.txt")
 
     (chain / "mine").mkdir()
     labels = sorted(p.stem for p in (chain / "split" / "test").glob("*.trace"))
     assert len(labels) == 2
+    levels = [f"loss_{round(fraction * 100):02d}" for fraction in config.loss_fractions]
     for label in labels:
         mine(chain / "split" / "test" / f"{label}.trace", f"original_{label}")
         for fraction in config.loss_fractions:
             pct = round(fraction * 100)
             spec = config.loss_spec(fraction, label)
-            # A mining report records its input's file stem as the label, so
-            # each level's traces go to their own directory as <label>.trace.
-            gapped = chain / f"loss_{pct:02d}" / f"{label}.gapped"
-            lossy = chain / f"lossy_{pct:02d}" / f"{label}.trace"
-            restored = chain / f"restored_{pct:02d}" / f"{label}.trace"
-            for path in (gapped, lossy, restored):
-                path.parent.mkdir(exist_ok=True)
+            level = chain / f"loss_{pct:02d}"
+            level.mkdir(exist_ok=True)
+            gapped, restored = level / f"{label}.gapped", level / f"{label}.restored.trace"
+            lossy = chain / "lossy.trace"
             run("inject-loss", "--in", chain / "split" / "test" / f"{label}.trace",
                 "--out", gapped, "--fraction", pct, "--mode", spec.mode,
                 "--burst-length", spec.burst_length, "--seed", spec.seed)
@@ -109,7 +106,5 @@ def test_subcommands_reproduce_the_report(report):
             write_trace(read_gapped(gapped).known_trace(), lossy)
             mine(lossy, f"lossy_{pct:02d}_{label}")
             mine(restored, f"restored_{pct:02d}_{label}")
-            level = first / f"loss_{pct:02d}"
-            assert gapped.read_bytes() == (level / f"{label}.gapped").read_bytes()
-            assert restored.read_bytes() == (level / f"{label}.restored.trace").read_bytes()
-    assert digests(chain / "mine") == digests(first / "mine")
+    for tree in ("mine", *levels):
+        assert digests(chain / tree) == digests(first / tree)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from tracekit.core import Event, EventId, Trace, decode_index, encode_ids
+from tracekit.core import Event, EventId, Trace, build_dictionary, decode_index, encode_ids
 from tracekit.errors import DegenerateInput, InvalidFraction, MalformedLine
 from tracekit.lstm import forward_window
 from tracekit.markov import learn_transitions
@@ -110,7 +110,8 @@ class TestInjectLoss:
 class TestRestore:
     @pytest.fixture()
     def cyclic_model(self):
-        return learn_transitions([trace_of(*"ABAB" * 12)], order_n=2)
+        pool = [trace_of(*"ABAB" * 12)]
+        return learn_transitions(pool, 2, build_dictionary(pool))
 
     def test_zero_gap_identity(self, cyclic_model):
         trace = trace_of(*"ABAB")

@@ -12,7 +12,6 @@ from tracekit.trem import (
     TREInstance,
     compare_reports,
     mine_trace,
-    rank_dominant,
     report_from_text,
     report_to_text,
 )
@@ -157,34 +156,6 @@ class TestAlternatingOracle:
             assert not pending
 
 
-class TestRanking:
-    def make_report(self, counts):
-        d = Dictionary((EventId("A"), EventId("B"), EventId("C"), EventId("D")))
-        instances = []
-        pairs = [("A", "B"), ("B", "C"), ("C", "D")]
-        for (p, s), c in zip(pairs, counts):
-            instances.append(TREInstance(Template.RESPONSE, EventId(p), EventId(s), c))
-        return MiningReport(tuple(instances)), d
-
-    def test_top_k_by_count(self):
-        report, d = self.make_report([5, 3, 9])
-        ranked = rank_dominant(report, 2, d)
-        assert [i.match_count for i in ranked.instances] == [9, 5]
-
-    def test_k_larger_than_set(self):
-        report, d = self.make_report([5, 3, 9])
-        assert len(rank_dominant(report, 10, d)) == 3
-
-    def test_tie_break_by_indices(self):
-        report, d = self.make_report([4, 4, 4])
-        ranked = rank_dominant(report, 3, d)
-        assert [(str(i.p), str(i.s)) for i in ranked.instances] == [
-            ("A", "B"),
-            ("B", "C"),
-            ("C", "D"),
-        ]
-
-
 class TestCompare:
     def make(self, pairs):
         instances = tuple(
@@ -246,14 +217,15 @@ class TestMineTrace:
         # Without a time span there is no timed instance: (A, B) would hold.
         d = build_dictionary([evenly_timed("A", "B")])
         same_time = mine_trace(timed_trace(("A", 1.0), ("B", 1.0), label="x"), d)
-        assert same_time == MiningReport((), trace_label="x")
-        assert mine_trace(Trace((), label="y"), d) == MiningReport((), trace_label="y")
+        assert same_time == MiningReport(())
+        assert mine_trace(Trace((), label="y"), d) == MiningReport(())
 
     def test_instances_by_template_then_dictionary_index(self):
         trace = evenly_timed(*"PSQPSQ")
         d = Dictionary((EventId("Q"), EventId("S"), EventId("P")))
         report = mine_trace(trace, d)
-        order = [(i.template.rank, d.index_of(i.p), d.index_of(i.s)) for i in report.instances]
+        order = [(list(Template).index(i.template), d.index_of(i.p), d.index_of(i.s))
+                 for i in report.instances]
         assert len(order) == 6  # (P, S), (P, Q) and (S, Q), once per template
         assert order == sorted(order)
 
@@ -277,17 +249,20 @@ class TestReportFiles:
         trace = evenly_timed(*"PSPSQ", label="seg")
         d = build_dictionary([trace])
         report = mine_trace(trace, d)
-        again = report_from_text(report_to_text(report))
+        text = report_to_text(report)
+        again = report_from_text(text)
         assert again.keys() == report.keys()
-        assert again.trace_label == "seg"
+        assert report_to_text(again) == text
+        assert text.splitlines()[0] == "tracekit-mine v2"
+        assert "seg" not in text  # the report names no trace
 
     def test_version_mismatch(self):
-        text = "tracekit-mine v99\nlabel x\n"
-        with pytest.raises(VersionMismatch):
-            report_from_text(text)
+        for text in ("tracekit-mine v99\n", "tracekit-mine v1\nlabel x\nresponse P S 1\n"):
+            with pytest.raises(VersionMismatch):
+                report_from_text(text)
 
     def test_corrupt(self):
         with pytest.raises(CorruptModel):
             report_from_text("not a report\n")
         with pytest.raises(CorruptModel):
-            report_from_text("tracekit-mine v1\nresponse P S notanumber\n")
+            report_from_text("tracekit-mine v2\nresponse P S notanumber\n")
