@@ -143,9 +143,7 @@ def _cmd_restore(args) -> int:
 def _cmd_evaluate(args) -> int:
     pred = read_trace(args.pred)
     truth = read_trace(args.truth)
-    report = evaluate_mod.align_and_classify(
-        pred.ids(), truth.ids(), lookahead_w=args.lookahead, order_k=args.order_depth
-    )
+    report = evaluate_mod.align_and_classify(pred.ids(), truth.ids())
     if args.out:
         Path(args.out).write_text(report.to_text(), encoding="utf-8")
     print(
@@ -284,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--out")
-    p.add_argument("--lookahead", type=_int_at_least(0), default=evaluate_mod.LOOKAHEAD_W)
-    p.add_argument("--order-depth", type=_int_at_least(0), default=10)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("render", help="render a one-hot raster image of a trace")

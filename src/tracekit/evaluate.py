@@ -13,9 +13,10 @@ Two complementary views:
 The alignment classifier is greedy and deterministic, not edit-distance
 optimal. At a mismatch it evaluates each candidate explanation by the length
 of the clean run it would produce and keeps the best-supported one; an
-explanation needs at least ``lookahead_w`` subsequent matches (or a full
+explanation needs at least ``LOOKAHEAD_W`` subsequent matches (or a full
 match to the end of either sequence) to be accepted. A displaced event is
-searched for up to ``order_k`` positions ahead. Spurious predicted events
+searched for up to ``ORDER_K`` positions ahead. Both are constants, not
+parameters: every caller scores with the same rules. Spurious predicted events
 (present in the prediction, absent from the truth) are folded into the
 substitution count, consuming only the predicted side.
 """
@@ -37,6 +38,7 @@ from .errors import DegenerateInput, LengthMismatch
 
 EVAL_HEADER = "# tracekit-eval v1"
 LOOKAHEAD_W = 3
+ORDER_K = 10
 
 
 @dataclass(frozen=True)
@@ -102,18 +104,16 @@ def _displaced_prefix(pred: Sequence, p: int, tru: Sequence, t: int, shift: int)
     return shift + 1 + _common_prefix(pred, p + shift + 1, tru, t + shift + 1)
 
 
-def _supported(run: int, avail: int, w: int) -> bool:
-    """A candidate needs w matches of evidence, or everything that remains."""
+def _supported(run: int, avail: int) -> bool:
+    """A candidate needs LOOKAHEAD_W matches of evidence, or everything that remains."""
     if avail <= 0:
         return False
-    return run >= min(w, avail)
+    return run >= min(LOOKAHEAD_W, avail)
 
 
 def align_and_classify(
     predicted: Sequence[EventId],
     truth: Sequence[EventId],
-    lookahead_w: int = LOOKAHEAD_W,
-    order_k: int = 10,
 ) -> AlignmentReport:
     """Scan both sequences and classify every mismatch; see module docstring.
 
@@ -122,10 +122,8 @@ def align_and_classify(
     both sequences (it is counted once, as the mistake); a substitution
     consumes one event from each side.
     """
-    if len(predicted) < lookahead_w + 1 or len(truth) < lookahead_w + 1:
-        raise DegenerateInput(
-            f"sequences must be longer than lookahead_w={lookahead_w}"
-        )
+    if len(predicted) < LOOKAHEAD_W + 1 or len(truth) < LOOKAHEAD_W + 1:
+        raise DegenerateInput(f"sequences must be longer than LOOKAHEAD_W={LOOKAHEAD_W}")
     pred = [EventId(e) for e in predicted]
     tru = [EventId(e) for e in truth]
     p = t = 0
@@ -141,19 +139,19 @@ def align_and_classify(
         # Candidate: the model omitted tru[t]; prediction is in sync with tru[t+1:].
         om_run = _common_prefix(pred, p, tru, t + 1)
         om_avail = min(len(pred) - p, len(tru) - t - 1)
-        om_ok = _supported(om_run, om_avail, lookahead_w)
+        om_ok = _supported(om_run, om_avail)
 
         # Candidate: tru[t] was predicted late, at pred[q]; moving it there
         # must leave a clean run covering at least the displacement.
         ord_ok = False
         ord_run = -1
         ord_q = -1
-        for q in range(p + 1, min(p + order_k, len(pred))):
+        for q in range(p + 1, min(p + ORDER_K, len(pred))):
             if pred[q] != tru[t]:
                 continue
             run = _displaced_prefix(pred, p, tru, t, q - p)
             avail = min(len(pred) - p, len(tru) - t)
-            if run >= q - p + 1 and _supported(run, avail, lookahead_w) and run > ord_run:
+            if run >= q - p + 1 and _supported(run, avail) and run > ord_run:
                 ord_ok = True
                 ord_run = run
                 ord_q = q
@@ -161,7 +159,7 @@ def align_and_classify(
         # Candidate: pred[p] is spurious; skipping it re-synchronizes.
         ins_run = _common_prefix(pred, p + 1, tru, t)
         ins_avail = min(len(pred) - p - 1, len(tru) - t)
-        ins_ok = _supported(ins_run, ins_avail, lookahead_w)
+        ins_ok = _supported(ins_run, ins_avail)
 
         best = None  # (run, kind): the longest run wins, ties to omission, then ordering
         if om_ok:
@@ -209,10 +207,12 @@ def next_event_accuracy(model, ids: Sequence[EventId], *, start: int) -> float:
     ids = [EventId(e) for e in ids]
     if not 1 <= start < len(ids):
         raise LengthMismatch(f"need 1 <= start < {len(ids)}")
+    history = ids[:start]
     hits = 0
-    for i in range(start, len(ids)):
-        if model.predict_next(ids[:i]) == ids[i]:
+    for true_id in ids[start:]:
+        if model.predict_next(history) == true_id:
             hits += 1
+        history.append(true_id)
     return hits / (len(ids) - start)
 
 

@@ -472,7 +472,7 @@ class LstmModel:
             raise UntrainedModel("model has not been trained")
         if not context:
             return self.prior_event()
-        tail = list(context)[-self.config.unroll_steps :]
+        tail = context[-self.config.unroll_steps :]
         output = forward_window(self, encode_ids(tail, self.dictionary))
         return decode_index(int(np.argmax(output)), self.dictionary)
 

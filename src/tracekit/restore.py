@@ -2,12 +2,16 @@
 
 A ``GappedTrace`` holds one slot per position of the original trace: the
 surviving event, or ``None`` where the event was lost. ``gaps()`` derives
-the maximal runs of lost slots, and restoration walks them left to right:
-every gap is filled by step-by-step prediction, where each freshly
-predicted event immediately becomes context for the next one, and the
-surviving events after it re-synchronize the context. Restored events
-receive timestamps linearly interpolated between the flanking known events,
-so a restored trace has the original length and is directly minable.
+the maximal runs of lost slots.
+
+One loop, ``fill_gaps``, feeds a model its own predictions: it walks the
+slots' ids left to right and replaces each lost one with the model's
+prediction from every id before it, known or already predicted.
+``predict_step_by_step`` is that loop over a seed followed by lost slots.
+Restoration is one fill of a gapped trace's slots followed by stamping:
+each filled event receives a timestamp linearly interpolated between the
+known events that flank its gap, so a restored trace has the original
+length and is directly minable.
 
 The restorer knows each gap's size by design: loss measurements compare
 fixed-length traces, which presupposes knowing how much was lost.
@@ -24,7 +28,7 @@ import random
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .core import Event, EventId, Trace
 from .errors import DegenerateInput, InvalidFraction, MalformedLine
@@ -88,7 +92,10 @@ class GappedTrace:
 
 
 def inject_loss(trace: Trace, spec: LossSpec) -> GappedTrace:
-    """Remove exactly ``round(fraction * len)`` events, deterministically by seed.
+    """Remove ``min(round(fraction * len), len - 1)`` events, deterministically by seed.
+
+    At least one event always survives, so every fraction in [0, 1) gives a
+    valid gapped trace, however short the trace.
 
     Scattered mode removes uniformly random positions. Burst mode cuts the
     budget into blocks of ``burst_length`` (the last one truncated) and
@@ -99,7 +106,7 @@ def inject_loss(trace: Trace, spec: LossSpec) -> GappedTrace:
     if len(trace) < 1:
         raise DegenerateInput("cannot inject loss into an empty trace")
     length = len(trace)
-    budget = round(spec.fraction * length)
+    budget = min(round(spec.fraction * length), length - 1)
     rng = random.Random(spec.seed)
     if spec.mode == "scattered":
         lost = set(rng.sample(range(length), budget))
@@ -118,7 +125,21 @@ def inject_loss(trace: Trace, spec: LossSpec) -> GappedTrace:
 
 
 # ---------------------------------------------------------------------------
-# prediction
+# prediction and restoration
+
+
+def fill_gaps(model: NextEventPredictor, slots: Sequence[EventId | None]) -> list[EventId]:
+    """Replace every ``None`` in ``slots`` with ``model``'s next-event prediction.
+
+    Slots are filled left to right. Each prediction reads every id before
+    its slot, known or already predicted, so the model continues from its
+    own outputs, and the known ids after a gap re-synchronize the context.
+    A leading ``None`` reads the empty context. Known ids pass through.
+    """
+    ids: list[EventId] = []
+    for slot in slots:
+        ids.append(model.predict_next(ids) if slot is None else slot)
+    return ids
 
 
 def predict_step_by_step(
@@ -130,17 +151,7 @@ def predict_step_by_step(
 
     An empty seed rolls out from the empty context, like a leading gap.
     """
-    context = list(seed_events)
-    out: list[EventId] = []
-    for _ in range(horizon):
-        nxt = model.predict_next(context)
-        out.append(nxt)
-        context.append(nxt)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# restoration
+    return fill_gaps(model, [*seed_events, *[None] * horizon])[len(seed_events) :]
 
 
 def _interpolate(before: float | None, after: float | None, j: int, count: int) -> float:
@@ -151,40 +162,23 @@ def _interpolate(before: float | None, after: float | None, j: int, count: int) 
     return before + (j + 1) * (after - before) / (count + 1)
 
 
-def fill_gaps(
-    gapped: GappedTrace,
-    predict: Callable[[Sequence[EventId]], EventId],
-) -> Trace:
-    """Generic chronological gap filling shared by both model families.
-
-    ``predict`` receives the full restored-so-far id context (possibly
-    empty, for a leading gap) and returns the next id.
-    """
-    restored = list(gapped.slots)
-    context: list[EventId] = []
-    done = 0
-    for start, count in gapped.gaps():
-        end = start + count
-        context.extend(ev.id for ev in restored[done:start])
-        before = restored[start - 1].timestamp if start else None
-        after = restored[end].timestamp if end < len(restored) else None
-        for j in range(count):
-            nxt = predict(context)
-            restored[start + j] = Event(nxt, _interpolate(before, after, j, count))
-            context.append(nxt)
-        done = end
-    return Trace(tuple(restored), label=gapped.label)
-
-
 def restore_trace(model: NextEventPredictor, gapped: GappedTrace) -> Trace:
-    """Fill every gap with step-by-step prediction from either model family.
+    """Fill every gap with one ``fill_gaps`` call, then stamp each filled event.
 
     Known events pass through untouched; output length equals the original
     pre-loss length. A leading gap with no context falls back to the model's
     global/prior most-frequent event (both families handle the empty
     context internally).
     """
-    return fill_gaps(gapped, model.predict_next)
+    events = list(gapped.slots)
+    ids = fill_gaps(model, [None if ev is None else ev.id for ev in events])
+    for start, count in gapped.gaps():
+        end = start + count
+        before = events[start - 1].timestamp if start else None
+        after = events[end].timestamp if end < len(events) else None
+        for j in range(count):
+            events[start + j] = Event(ids[start + j], _interpolate(before, after, j, count))
+    return Trace(tuple(events), label=gapped.label)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from tracekit.restore import (
     LossSpec,
     inject_loss,
     predict_step_by_step,
+    read_gapped,
     restore_trace,
     write_gapped,
 )
@@ -141,8 +142,6 @@ BAD_INPUTS = {  # case: (argv, a fragment of the error message)
                                      "found '# tracekit-trace v1'"),
     "newer dict header": (["mine", "--in", "{d}/train/t0.trace", "--dict", "{d}/v2dict.txt",
                            "--out", "{d}/mined.txt"], "lacks the `# tracekit-dict v1` header"),
-    "loss of every event": (["inject-loss", "--in", "{d}/two.trace", "--out", "{d}/x.gapped",
-                             "--fraction", "75", "--seed", "1"], "at least one surviving event"),
     "gapped file with every event lost": (["restore", "--model", "{d}/markov.model",
                                            "--in", "{d}/all_lost.gapped", "--out", "{d}/r.trace"],
                                           "at least one surviving event"),
@@ -175,7 +174,6 @@ def test_bad_inputs_fail_cleanly(markov_run, capsys, case):
     (tmp_path / "abc.txt").write_text(f"{DICT_HEADER}\nA\nB\nC\n")
     (tmp_path / "empty.trace").write_text(f"{TRACE_HEADER}\n")
     write_trace(Trace(train[0].events[:6]), tmp_path / "six.trace")
-    write_trace(Trace(train[0].events[:2]), tmp_path / "two.trace")
     (tmp_path / "all_lost.gapped").write_text(f"{GAPPED_HEADER}\n? 2\n")
     (tmp_path / "v2.trace").write_text("# tracekit-trace v2\n0.0 A\n1.0 B\n")
     (tmp_path / "v2dict.txt").write_text("# tracekit-dict v2\nA\nB\nC\n")
@@ -186,6 +184,14 @@ def test_bad_inputs_fail_cleanly(markov_run, capsys, case):
     argv, message = BAD_INPUTS[case]
     capsys.readouterr()
     assert message in assert_clean_failure(capsys, cli.main([a.format(d=tmp_path) for a in argv]))
+
+
+def test_loss_of_every_event_keeps_one(tmp_path):
+    """75 % of 2 events rounds to 2; inject-loss removes only 1."""
+    write_trace(Trace((Event(EventId("A"), 0.0), Event(EventId("B"), 0.1))), tmp_path / "two.trace")
+    assert cli.main(["inject-loss", "--in", str(tmp_path / "two.trace"),
+                     "--out", str(tmp_path / "x.gapped"), "--fraction", "75", "--seed", "1"]) == 0
+    assert read_gapped(tmp_path / "x.gapped").missing_total() == 1
 
 
 @pytest.mark.parametrize("family", ["markov", "lstm"])
@@ -301,10 +307,10 @@ BAD_USAGE = {  # case: (argv, a fragment of the error message)
                          "unknown key 'lstm.horizon'"),
     "evaluate --lookahead -1": (["evaluate", "--pred", "{d}/train/t0.trace", "--truth",
                                  "{d}/train/t1.trace", "--lookahead", "-1"],
-                                "argument --lookahead: must be >= 0"),
+                                "unrecognized arguments: --lookahead -1"),
     "evaluate --order-depth -2": (["evaluate", "--pred", "{d}/train/t0.trace", "--truth",
                                    "{d}/train/t1.trace", "--order-depth", "-2"],
-                                  "argument --order-depth: must be >= 0"),
+                                  "unrecognized arguments: --order-depth -2"),
     "render --start -2": (["render", "--in", "{d}/train/t0.trace", "--dict", "{d}/dict.txt",
                            "--out", "{d}/r.pgm", "--start", "-2"],
                           "argument --start: must be >= 0"),
@@ -391,3 +397,16 @@ def test_report_skips_a_rollout_probe_too_short_to_align(tmp_path):
     assert summary["rollout"] == {} and summary["next_event_accuracy"] == {}
     assert list((out / "rasters").iterdir()) == []
     assert set(summary["loss_study"]) == {"10"}
+
+
+def test_report_keeps_one_event_of_each_two_event_test_trace(tmp_path):
+    """75 % loss of a 2-event trace would remove both events; one is kept."""
+    settings = dict(REPORT_CONFIG, **{"synth.duration": "0.15", "synth.periodic": "A 0.1 0.0",
+                                      "loss.fractions": "75"})
+    (tmp_path / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    out = tmp_path / "report"
+    assert cli.main(["report", "--config", str(tmp_path / "run.cfg"), "--out", str(out)]) == 0
+    (test_trace,) = (out / "split" / "test").glob("*.trace")
+    assert len(read_trace(test_trace)) == 2
+    assert read_gapped(out / "loss_75" / f"{test_trace.stem}.gapped").missing_total() == 1
+    assert set(json.loads((out / "report.json").read_text())["loss_study"]) == {"75"}

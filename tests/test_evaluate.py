@@ -77,7 +77,7 @@ class TestAlignmentProperties:
         moved = truth.copy()
         item = moved.pop(pos)
         moved.insert(pos + shift, item)
-        report = align_and_classify(moved, truth, lookahead_w=3, order_k=10)
+        report = align_and_classify(moved, truth)
         assert report.ordering_mistakes == 1
         assert report.omissions == 0
         assert report.substitutions == 0

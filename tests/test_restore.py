@@ -10,6 +10,7 @@ from tracekit.restore import (
     GAPPED_HEADER,
     GappedTrace,
     LossSpec,
+    fill_gaps,
     inject_loss,
     parse_gapped,
     predict_step_by_step,
@@ -96,9 +97,11 @@ class TestInjectLoss:
             assert all(size % burst_length == 0 for size in sizes[:-1]), seed
             assert sizes[-1] % burst_length == budget % burst_length, seed
 
-    def test_every_event_lost_is_refused(self):
-        with pytest.raises(DegenerateInput, match="at least one surviving event"):
-            inject_loss(trace_of("A", "B"), LossSpec(fraction=0.75, seed=1))
+    def test_one_event_always_survives(self):
+        """75 % of 2 events rounds to 2; the budget stops at 1."""
+        for mode in ("scattered", "burst"):
+            spec = LossSpec(fraction=0.75, mode=mode, burst_length=2, seed=1)
+            assert inject_loss(trace_of("A", "B"), spec).missing_total() == 1
 
     def test_invalid_fraction(self):
         with pytest.raises(InvalidFraction):
@@ -178,6 +181,31 @@ class TestStepByStepPrediction:
         assert model.predict_next(ids) == model.predict_next(tail) == expected
 
 
+@pytest.fixture(params=["markov", "lstm"])
+def family_model(request):
+    """A model of either family over the ids A, B and C."""
+    if request.param == "markov":
+        pool = [trace_of(*"ABCACBBA" * 4)]
+        return learn_transitions(pool, 3, build_dictionary(pool))
+    return request.getfixturevalue("trained_cyclic_lstm")[0]
+
+
+class TestFillGaps:
+    def test_known_slots_pass_through(self, family_model):
+        slots = [None if i == "?" else EventId(i) for i in "AB??CA?B"]
+        ids = fill_gaps(family_model, slots)
+        assert len(ids) == len(slots)
+        assert [i for i, slot in zip(ids, slots) if slot is not None] == list("ABCAB")
+        assert fill_gaps(family_model, ids) == ids
+
+    def test_trailing_gap_restores_as_a_rollout(self, family_model):
+        trace = trace_of(*"ABCAACBABCB")
+        k = 4
+        restored = restore_trace(family_model, gapped_of(trace, *range(len(trace) - k, len(trace))))
+        prefix = trace.ids()[:-k]
+        assert restored.ids() == prefix + predict_step_by_step(family_model, prefix, k)
+
+
 class TestLstmRestore:
     def test_lstm_restores_cycle(self, trained_cyclic_lstm):
         model, traces = trained_cyclic_lstm
@@ -231,7 +259,6 @@ class TestGappedFiles:
     )
     def test_injected_loss_round_trips(self, length, percent, mode, burst_length, seed):
         spec = LossSpec(fraction=percent / 100, mode=mode, burst_length=burst_length, seed=seed)
-        assume(round(spec.fraction * length) < length)
         g = inject_loss(trace_of(*("AB" * 20)[:length], label="t0"), spec)
         assert parse_gapped(serialize_gapped(g), g.label) == g
 
