@@ -6,7 +6,8 @@ input that cannot be read or is not UTF-8 text, 2 on usage/configuration
 errors. ``synth`` to ``mine`` each run the ``pipeline`` stage that
 ``report`` runs, so chained from one config they write what ``report``
 writes. A directory argument is a pool of ``*.trace`` files. The
-readers refuse another artifact's header; ``predict`` rolls out either model.
+readers refuse another artifact's header; ``mine`` also reads a ``.gapped``
+file, whose surviving events it mines, and ``predict`` rolls out either model.
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    trace = read_trace(args.input)
+    path = Path(args.input)
+    trace = read_gapped(path).known_trace() if path.suffix == ".gapped" else read_trace(path)
     dictionary = read_dictionary(Path(args.dict))
     report = pipeline.mine(trace, dictionary, Path(args.out))
     print(f"mine: {len(report)} instances -> {args.out}")
@@ -292,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_render)
 
-    p = sub.add_parser("mine", help="mine timed properties from a trace")
+    p = sub.add_parser("mine", help="mine timed properties from a trace or a gapped trace")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--dict", required=True)
     p.add_argument("--out", required=True)

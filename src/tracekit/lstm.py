@@ -19,7 +19,9 @@ and only ``Wh·h`` and the gate arithmetic stay in the time loop.
 The loss is per-node binary cross-entropy summed over output nodes, and all
 gradients are exact reverse-mode derivatives through the unrolled stack,
 truncated at the window start. Dropout is inverted (scaled at train time) so
-inference runs the plain deterministic forward pass.
+inference runs the plain deterministic forward pass. Dropout that is off is a
+mask of 1.0: the kernel always multiplies by its masks, and inference passes
+``NO_DROPOUT``, whose every mask is 1.0.
 
 Training follows a round-based schedule: each round draws one training and
 one validation trace, runs a block of flat-rate epochs followed by a block
@@ -34,13 +36,14 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import (
+    OTHER_TOKEN,
     Dictionary,
     EventId,
     Trace,
@@ -72,6 +75,11 @@ _FORMAT_VERSION = 2
 # configuration
 
 
+def _is_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Shape and regularization settings of the network."""
@@ -85,6 +93,9 @@ class NetworkConfig:
     recurrent_dropout: float = 0.4
 
     def __post_init__(self) -> None:
+        if not all(map(_is_int, (self.vocab, self.dense_width, self.lstm_width,
+                                 self.unroll_steps))):
+            raise ValueError("widths and unroll_steps must be integers")
         if min(self.vocab, self.dense_width, self.lstm_width) < 1:
             raise ValueError("all widths must be >= 1")
         if self.unroll_steps < 1:
@@ -99,17 +110,6 @@ class NetworkConfig:
         overrides.setdefault("dense_width", 2 * vocab)
         overrides.setdefault("lstm_width", 8 * vocab)
         return cls(vocab=vocab, **overrides)
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab": self.vocab,
-            "dense_width": self.dense_width,
-            "lstm_width": self.lstm_width,
-            "unroll_steps": self.unroll_steps,
-            "input_dropout": self.input_dropout,
-            "hidden_dropout": self.hidden_dropout,
-            "recurrent_dropout": self.recurrent_dropout,
-        }
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,6 @@ class TrainingSchedule:
     def learning_rate(self, epoch: int) -> float:
         """Learning rate for a 1-based epoch index within any round."""
         return BASE_LR * LR_DECAY ** max(0, epoch - self.epochs_flat)
-
-    @property
-    def epochs_per_round(self) -> int:
-        return self.epochs_flat + self.epochs_decay
 
 
 # ---------------------------------------------------------------------------
@@ -208,50 +204,34 @@ def logloss(prediction: np.ndarray, target: np.ndarray) -> float:
 # dropout masks
 
 
-@dataclass
-class DropoutMasks:
-    """Inverted-dropout masks for one training window.
+# A mask is an array or the scalar 1.0; masks are (input, (dense0, dense1),
+# (lstm0, lstm1)).
+Mask = np.ndarray | float
+Masks = tuple[Mask, tuple[Mask, Mask], tuple[Mask, Mask]]
+
+NO_DROPOUT: Masks = (1.0, (1.0, 1.0), (1.0, 1.0))
+
+
+def sample_masks(config: NetworkConfig, steps: int, rng: np.random.Generator) -> Masks:
+    """Inverted-dropout masks for one training window of ``steps`` events.
 
     Input and dense-layer masks are per step; recurrent masks are held fixed
-    across the sequence. ``None`` means that source of dropout is disabled.
+    across the sequence. A rate of 0 gives 1.0 and draws nothing from ``rng``.
+    Draws run in the order input, dense0, dense1, lstm0, lstm1.
     """
 
-    input_masks: np.ndarray | None
-    hidden_masks: np.ndarray | None
-    recurrent_masks: np.ndarray | None
+    def draw(shape, rate):
+        if rate == 0.0:
+            return 1.0
+        return (rng.random(shape) >= rate) / (1.0 - rate)
 
-    @classmethod
-    def disabled(cls) -> "DropoutMasks":
-        return cls(None, None, None)
-
-    @classmethod
-    def sample(cls, config: NetworkConfig, steps: int, rng: np.random.Generator) -> "DropoutMasks":
-        def draw(shape, rate):
-            if rate <= 0.0:
-                return None
-            return (rng.random(shape) >= rate) / (1.0 - rate)
-
-        return cls(
-            input_masks=draw((steps, config.vocab), config.input_dropout),
-            hidden_masks=draw((2, steps, config.dense_width), config.hidden_dropout),
-            recurrent_masks=draw((2, config.lstm_width), config.recurrent_dropout),
-        )
-
-    def recurrent_mask(self, layer: int) -> np.ndarray | None:
-        return None if self.recurrent_masks is None else self.recurrent_masks[layer]
-
-    def last(self, steps: int) -> "DropoutMasks":
-        """The masks of the last ``steps`` rows of the window they were sampled for."""
-        for mask in (self.input_masks, self.hidden_masks):
-            if mask is not None and mask.shape[-2] < steps:
-                raise ValueError(
-                    f"dropout masks cover {mask.shape[-2]} steps, the window has {steps}"
-                )
-        return DropoutMasks(
-            input_masks=None if self.input_masks is None else self.input_masks[-steps:],
-            hidden_masks=None if self.hidden_masks is None else self.hidden_masks[:, -steps:],
-            recurrent_masks=self.recurrent_masks,
-        )
+    dense = (steps, config.dense_width)
+    recurrent = (config.lstm_width,)
+    return (
+        draw((steps, config.vocab), config.input_dropout),
+        (draw(dense, config.hidden_dropout), draw(dense, config.hidden_dropout)),
+        (draw(recurrent, config.recurrent_dropout), draw(recurrent, config.recurrent_dropout)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +240,22 @@ class DropoutMasks:
 
 def _dense_forward(params, window, masks):
     """The per-step feedforward stack, evaluated for all steps at once."""
-    x0 = window if masks.input_masks is None else window * masks.input_masks
+    input_mask, (mask0, mask1), _ = masks
+    x0 = window * input_mask
     h1 = np.tanh(x0 @ params["dense0/w"].T + params["dense0/b"])
-    h1d = h1 if masks.hidden_masks is None else h1 * masks.hidden_masks[0]
+    h1d = h1 * mask0
     h2 = np.tanh(h1d @ params["dense1/w"].T + params["dense1/b"])
-    h2d = h2 if masks.hidden_masks is None else h2 * masks.hidden_masks[1]
+    h2d = h2 * mask1
     return {"x0": x0, "h1": h1, "h1d": h1d, "h2": h2, "h2d": h2d}
 
 
 def _lstm_forward(params, prefix, inputs, mask):
     """One recurrent layer over the whole window: (T, in) inputs to (T, H) outputs.
 
-    ``mask``, when given, is the per-sequence inverted-dropout mask applied to
-    the tanh candidate vector. The returned cache holds the (T, 4, H)
-    normalized pre-activations and gates and the (T+1, H) hidden and cell
-    states, row 0 being the zero start state.
+    ``mask`` is the per-sequence inverted-dropout mask applied to the tanh
+    candidate vector; dropout that is off is a mask of 1.0. The returned
+    cache holds the (T, 4, H) normalized pre-activations and gates and the
+    (T+1, H) hidden and cell states, row 0 being the zero start state.
     """
     steps = inputs.shape[0]
     wh = params[f"{prefix}/wh"]
@@ -282,7 +263,6 @@ def _lstm_forward(params, prefix, inputs, mask):
     gain = params[f"{prefix}/gain"].reshape(4, width)
     shift = params[f"{prefix}/shift"].reshape(4, width)
     pre_x = inputs @ params[f"{prefix}/wx"].T + params[f"{prefix}/b"]
-    keep = 1.0 if mask is None else mask
 
     xhats = np.empty((steps, 4, width))
     inv_stds = np.empty((steps, 4, 1))
@@ -299,7 +279,7 @@ def _lstm_forward(params, prefix, inputs, mask):
         gates[t] = _sigmoid(z)
         gates[t, 2] = np.tanh(z[2])
         gate_i, gate_f, cand, gate_o = gates[t]
-        c[t + 1] = gate_f * c[t] + gate_i * (cand * keep)
+        c[t + 1] = gate_f * c[t] + gate_i * (cand * mask)
         h[t + 1] = gate_o * np.tanh(c[t + 1])
     return h[1:], {"inputs": inputs, "h": h, "c": c, "xhats": xhats,
                    "inv_stds": inv_stds, "gates": gates}
@@ -314,7 +294,6 @@ def _lstm_backward(params, prefix, cache, d_out, mask, grads):
     gain = params[f"{prefix}/gain"].reshape(4, width)
     wh = params[f"{prefix}/wh"]
     tanh_c = np.tanh(c[1:])
-    keep = 1.0 if mask is None else mask
 
     d_z = np.empty((steps, 4, width))
     d_pre = np.empty((steps, 4 * width))
@@ -324,9 +303,9 @@ def _lstm_backward(params, prefix, cache, d_out, mask, grads):
         gate_i, gate_f, cand, gate_o = gates[t]
         d_h = d_out[t] + d_h_next
         d_c = d_c_next + d_h * gate_o * (1.0 - tanh_c[t] ** 2)
-        d_z[t, 0] = d_c * (cand * keep) * gate_i * (1.0 - gate_i)
+        d_z[t, 0] = d_c * (cand * mask) * gate_i * (1.0 - gate_i)
         d_z[t, 1] = d_c * c[t] * gate_f * (1.0 - gate_f)
-        d_z[t, 2] = d_c * gate_i * keep * (1.0 - cand**2)
+        d_z[t, 2] = d_c * gate_i * mask * (1.0 - cand**2)
         d_z[t, 3] = d_h * tanh_c[t] * gate_o * (1.0 - gate_o)
         # Layer-norm backward, all four gate blocks at once.
         d_xhat = d_z[t] * gain
@@ -352,16 +331,16 @@ def _lstm_backward(params, prefix, cache, d_out, mask, grads):
 def _forward(params, window, masks):
     """Dense stack, both recurrent layers and the output layer; returns the
     sigmoid outputs and the caches the backward pass reads."""
+    recurrent0, recurrent1 = masks[2]
     dense = _dense_forward(params, window, masks)
-    y0, lstm0 = _lstm_forward(params, "lstm0", dense["h2d"], masks.recurrent_mask(0))
-    y1, lstm1 = _lstm_forward(params, "lstm1", y0, masks.recurrent_mask(1))
+    y0, lstm0 = _lstm_forward(params, "lstm0", dense["h2d"], recurrent0)
+    y1, lstm1 = _lstm_forward(params, "lstm1", y0, recurrent1)
     output = _sigmoid(params["out/w"] @ y1[-1] + params["out/b"])
     return output, {"dense": dense, "lstm0": lstm0, "lstm1": lstm1}
 
 
-def _checked_window(model: "LstmModel", window: np.ndarray, masks: DropoutMasks | None):
-    """The window as a float (T, V) array of its last ``unroll_steps`` rows,
-    and the masks (none if not given) cut to the same rows."""
+def _checked_window(model: "LstmModel", window: np.ndarray) -> np.ndarray:
+    """The window as a float (T, V) array of its last ``unroll_steps`` rows."""
     window = np.asarray(window, dtype=np.float64)
     if window.ndim == 1:
         window = window[None, :]
@@ -371,33 +350,30 @@ def _checked_window(model: "LstmModel", window: np.ndarray, masks: DropoutMasks 
         raise ValueError(
             f"window width {window.shape[1]} != vocabulary {model.config.vocab}"
         )
-    window = window[-model.config.unroll_steps :]
-    return window, (masks or DropoutMasks.disabled()).last(window.shape[0])
+    return window[-model.config.unroll_steps :]
 
 
-def forward_window(
-    model: "LstmModel",
-    window: np.ndarray,
-    masks: DropoutMasks | None = None,
-) -> np.ndarray:
+def forward_window(model: "LstmModel", window: np.ndarray) -> np.ndarray:
     """Run the network over a window of encoded events; returns sigmoid outputs.
 
-    Windows shorter than ``unroll_steps`` simply run fewer recurrence steps
-    from the zero state. Without masks this is the deterministic inference
-    path.
+    This is the deterministic inference path, without dropout. Windows
+    shorter than ``unroll_steps`` simply run fewer recurrence steps from the
+    zero state.
     """
-    window, masks = _checked_window(model, window, masks)
-    return _forward(model.params, window, masks)[0]
+    return _forward(model.params, _checked_window(model, window), NO_DROPOUT)[0]
 
 
 def loss_and_gradients(
     model: "LstmModel",
     window: np.ndarray,
     target: np.ndarray,
-    masks: DropoutMasks | None = None,
+    masks: Masks = NO_DROPOUT,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss plus exact reverse-mode gradients for every parameter."""
-    window, masks = _checked_window(model, window, masks)
+    """Loss plus exact reverse-mode gradients for every parameter.
+
+    Masks that are arrays must cover the steps of the trimmed window.
+    """
+    window = _checked_window(model, window)
     target = np.asarray(target, dtype=np.float64)
     params = model.params
 
@@ -411,17 +387,18 @@ def loss_and_gradients(
     grads["out/b"] += d_logits
     d_top = np.zeros((window.shape[0], model.config.lstm_width))
     d_top[-1] = params["out/w"].T @ d_logits
-    d_y0 = _lstm_backward(params, "lstm1", caches["lstm1"], d_top, masks.recurrent_mask(1), grads)
-    d_h2d = _lstm_backward(params, "lstm0", caches["lstm0"], d_y0, masks.recurrent_mask(0), grads)
+    _, (mask0, mask1), (recurrent0, recurrent1) = masks
+    d_y0 = _lstm_backward(params, "lstm1", caches["lstm1"], d_top, recurrent1, grads)
+    d_h2d = _lstm_backward(params, "lstm0", caches["lstm0"], d_y0, recurrent0, grads)
 
     # Dense stack backward, all steps at once.
     dense = caches["dense"]
-    d_h2 = d_h2d if masks.hidden_masks is None else d_h2d * masks.hidden_masks[1]
+    d_h2 = d_h2d * mask1
     d_a2 = d_h2 * (1.0 - dense["h2"] ** 2)
     grads["dense1/w"] += d_a2.T @ dense["h1d"]
     grads["dense1/b"] += d_a2.sum(axis=0)
     d_h1d = d_a2 @ params["dense1/w"]
-    d_h1 = d_h1d if masks.hidden_masks is None else d_h1d * masks.hidden_masks[0]
+    d_h1 = d_h1d * mask0
     d_a1 = d_h1 * (1.0 - dense["h1"] ** 2)
     grads["dense0/w"] += d_a1.T @ dense["x0"]
     grads["dense0/b"] += d_a1.sum(axis=0)
@@ -481,9 +458,6 @@ class LstmModel:
         if not self.event_freq:
             raise UntrainedModel("model has no recorded training frequencies")
         return pick_most_frequent(self.event_freq, self.dictionary)
-
-    def checksum(self) -> str:
-        return parameters_checksum(self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -553,15 +527,15 @@ def train(
         val_mat = encoded_pool[val_idx]
         bounds = _window_bounds(train_mat.shape[0], config.unroll_steps)
 
-        checksum_start = model.checksum()
+        checksum_start = parameters_checksum(model.params)
         epoch_metrics: list[EpochMetrics] = []
-        for epoch in range(1, schedule.epochs_per_round + 1):
+        for epoch in range(1, schedule.epochs_flat + schedule.epochs_decay + 1):
             lr = schedule.learning_rate(epoch)
             order = rng.permutation(len(bounds))
             running_loss = 0.0
             for j in order:
                 start, end = bounds[j]
-                masks = DropoutMasks.sample(config, end - start, rng)
+                masks = sample_masks(config, end - start, rng)
                 window, target = train_mat[start:end], train_mat[end]
                 loss, grads = loss_and_gradients(model, window, target, masks)
                 clip_gradients(grads)
@@ -583,7 +557,7 @@ def train(
                 val_label=pool[val_idx].label,
                 epochs=epoch_metrics,
                 checksum_start=checksum_start,
-                checksum_end=model.checksum(),
+                checksum_end=parameters_checksum(model.params),
             )
         )
     model.trained = True
@@ -598,7 +572,7 @@ def save_model(model: LstmModel, sink: str | os.PathLike) -> None:
     """Write the versioned binary model file (magic, header, data, checksum)."""
     manifest = [[name, list(model.params[name].shape)] for name in sorted(model.params)]
     header = {
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "dictionary": list(model.dictionary.ids),
         "event_freq": {str(k): v for k, v in sorted(model.event_freq.items())},
         "trained": model.trained,
@@ -646,12 +620,18 @@ def load_model(source: str | os.PathLike) -> LstmModel:
         dictionary = Dictionary(tuple(EventId(t) for t in header["dictionary"]))
         manifest = [(name, tuple(shape)) for name, shape in header["params"]]
         shapes = dict(manifest)
-        trained = bool(header["trained"])
-        event_freq = {EventId(k): int(v) for k, v in header["event_freq"].items()}
+        trained = header["trained"]
+        event_freq = {EventId(k): v for k, v in header["event_freq"].items()}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CorruptModel(f"malformed header: {exc!r}") from exc
     if config.vocab != dictionary.size:
         raise CorruptModel(f"config vocab {config.vocab} != dictionary size {dictionary.size}")
+    if not isinstance(trained, bool):
+        raise CorruptModel(f"trained must be true or false, got {trained!r}")
+    known = {*dictionary.ids, OTHER_TOKEN}
+    for eid, count in event_freq.items():
+        if eid not in known or not _is_int(count) or count < 1:
+            raise CorruptModel(f"event_freq entry {eid}: {count!r} is not a known id's count")
     expected = {name: value.shape for name, value in init_parameters(config, 0).items()}
     if shapes != expected or len(manifest) != len(expected):
         raise CorruptModel("parameter manifest does not match the network config")

@@ -23,7 +23,9 @@ Artifact layout under the output directory::
 Each stage below writes its artifact and returns its value; the matching
 subcommand runs it too, so the chained subcommands reproduce a run. A mining
 report names no trace, so ``mine`` of ``loss_<pct>/<label>.restored.trace``
-writes the bytes of ``mine/restored_<pct>_<label>.txt``.
+writes the bytes of ``mine/restored_<pct>_<label>.txt``, and ``mine`` of
+``loss_<pct>/<label>.gapped``, which mines its surviving events, writes those
+of ``mine/lossy_<pct>_<label>.txt``.
 """
 
 from __future__ import annotations

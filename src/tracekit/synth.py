@@ -23,6 +23,7 @@ Simultaneous timestamps are tie-broken by spec declaration order.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
 
@@ -67,31 +68,32 @@ class GeneratorSpec:
         self.validate()
 
     def validate(self) -> None:
+        """Check every value; ``nan`` and infinities fail the range checks."""
         if not self.periodic:
             raise InvalidSpec("at least one periodic message is required")
-        if self.duration <= 0:
-            raise InvalidSpec("duration must be > 0")
+        if not 0 < self.duration < math.inf:
+            raise InvalidSpec("duration must be > 0 and finite")
         ids = [m.id for m in self.periodic] + [m.id for m in self.triggered] + [
             m.id for m in self.rare
         ]
         if len(set(ids)) != len(ids):
             raise InvalidSpec("message ids must be distinct across all entries")
         for m in self.periodic:
-            if m.period <= 0:
-                raise InvalidSpec(f"period of {m.id} must be > 0")
+            if not 0 < m.period < math.inf:
+                raise InvalidSpec(f"period of {m.id} must be > 0 and finite")
             if not 0 <= m.jitter_fraction < 0.5:
                 raise InvalidSpec(f"jitter_fraction of {m.id} must be in [0, 0.5)")
         trigger_sources = {m.id for m in self.periodic} | {m.id for m in self.triggered}
         for m in self.triggered:
             if not 0 <= m.probability <= 1:
                 raise InvalidSpec(f"probability of {m.id} must be in [0, 1]")
-            if m.delay < 0:
-                raise InvalidSpec(f"delay of {m.id} must be >= 0")
+            if not 0 <= m.delay < math.inf:
+                raise InvalidSpec(f"delay of {m.id} must be >= 0 and finite")
             if m.trigger_id not in trigger_sources:
                 raise InvalidSpec(f"trigger id {m.trigger_id} of {m.id} is not emitted")
         for m in self.rare:
-            if m.rate_per_1000_events < 0:
-                raise InvalidSpec(f"rate of {m.id} must be >= 0")
+            if not 0 <= m.rate_per_1000_events < math.inf:
+                raise InvalidSpec(f"rate of {m.id} must be >= 0 and finite")
 
 
 def generate_trace(spec: GeneratorSpec) -> Trace:

@@ -135,8 +135,6 @@ BAD_INPUTS = {  # case: (argv, a fragment of the error message)
                              "--out", "{d}/r.pgm", "--start", "10"], "no events to render"),
     "newer trace header": (["mine", "--in", "{d}/v2.trace", "--dict", "{d}/abc.txt",
                             "--out", "{d}/mined.txt"], "found '# tracekit-trace v2'"),
-    "gapped file as a trace": (["mine", "--in", "{d}/lossy.gapped", "--dict", "{d}/abc.txt",
-                                "--out", "{d}/mined.txt"], "found '# tracekit-gapped v1'"),
     "trace file as a gapped trace": (["restore", "--model", "{d}/markov.model",
                                       "--in", "{d}/train/t0.trace", "--out", "{d}/r.trace"],
                                      "found '# tracekit-trace v1'"),
@@ -184,6 +182,19 @@ def test_bad_inputs_fail_cleanly(markov_run, capsys, case):
     argv, message = BAD_INPUTS[case]
     capsys.readouterr()
     assert message in assert_clean_failure(capsys, cli.main([a.format(d=tmp_path) for a in argv]))
+
+
+def test_mine_reads_the_surviving_events_of_a_gapped_file(markov_run):
+    """``mine`` of a ``.gapped`` file mines its known events, as ``report`` does."""
+    tmp_path, _, gapped = markov_run
+    (tmp_path / "abc.txt").write_text(f"{DICT_HEADER}\nA\nB\nC\n")
+    write_trace(gapped.known_trace(), tmp_path / "known.trace")
+    for name in ("lossy.gapped", "known.trace"):
+        assert cli.main(["mine", "--in", str(tmp_path / name), "--dict", str(tmp_path / "abc.txt"),
+                         "--out", str(tmp_path / f"{name}.mined")]) == 0
+    mined = (tmp_path / "lossy.gapped.mined").read_text()
+    assert len(mined.splitlines()) > 1
+    assert mined == (tmp_path / "known.trace.mined").read_text()
 
 
 def test_loss_of_every_event_keeps_one(tmp_path):

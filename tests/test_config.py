@@ -186,6 +186,20 @@ class TestValues:
         with pytest.raises(ConfigError, match="bad GeneratorSpec values: period of A must be > 0"):
             config.generator_spec(0)
 
+    @pytest.mark.parametrize("line", [
+        "synth.duration = nan",
+        "synth.duration = inf",
+        "synth.periodic = B nan 0.0",
+        "synth.periodic = B inf 0.0",
+        "synth.triggered = T A 0.5 nan",
+        "synth.rare = R nan",
+        "synth.rare = R inf",
+    ])
+    def test_non_finite_generator_values_are_refused(self, line):
+        config = RunConfig.parse(f"seed = 1\nsynth.periodic = A 0.1 0.0\n{line}\n")
+        with pytest.raises(ConfigError, match="bad GeneratorSpec values: .* finite"):
+            config.generator_spec(0)
+
 
 class TestSeeds:
     def test_derive_seed_is_pinned(self):

@@ -14,7 +14,7 @@ from tracekit.errors import (
     VersionMismatch,
 )
 from tracekit.lstm import (
-    DropoutMasks,
+    NO_DROPOUT,
     LstmModel,
     NetworkConfig,
     TrainingSchedule,
@@ -28,6 +28,7 @@ from tracekit.lstm import (
     logloss,
     loss_and_gradients,
     parameters_checksum,
+    sample_masks,
     save_model,
     train,
 )
@@ -122,7 +123,7 @@ class TestLstmLayer:
         cfg = tiny_config()
         params = {k: np.zeros_like(v) for k, v in init_parameters(cfg, 0).items()}
         inputs = np.ones((3, cfg.dense_width))
-        y, cache = _lstm_forward(params, "lstm0", inputs, None)
+        y, cache = _lstm_forward(params, "lstm0", inputs, 1.0)
         assert y.shape == (3, cfg.lstm_width)
         assert np.allclose(y, 0.0)
         assert np.allclose(cache["h"], 0.0)
@@ -132,8 +133,8 @@ class TestLstmLayer:
         cfg = tiny_config()
         params = init_parameters(cfg, 1)
         inputs = np.random.default_rng(0).normal(size=(3, cfg.dense_width))
-        y1, cache1 = _lstm_forward(params, "lstm0", inputs, None)
-        y2, cache2 = _lstm_forward(params, "lstm0", inputs, None)
+        y1, cache1 = _lstm_forward(params, "lstm0", inputs, 1.0)
+        y2, cache2 = _lstm_forward(params, "lstm0", inputs, 1.0)
         assert np.array_equal(y1, y2)
         assert np.array_equal(cache1["c"], cache2["c"])
 
@@ -186,33 +187,6 @@ class TestForward:
         long_loss, long_grads = loss_and_gradients(model, extended, target)
         assert long_loss == loss
         assert all(np.array_equal(long_grads[name], grads[name]) for name in grads)
-
-    def test_long_window_cuts_its_dropout_masks_too(self):
-        cfg = tiny_config(unroll=3, dropout=0.3)
-        model = tiny_model(cfg, seed=4)
-        rng = np.random.default_rng(6)
-        extended = random_window(cfg, rng, steps=5)
-        target = random_target(cfg, rng)
-        masks = DropoutMasks.sample(cfg, 5, np.random.default_rng(7))
-        cut = DropoutMasks(masks.input_masks[-3:], masks.hidden_masks[:, -3:],
-                           masks.recurrent_masks)
-        assert np.array_equal(forward_window(model, extended, masks),
-                              forward_window(model, extended[-3:], cut))
-        loss, grads = loss_and_gradients(model, extended[-3:], target, cut)
-        long_loss, long_grads = loss_and_gradients(model, extended, target, masks)
-        assert long_loss == loss
-        assert all(np.array_equal(long_grads[name], grads[name]) for name in grads)
-
-    def test_short_dropout_masks_are_refused(self):
-        cfg = tiny_config(unroll=3, dropout=0.3)
-        model = tiny_model(cfg, seed=4)
-        rng = np.random.default_rng(6)
-        window = random_window(cfg, rng, steps=3)
-        masks = DropoutMasks.sample(cfg, 2, np.random.default_rng(7))
-        with pytest.raises(ValueError, match="dropout masks cover 2 steps, the window has 3"):
-            forward_window(model, window, masks)
-        with pytest.raises(ValueError, match="dropout masks cover 2 steps, the window has 3"):
-            loss_and_gradients(model, window, random_target(cfg, rng), masks)
 
     def test_inference_pure_function(self):
         model = tiny_model(seed=5)
@@ -283,7 +257,7 @@ class TestBackward:
             p += rng.uniform(-0.05, 0.05, size=p.shape)
         window = random_window(cfg, rng, steps=4)
         target = random_target(cfg, rng)
-        masks = DropoutMasks.sample(cfg, 4, np.random.default_rng(11))
+        masks = sample_masks(cfg, 4, np.random.default_rng(11))
         _, grads = loss_and_gradients(model, window, target, masks)
         h = 1e-5
         worst = 0.0
@@ -308,6 +282,32 @@ class TestBackward:
         assert np.linalg.norm(grads["a"]) == pytest.approx(5.0)
 
 
+class TestMasks:
+    def test_a_rate_of_zero_draws_nothing(self):
+        cfg = tiny_config(dropout=0.3)
+        cfg = NetworkConfig(**{**vars(cfg), "input_dropout": 0.0})
+        rng = np.random.default_rng(30)
+        masks = sample_masks(cfg, 4, rng)
+        assert masks[0] == 1.0
+        expected = np.random.default_rng(30)
+        for shape in [(4, cfg.dense_width)] * 2 + [(cfg.lstm_width,)] * 2:
+            expected.random(shape)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    def test_masks_at_rate_zero_change_no_bit(self):
+        cfg = tiny_config(dropout=0.0)
+        model = tiny_model(cfg, seed=31)
+        rng = np.random.default_rng(31)
+        window = random_window(cfg, rng, steps=4)
+        target = random_target(cfg, rng)
+        masks = sample_masks(cfg, 4, rng)
+        assert masks == NO_DROPOUT
+        loss, grads = loss_and_gradients(model, window, target, masks)
+        plain_loss, plain_grads = loss_and_gradients(model, window, target)
+        assert loss == plain_loss
+        assert all(np.array_equal(grads[name], plain_grads[name]) for name in grads)
+
+
 class TestGoldenValues:
     """The kernel's actual numbers on a seeded model, with and without fixed
     dropout masks. The values in ``lstm_golden.json`` were computed by a
@@ -321,12 +321,12 @@ class TestGoldenValues:
         model = tiny_model(cfg, seed=21)
         window = np.eye(cfg.vocab)[[1, 3, 0, 2]]
         target = np.eye(cfg.vocab)[2]
-        masks = None
+        masks = NO_DROPOUT
         if case == "masked":
-            masks = DropoutMasks.sample(cfg, 4, np.random.default_rng(22))
+            masks = sample_masks(cfg, 4, np.random.default_rng(22))
         golden = json.loads(Path(__file__).with_name("lstm_golden.json").read_text())[case]
         loss, grads = loss_and_gradients(model, window, target, masks)
-        assert_close(forward_window(model, window, masks), golden["output"])
+        assert_close(_forward(model.params, window, masks)[0], golden["output"])
         assert_close(loss, golden["loss"])
         assert sorted(grads) == sorted(golden["grads"])
         for name, grad in grads.items():
@@ -404,12 +404,12 @@ class TestTraining:
             assert prev.checksum_end == nxt.checksum_start
         assert history[0].checksum_start != history[-1].checksum_end
 
-    def test_bitwise_determinism(self):
-        m1, pool, sched = training_setup(rounds=1, seed=5)
-        m2, _, _ = training_setup(rounds=1, seed=5)
-        train(m1, pool, sched)
-        train(m2, pool, TrainingSchedule(rounds=1, seed=5))
-        assert parameters_checksum(m1.params) == parameters_checksum(m2.params)
+    def test_bitwise_determinism(self, three_rounds):
+        # A fresh 1-round run ends bit for bit where the shared run's first
+        # round ended, so a round also does not depend on the rounds after it.
+        model, pool, sched = training_setup(rounds=1)
+        train(model, pool, sched)
+        assert parameters_checksum(model.params) == three_rounds[1][0].checksum_end
 
     def test_marks_trained_and_records_frequencies(self, three_rounds):
         model, _ = three_rounds
@@ -483,9 +483,18 @@ class TestSerialization:
             lambda h: h["params"][0].__setitem__(0, "bogus"),
             lambda h: h["params"][1].__setitem__(1, h["params"][1][1][::-1]),
             lambda h: h.update(params=7),
+            lambda h: h["config"].update(vocab=float(h["config"]["vocab"])),
+            lambda h: h["config"].update(unroll_steps=4.5),
+            lambda h: h["config"].update(unroll_steps=True),
+            lambda h: h.update(event_freq={"ZZ": 99}),
+            lambda h: h.update(event_freq={"E0": 0}),
+            lambda h: h.update(event_freq={"E0": 2.5}),
+            lambda h: h.update(trained="false"),
         ],
         ids=["no config", "unknown config key", "vocab off by one", "duplicate id",
-             "event_freq a list", "renamed parameter", "transposed shape", "params an int"],
+             "event_freq a list", "renamed parameter", "transposed shape", "params an int",
+             "vocab a float", "unroll a float", "unroll a bool", "event_freq unknown id",
+             "event_freq count 0", "event_freq count a float", "trained a string"],
     )
     def test_bad_header_rejected(self, tmp_path, edit):
         import hashlib

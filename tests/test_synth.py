@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from tracekit.core import EventId
@@ -40,6 +42,22 @@ class TestValidation:
                 periodic=periodic(("A", 0.1, 0.0)),
                 triggered=(TriggeredMessage(EventId("T"), EventId("Z"), 0.5, 0.01),),
                 duration=1.0,
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "name", ["duration", "period", "jitter", "probability", "delay", "rate"])
+    def test_rejects_non_finite_values(self, name, bad):
+        # Built, never generated: a trace from such a spec may never end.
+        v = dict(duration=1.0, period=0.1, jitter=0.0, probability=0.5, delay=0.01, rate=1.0)
+        v[name] = bad
+        with pytest.raises(InvalidSpec):
+            GeneratorSpec(
+                periodic=periodic(("A", v["period"], v["jitter"])),
+                triggered=(TriggeredMessage(EventId("T"), EventId("A"), v["probability"],
+                                            v["delay"]),),
+                rare=(RareMessage(EventId("R"), v["rate"]),),
+                duration=v["duration"],
             )
 
 
