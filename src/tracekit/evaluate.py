@@ -3,7 +3,9 @@
 Two complementary views:
 
 * ``next_event_accuracy`` is teacher-forced: every prediction reads the
-  true history before it.
+  true history before it. All those histories are known before the first
+  prediction, so the model makes them in one ``predict_along`` call (the
+  LSTM runs its windows batched).
 * ``align_and_classify`` mirrors how long rollouts are scored by hand: the
   predicted and true sequences are scanned together and every mismatch is
   explained as an omission (the model skipped a true event and stays in sync
@@ -30,6 +32,7 @@ from typing import Sequence
 
 from .core import Dictionary, EventId, encode_ids
 from .errors import DegenerateInput, LengthMismatch
+from .restore import NextEventPredictor
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +205,15 @@ def align_and_classify(
 # teacher-forced accuracy
 
 
-def next_event_accuracy(model, ids: Sequence[EventId], *, start: int) -> float:
-    """Teacher-forced 1-step accuracy from position ``start`` onward."""
+def next_event_accuracy(model: NextEventPredictor, ids: Sequence[EventId], *, start: int) -> float:
+    """Teacher-forced 1-step accuracy from position ``start`` onward: the
+    share of positions whose true id equals ``predict_next`` of the true ids
+    before it, computed by one ``predict_along`` call."""
     ids = [EventId(e) for e in ids]
     if not 1 <= start < len(ids):
         raise LengthMismatch(f"need 1 <= start < {len(ids)}")
-    history = ids[:start]
-    hits = 0
-    for true_id in ids[start:]:
-        if model.predict_next(history) == true_id:
-            hits += 1
-        history.append(true_id)
+    predictions = model.predict_along(ids, start)
+    hits = sum(p == t for p, t in zip(predictions, ids[start:]))
     return hits / (len(ids) - start)
 
 

@@ -12,9 +12,18 @@ Architecture (widths follow the vocabulary size V):
 * a sigmoid output layer of width V scoring the next event; multi-step
   prediction feeds each predicted event back in as input.
 
-Each recurrent layer runs over the whole window before the next layer
-starts: its input projection ``Wx·x + b`` is one matrix product for all steps,
-and only ``Wh·h`` and the gate arithmetic stay in the time loop.
+The kernel takes (B, T, V) windows: a leading window axis, then time.
+Each recurrent layer runs over the whole windows before the next layer
+starts: its input projection ``Wx·x + b`` is one matrix product for all
+steps, and only ``Wh·h`` and the gate arithmetic stay in the time loop,
+each step one product for all B windows. Training runs it with B=1 and
+keeps the caches its backward pass reads; a pass without gradients keeps
+none. Passes whose windows are all known up front (validation loss,
+teacher-forced prediction) go through ``outputs_along``: every window
+shorter than ``unroll_steps`` is a prefix of the sequence starting from the
+zero state, so one pass over the first ``unroll_steps`` events scores all
+of them, and the full-length windows run in chunks of ``INFERENCE_CHUNK``,
+which bounds the pass's memory.
 
 The loss is per-node binary cross-entropy summed over output nodes, and all
 gradients are exact reverse-mode derivatives through the unrolled stack,
@@ -57,6 +66,7 @@ from .errors import (
     EmptyTrainingSet,
     EmptyWindow,
     InsufficientTraces,
+    LengthMismatch,
     UntrainedModel,
     VersionMismatch,
 )
@@ -66,6 +76,8 @@ GRAD_CLIP_NORM = 5.0
 BASE_LR = 0.2
 LR_DECAY = 1.0 / 1.1
 _PROB_FLOOR = 1e-12
+# Full-length windows per batched inference pass: bounds the pass's memory.
+INFERENCE_CHUNK = 8
 
 _MAGIC = b"TKLSTMF\x00"
 _FORMAT_VERSION = 2
@@ -238,10 +250,10 @@ def sample_masks(config: NetworkConfig, steps: int, rng: np.random.Generator) ->
 # forward / backward over a window
 
 
-def _dense_forward(params, window, masks):
-    """The per-step feedforward stack, evaluated for all steps at once."""
+def _dense_forward(params, windows, masks):
+    """The per-step feedforward stack, evaluated for all windows and steps at once."""
     input_mask, (mask0, mask1), _ = masks
-    x0 = window * input_mask
+    x0 = windows * input_mask
     h1 = np.tanh(x0 @ params["dense0/w"].T + params["dense0/b"])
     h1d = h1 * mask0
     h2 = np.tanh(h1d @ params["dense1/w"].T + params["dense1/b"])
@@ -249,40 +261,51 @@ def _dense_forward(params, window, masks):
     return {"x0": x0, "h1": h1, "h1d": h1d, "h2": h2, "h2d": h2d}
 
 
-def _lstm_forward(params, prefix, inputs, mask):
-    """One recurrent layer over the whole window: (T, in) inputs to (T, H) outputs.
+def _lstm_forward(params, prefix, inputs, mask, keep_cache=False):
+    """One recurrent layer over whole windows: (B, T, in) inputs to (B, T, H) outputs.
 
     ``mask`` is the per-sequence inverted-dropout mask applied to the tanh
-    candidate vector; dropout that is off is a mask of 1.0. The returned
-    cache holds the (T, 4, H) normalized pre-activations and gates and the
-    (T+1, H) hidden and cell states, row 0 being the zero start state.
+    candidate vector; dropout that is off is a mask of 1.0. With
+    ``keep_cache`` the returned cache holds the (B, T, 4, H) normalized
+    pre-activations and gates and the (B, T+1, H) hidden and cell states,
+    step 0 being the zero start state; without it the cache is ``None``.
+    The states are stored time-major, so each step reads and writes one
+    contiguous (B, ·) block; outputs and cache are batch-first views.
     """
-    steps = inputs.shape[0]
-    wh = params[f"{prefix}/wh"]
-    width = wh.shape[1]
+    batch, steps = inputs.shape[:2]
+    wh_t = params[f"{prefix}/wh"].T
+    width = wh_t.shape[0]
     gain = params[f"{prefix}/gain"].reshape(4, width)
     shift = params[f"{prefix}/shift"].reshape(4, width)
-    pre_x = inputs @ params[f"{prefix}/wx"].T + params[f"{prefix}/b"]
+    pre_x = inputs @ params[f"{prefix}/wx"].T
+    pre_x += params[f"{prefix}/b"]
+    pre_x = pre_x.swapaxes(0, 1)
 
-    xhats = np.empty((steps, 4, width))
-    inv_stds = np.empty((steps, 4, 1))
-    gates = np.empty((steps, 4, width))
-    h = np.zeros((steps + 1, width))
-    c = np.zeros((steps + 1, width))
+    h = np.zeros((steps + 1, batch, width))
+    c = np.zeros((steps + 1, batch, width))
+    if keep_cache:
+        xhats = np.empty((steps, batch, 4, width))
+        inv_stds = np.empty((steps, batch, 4, 1))
+        gates = np.empty((steps, batch, 4, width))
     for t in range(steps):
-        # Layer-normalize the four gate blocks at once: rows of a (4, H) view.
-        pre = (pre_x[t] + wh @ h[t]).reshape(4, width)
-        centered = pre - pre.sum(axis=1, keepdims=True) / width
-        inv_stds[t] = 1.0 / np.sqrt((centered**2).sum(axis=1, keepdims=True) / width + LN_EPS)
-        xhats[t] = centered * inv_stds[t]
-        z = gain * xhats[t] + shift
-        gates[t] = _sigmoid(z)
-        gates[t, 2] = np.tanh(z[2])
-        gate_i, gate_f, cand, gate_o = gates[t]
+        # Layer-normalize the four gate blocks at once: rows of a (B, 4, H) view.
+        pre = (pre_x[t] + h[t] @ wh_t).reshape(batch, 4, width)
+        centered = pre - pre.sum(axis=2, keepdims=True) / width
+        inv_std = 1.0 / np.sqrt((centered**2).sum(axis=2, keepdims=True) / width + LN_EPS)
+        xhat = centered * inv_std
+        z = gain * xhat + shift
+        gate = _sigmoid(z)
+        gate[:, 2] = np.tanh(z[:, 2])
+        gate_i, gate_f, cand, gate_o = gate.swapaxes(0, 1)
         c[t + 1] = gate_f * c[t] + gate_i * (cand * mask)
         h[t + 1] = gate_o * np.tanh(c[t + 1])
-    return h[1:], {"inputs": inputs, "h": h, "c": c, "xhats": xhats,
-                   "inv_stds": inv_stds, "gates": gates}
+        if keep_cache:
+            xhats[t], inv_stds[t], gates[t] = xhat, inv_std, gate
+    outputs = h[1:].swapaxes(0, 1)
+    if not keep_cache:
+        return outputs, None
+    states = {"h": h, "c": c, "xhats": xhats, "inv_stds": inv_stds, "gates": gates}
+    return outputs, {"inputs": inputs} | {name: v.swapaxes(0, 1) for name, v in states.items()}
 
 
 def _lstm_backward(params, prefix, cache, d_out, mask, grads):
@@ -328,15 +351,19 @@ def _lstm_backward(params, prefix, cache, d_out, mask, grads):
     return d_pre @ params[f"{prefix}/wx"]
 
 
-def _forward(params, window, masks):
-    """Dense stack, both recurrent layers and the output layer; returns the
-    sigmoid outputs and the caches the backward pass reads."""
+def _forward(params, windows, masks, keep_cache=False):
+    """Dense stack and both recurrent layers over (B, T, V) windows; returns
+    the top layer's (B, T, H) outputs and the (dense, lstm0, lstm1) caches."""
     recurrent0, recurrent1 = masks[2]
-    dense = _dense_forward(params, window, masks)
-    y0, lstm0 = _lstm_forward(params, "lstm0", dense["h2d"], recurrent0)
-    y1, lstm1 = _lstm_forward(params, "lstm1", y0, recurrent1)
-    output = _sigmoid(params["out/w"] @ y1[-1] + params["out/b"])
-    return output, {"dense": dense, "lstm0": lstm0, "lstm1": lstm1}
+    dense = _dense_forward(params, windows, masks)
+    y0, lstm0 = _lstm_forward(params, "lstm0", dense["h2d"], recurrent0, keep_cache)
+    y1, lstm1 = _lstm_forward(params, "lstm1", y0, recurrent1, keep_cache)
+    return y1, (dense, lstm0, lstm1)
+
+
+def _output(params, top):
+    """The sigmoid output layer on top-layer states of any leading shape."""
+    return _sigmoid(top @ params["out/w"].T + params["out/b"])
 
 
 def _checked_window(model: "LstmModel", window: np.ndarray) -> np.ndarray:
@@ -360,7 +387,30 @@ def forward_window(model: "LstmModel", window: np.ndarray) -> np.ndarray:
     shorter than ``unroll_steps`` simply run fewer recurrence steps from the
     zero state.
     """
-    return _forward(model.params, _checked_window(model, window), NO_DROPOUT)[0]
+    top, _ = _forward(model.params, _checked_window(model, window)[None], NO_DROPOUT)
+    return _output(model.params, top[0, -1])
+
+
+def outputs_along(model: "LstmModel", encoded: np.ndarray) -> np.ndarray:
+    """Sigmoid outputs for every position 1..L-1 of an encoded (L, V) sequence.
+
+    Row ``k - 1`` scores position ``k`` from the window before it, as
+    ``forward_window(model, encoded[:k])`` does, up to rounding. Windows of
+    fewer than ``unroll_steps`` events are prefixes of the sequence that
+    start from the zero state, so one pass over the first
+    ``min(unroll_steps, L - 1)`` events gives all of them, read at every
+    step. The full-length windows run ``INFERENCE_CHUNK`` at a time.
+    """
+    params, unroll = model.params, model.config.unroll_steps
+    length = encoded.shape[0]
+    top, _ = _forward(params, encoded[None, : min(unroll, length - 1)], NO_DROPOUT)
+    outputs = [_output(params, top[0])]
+    for lo in range(1, length - unroll, INFERENCE_CHUNK):
+        starts = range(lo, min(lo + INFERENCE_CHUNK, length - unroll))
+        windows = np.stack([encoded[s : s + unroll] for s in starts])
+        top, _ = _forward(params, windows, NO_DROPOUT)
+        outputs.append(_output(params, top[:, -1]))
+    return np.concatenate(outputs)
 
 
 def loss_and_gradients(
@@ -377,22 +427,23 @@ def loss_and_gradients(
     target = np.asarray(target, dtype=np.float64)
     params = model.params
 
-    output, caches = _forward(params, window, masks)
+    top, caches = _forward(params, window[None], masks, keep_cache=True)
+    dense, lstm0, lstm1 = ({name: value[0] for name, value in cache.items()} for cache in caches)
+    output = _output(params, top[0, -1])
     loss = logloss(output, target)
 
     grads = {name: np.zeros_like(value) for name, value in params.items()}
     # d(loss)/d(logit) for sigmoid + binary cross-entropy.
     d_logits = output - target
-    grads["out/w"] += np.outer(d_logits, caches["lstm1"]["h"][-1])
+    grads["out/w"] += np.outer(d_logits, lstm1["h"][-1])
     grads["out/b"] += d_logits
     d_top = np.zeros((window.shape[0], model.config.lstm_width))
     d_top[-1] = params["out/w"].T @ d_logits
     _, (mask0, mask1), (recurrent0, recurrent1) = masks
-    d_y0 = _lstm_backward(params, "lstm1", caches["lstm1"], d_top, recurrent1, grads)
-    d_h2d = _lstm_backward(params, "lstm0", caches["lstm0"], d_y0, recurrent0, grads)
+    d_y0 = _lstm_backward(params, "lstm1", lstm1, d_top, recurrent1, grads)
+    d_h2d = _lstm_backward(params, "lstm0", lstm0, d_y0, recurrent0, grads)
 
     # Dense stack backward, all steps at once.
-    dense = caches["dense"]
     d_h2 = d_h2d * mask1
     d_a2 = d_h2 * (1.0 - dense["h2"] ** 2)
     grads["dense1/w"] += d_a2.T @ dense["h1d"]
@@ -453,6 +504,23 @@ class LstmModel:
         output = forward_window(self, encode_ids(tail, self.dictionary))
         return decode_index(int(np.argmax(output)), self.dictionary)
 
+    def predict_along(self, ids: Sequence[EventId | str], start: int) -> list[EventId]:
+        """Teacher-forced predictions: ``predict_next(ids[:k])`` for each ``k``
+        from ``start`` (at least 1) to ``len(ids) - 1``, up to rounding.
+
+        The windows are all known up front, so they run batched through
+        ``outputs_along``, which never reads ids more than ``unroll_steps``
+        before ``start``.
+        """
+        if not self.trained:
+            raise UntrainedModel("model has not been trained")
+        if start < 1:
+            raise LengthMismatch(f"predictions start at position 1, not {start}")
+        skip = max(0, start - self.config.unroll_steps)
+        outputs = outputs_along(self, encode_ids(ids[skip:], self.dictionary))
+        return [decode_index(int(i), self.dictionary)
+                for i in np.argmax(outputs[start - skip - 1 :], axis=1)]
+
     def prior_event(self) -> EventId:
         """Most frequent event of the training pool (leading-gap fallback)."""
         if not self.event_freq:
@@ -488,11 +556,11 @@ def _window_bounds(length: int, unroll: int) -> list[tuple[int, int]]:
 
 
 def _validation_loss(model: LstmModel, encoded: np.ndarray) -> float:
-    bounds = _window_bounds(encoded.shape[0], model.config.unroll_steps)
+    outputs = outputs_along(model, encoded)
     total = 0.0
-    for start, end in bounds:
-        total += logloss(forward_window(model, encoded[start:end]), encoded[end])
-    return total / len(bounds)
+    for output, target in zip(outputs, encoded[1:]):
+        total += logloss(output, target)
+    return total / len(outputs)
 
 
 def train(

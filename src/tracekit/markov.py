@@ -120,6 +120,16 @@ class MarkovModel:
         by_id = {decode_index(idx, self.dictionary): c for idx, c in self.counts[node].items()}
         return pick_most_frequent(by_id, self.dictionary)
 
+    def predict_along(self, ids: Sequence[EventId | str], start: int) -> list[EventId]:
+        """Teacher-forced predictions: ``predict_next(ids[:k])`` for each ``k``
+        from ``start`` to ``len(ids) - 1``."""
+        history = list(ids[:start])
+        predictions = []
+        for true_id in ids[start:]:
+            predictions.append(self.predict_next(history))
+            history.append(true_id)
+        return predictions
+
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:

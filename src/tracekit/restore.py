@@ -38,9 +38,17 @@ GAPPED_HEADER = "# tracekit-gapped v1"
 
 
 class NextEventPredictor(Protocol):
-    """Anything that maps an id context to the next id (both model families)."""
+    """Anything that maps an id context to the next id (both model families).
+
+    ``predict_along(ids, start)`` is the teacher-forced form: for each
+    ``k`` from ``start`` (at least 1) to ``len(ids) - 1`` it gives what
+    ``predict_next(ids[:k])`` gives, all in one call, so a model can batch
+    windows it knows up front.
+    """
 
     def predict_next(self, context: Sequence[EventId]) -> EventId: ...
+
+    def predict_along(self, ids: Sequence[EventId], start: int) -> list[EventId]: ...
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Shared fixtures: a synthetic dataset and a model trained on it.
 
-The trained model is expensive (tens of seconds), so it is session-scoped
-and shared between test modules. All seeds are pinned; every fixture is
-fully deterministic.
+The trained model is expensive (15-19 s of training on a shared 2-CPU VM,
+one BLAS thread), so it is session-scoped and shared between test modules.
+All seeds are pinned; every fixture is fully deterministic.
 """
 
 from __future__ import annotations

@@ -1,13 +1,17 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tracekit.core import Dictionary, EventId
-from tracekit.errors import DegenerateInput
+from tracekit.core import Dictionary, Event, EventId, Trace, build_dictionary
+from tracekit.errors import DegenerateInput, LengthMismatch, UntrainedModel
 from tracekit.evaluate import (
     AlignmentReport,
     align_and_classify,
+    next_event_accuracy,
     render_onehot_image,
 )
+from tracekit.lstm import INFERENCE_CHUNK, LstmModel, NetworkConfig
+from tracekit.markov import learn_transitions
 
 
 def ids(*tokens):
@@ -129,3 +133,68 @@ class TestRender:
         with pytest.raises(DegenerateInput):
             render_onehot_image([], d, tmp_path / "r.pgm")
         assert not (tmp_path / "r.pgm").exists()
+
+
+def shuffled_ids(length, seed, alphabet="ABCD"):
+    """A reproducible pseudo-random id sequence over ``alphabet``."""
+    rng = np.random.default_rng(seed)
+    return [EventId(alphabet[i]) for i in rng.integers(0, len(alphabet), length)]
+
+
+def random_lstm(unroll=6):
+    """An LSTM with jittered random weights over A-C, marked trained: its
+    argmax varies with the context, unlike a model trained to a cycle."""
+    dictionary = Dictionary(ids("A", "B", "C"))
+    config = NetworkConfig(vocab=dictionary.size, dense_width=5, lstm_width=7, unroll_steps=unroll)
+    model = LstmModel.initialize(config, dictionary, seed=3)
+    rng = np.random.default_rng(3)
+    for p in model.params.values():
+        p += rng.uniform(-0.5, 0.5, size=p.shape)
+    model.trained = True
+    model.event_freq = {EventId("A"): 1}
+    return model
+
+
+@pytest.fixture(params=["markov", "cyclic lstm", "random lstm"])
+def scored(request):
+    """A model of either family and a held-out id sequence to score it on."""
+    # Long enough that the LSTM's full windows end in a partial chunk.
+    if request.param == "markov":
+        pool = [Trace(tuple(Event(e, t * 0.1) for t, e in enumerate(shuffled_ids(300, 1))))]
+        return learn_transitions(pool, 3, build_dictionary(pool)), shuffled_ids(60, 2)
+    if request.param == "cyclic lstm":
+        model, traces = request.getfixturevalue("trained_cyclic_lstm")
+        return model, traces[-1].ids()
+    # D is outside the dictionary, so some windows hold OTHER.
+    return random_lstm(), shuffled_ids(6 + 3 * INFERENCE_CHUNK + 2, 3)
+
+
+def predict_next_loop(model, sequence, start):
+    """The reference: ``predict_next`` over the growing true history."""
+    return [model.predict_next(sequence[:k]) for k in range(start, len(sequence))]
+
+
+class TestNextEventAccuracy:
+    def test_predict_along_matches_predict_next(self, scored):
+        model, sequence = scored
+        for start in (1, 5, 6, 7, 20, len(sequence) - 1):
+            expected = predict_next_loop(model, sequence, start)
+            assert model.predict_along(sequence, start) == expected
+
+    def test_accuracy_counts_the_hits(self, scored):
+        model, sequence = scored
+        expected = predict_next_loop(model, sequence, 4)
+        hits = sum(p == t for p, t in zip(expected, sequence[4:]))
+        assert next_event_accuracy(model, sequence, start=4) == hits / (len(sequence) - 4)
+
+    @pytest.mark.parametrize("start", [0, -1, 12, 13])
+    def test_start_out_of_range(self, scored, start):
+        model, sequence = scored
+        with pytest.raises(LengthMismatch):
+            next_event_accuracy(model, sequence[:12], start=start)
+
+    def test_untrained_lstm_rejected(self):
+        model = random_lstm()
+        model.trained = False
+        with pytest.raises(UntrainedModel):
+            next_event_accuracy(model, shuffled_ids(10, 4, "ABC"), start=2)

@@ -14,6 +14,7 @@ from tracekit.errors import (
     VersionMismatch,
 )
 from tracekit.lstm import (
+    INFERENCE_CHUNK,
     NO_DROPOUT,
     LstmModel,
     NetworkConfig,
@@ -21,12 +22,15 @@ from tracekit.lstm import (
     _FORMAT_VERSION,
     _forward,
     _lstm_forward,
+    _output,
+    _validation_loss,
     clip_gradients,
     forward_window,
     init_parameters,
     load_model,
     logloss,
     loss_and_gradients,
+    outputs_along,
     parameters_checksum,
     sample_masks,
     save_model,
@@ -63,6 +67,12 @@ def random_target(config, rng):
     target = np.zeros(config.vocab)
     target[rng.integers(0, config.vocab)] = 1.0
     return target
+
+
+def window_output(params, window, masks):
+    """The kernel's sigmoid output for one (T, V) window, run as a batch of one."""
+    top, _ = _forward(params, window[None], masks)
+    return _output(params, top[0, -1])
 
 
 def assert_close(actual, expected):
@@ -122,9 +132,9 @@ class TestLstmLayer:
     def test_zero_parameters_give_zero_state(self):
         cfg = tiny_config()
         params = {k: np.zeros_like(v) for k, v in init_parameters(cfg, 0).items()}
-        inputs = np.ones((3, cfg.dense_width))
-        y, cache = _lstm_forward(params, "lstm0", inputs, 1.0)
-        assert y.shape == (3, cfg.lstm_width)
+        inputs = np.ones((1, 3, cfg.dense_width))
+        y, cache = _lstm_forward(params, "lstm0", inputs, 1.0, keep_cache=True)
+        assert y.shape == (1, 3, cfg.lstm_width)
         assert np.allclose(y, 0.0)
         assert np.allclose(cache["h"], 0.0)
         assert np.allclose(cache["c"], 0.0)
@@ -132,9 +142,9 @@ class TestLstmLayer:
     def test_inference_is_deterministic(self):
         cfg = tiny_config()
         params = init_parameters(cfg, 1)
-        inputs = np.random.default_rng(0).normal(size=(3, cfg.dense_width))
-        y1, cache1 = _lstm_forward(params, "lstm0", inputs, 1.0)
-        y2, cache2 = _lstm_forward(params, "lstm0", inputs, 1.0)
+        inputs = np.random.default_rng(0).normal(size=(1, 3, cfg.dense_width))
+        y1, cache1 = _lstm_forward(params, "lstm0", inputs, 1.0, keep_cache=True)
+        y2, cache2 = _lstm_forward(params, "lstm0", inputs, 1.0, keep_cache=True)
         assert np.array_equal(y1, y2)
         assert np.array_equal(cache1["c"], cache2["c"])
 
@@ -192,6 +202,34 @@ class TestForward:
         model = tiny_model(seed=5)
         window = random_window(model.config, np.random.default_rng(4), steps=4)
         assert np.array_equal(forward_window(model, window), forward_window(model, window))
+
+
+class TestOutputsAlong:
+    """The batched outputs against ``forward_window`` on each window."""
+
+    @pytest.mark.parametrize(
+        "length",
+        [4, 6, 6 + 2 * INFERENCE_CHUNK + 3],
+        ids=["shorter than unroll", "unroll + 1", "partial last chunk"],
+    )
+    def test_matches_forward_window(self, length):
+        cfg = tiny_config(unroll=5)
+        model = tiny_model(cfg, seed=40)
+        rng = np.random.default_rng(40)
+        for p in model.params.values():
+            p += rng.uniform(-0.3, 0.3, size=p.shape)
+        encoded = random_window(cfg, rng, steps=length)
+        outputs = outputs_along(model, encoded)
+        assert outputs.shape == (length - 1, cfg.vocab)
+        for k in range(1, length):
+            assert_close(outputs[k - 1], forward_window(model, encoded[:k]))
+
+    def test_validation_loss_is_the_per_window_mean(self):
+        cfg = tiny_config(unroll=5)
+        model = tiny_model(cfg, seed=41)
+        encoded = random_window(cfg, np.random.default_rng(41), steps=30)
+        losses = [logloss(forward_window(model, encoded[:k]), encoded[k]) for k in range(1, 30)]
+        assert _validation_loss(model, encoded) == pytest.approx(sum(losses) / 29, rel=1e-12)
 
 
 class TestLogloss:
@@ -267,9 +305,9 @@ class TestBackward:
             for i in range(0, flat.size, 7):  # sample every 7th component
                 orig = flat[i]
                 flat[i] = orig + h
-                lp = logloss(_forward(model.params, window, masks)[0], target)
+                lp = logloss(window_output(model.params, window, masks), target)
                 flat[i] = orig - h
-                lm = logloss(_forward(model.params, window, masks)[0], target)
+                lm = logloss(window_output(model.params, window, masks), target)
                 flat[i] = orig
                 fd = (lp - lm) / (2 * h)
                 worst = max(worst, abs(fd - gflat[i]) / max(1.0, abs(fd), abs(gflat[i])))
@@ -326,7 +364,7 @@ class TestGoldenValues:
             masks = sample_masks(cfg, 4, np.random.default_rng(22))
         golden = json.loads(Path(__file__).with_name("lstm_golden.json").read_text())[case]
         loss, grads = loss_and_gradients(model, window, target, masks)
-        assert_close(_forward(model.params, window, masks)[0], golden["output"])
+        assert_close(window_output(model.params, window, masks), golden["output"])
         assert_close(loss, golden["loss"])
         assert sorted(grads) == sorted(golden["grads"])
         for name, grad in grads.items():
