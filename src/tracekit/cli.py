@@ -8,6 +8,8 @@ errors. ``synth`` to ``mine`` each run the ``pipeline`` stage that
 writes. A directory argument is a pool of ``*.trace`` files. The
 readers refuse another artifact's header; ``mine`` also reads a ``.gapped``
 file, whose surviving events it mines, and ``predict`` rolls out either model.
+``train-markov`` and ``train-lstm`` train on their ``--train`` pool's own
+dictionary, the one ``dict`` writes for that pool.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ def _load_any_model(path: str | Path):
 
 
 def _pool_and_dictionary(args):
-    """The ``--train`` pool and the ``--dict`` dictionary, else the pool's own."""
+    """The ``--train`` pool and its dictionary, the one ``dict`` writes for it."""
     pool = read_pool(args.train)
-    return pool, read_dictionary(Path(args.dict)) if args.dict else build_dictionary(pool)
+    return pool, build_dictionary(pool)
 
 
 # ---------------------------------------------------------------------------
@@ -49,18 +51,6 @@ def _pool_and_dictionary(args):
 def _cmd_synth(args) -> int:
     traces = pipeline.synth(RunConfig.load(args.config), Path(args.out))
     print(f"synth: wrote {len(traces)} traces to {args.out}")
-    return 0
-
-
-def _cmd_ingest(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    total = 0
-    for src in args.files:
-        trace = read_trace(src)
-        write_trace(trace, out / f"{trace.label}.trace")
-        total += len(trace)
-    print(f"ingest: normalized {len(args.files)} files ({total} events) into {out}")
     return 0
 
 
@@ -98,10 +88,7 @@ def _cmd_train_lstm(args) -> int:
 
 def _cmd_inject_loss(args) -> int:
     spec = LossSpec(
-        fraction=args.fraction / 100.0,
-        mode=args.mode,
-        burst_length=args.burst_length,
-        seed=args.seed,
+        fraction=args.fraction / 100.0, burst_length=args.burst_length, seed=args.seed
     )
     gapped = pipeline.inject(read_trace(args.input), spec, Path(args.out))
     print(
@@ -228,11 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("ingest", help="validate and normalize trace files")
-    p.add_argument("--out", required=True)
-    p.add_argument("files", nargs="+")
-    p.set_defaults(func=_cmd_ingest)
-
     p = sub.add_parser("split", help="split a trace directory into train/test pools")
     p.add_argument("--config", required=True)
     p.add_argument("--in", dest="input", required=True)
@@ -247,14 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-markov", help="train the benchmark transition model")
     p.add_argument("--config", required=True)
     p.add_argument("--train", required=True)
-    p.add_argument("--dict")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_markov)
 
     p = sub.add_parser("train-lstm", help="train the recurrent network")
     p.add_argument("--config", required=True)
     p.add_argument("--train", required=True)
-    p.add_argument("--dict")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_lstm)
 
@@ -262,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--fraction", type=_percent, required=True, help="loss percent, e.g. 25")
-    p.add_argument("--mode", choices=("scattered", "burst"), default="scattered")
     p.add_argument("--burst-length", type=_int_at_least(1), default=1)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_inject_loss)

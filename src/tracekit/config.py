@@ -10,8 +10,10 @@ substreams, so there are no wall-clock defaults anywhere.
 bad value fails when the file is loaded, before any stage runs. The one
 exception is the generator spec, which needs a ``synth.periodic`` line that a
 config for real traces does not have: ``synth``, ``report``'s first stage,
-builds and checks it for each trace. The output directory is no key:
-``report --out`` names it and is required.
+builds and checks it for each trace. ``report`` also checks, before its
+first stage, that ``synth.traces`` fills ``split.train + split.test``;
+``split`` reads a directory of any size, so the file cannot. The output
+directory is no key: ``report --out`` names it and is required.
 
 A key left out takes the default of the stage spec it feeds, so each default
 is stated once. The network's dropout rates have no key: they keep their
@@ -35,7 +37,6 @@ Example::
     lstm.unroll = 40
     train.rounds = 4
     loss.fractions = 5 10 15 20 25
-    loss.mode = scattered
     loss.restorer = lstm
 """
 
@@ -71,7 +72,6 @@ _KNOWN_KEYS = _REPEATABLE | {
     "train.epochs_flat",
     "train.epochs_decay",
     "loss.fractions",
-    "loss.mode",
     "loss.burst_length",
     "loss.restorer",
     "eval.start",
@@ -108,7 +108,7 @@ class RunConfig:
     network: dict  # NetworkConfig fields the file sets
     schedule: TrainingSchedule
     loss_fractions: tuple[float, ...]
-    loss: LossSpec  # mode and burst length; fraction and seed come per call
+    loss: LossSpec  # burst length; fraction and seed come per call
     restorer: str
     eval_start: int | None  # None means the network's unroll
     source_text: str
@@ -222,7 +222,6 @@ class RunConfig:
             loss=_spec(
                 LossSpec,
                 fraction=0.0,
-                **given(one, mode="loss.mode"),
                 **given(integer, burst_length="loss.burst_length"),
             ),
             restorer=restorer,

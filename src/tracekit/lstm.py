@@ -707,7 +707,7 @@ def load_model(source: str | os.PathLike) -> LstmModel:
     for name, _ in manifest:
         shape = expected[name]
         nbytes = math.prod(shape) * 8
-        chunk = raw[offset : offset + nbytes]
+        chunk = body[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise CorruptModel(f"parameter {name!r} data truncated")
         params[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()

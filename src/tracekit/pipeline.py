@@ -36,7 +36,7 @@ from pathlib import Path
 from . import evaluate, lstm, markov, trem
 from .config import RunConfig
 from .core import Dictionary, EventId, Trace, build_dictionary
-from .errors import CorruptModel, VersionMismatch
+from .errors import ConfigError, CorruptModel, VersionMismatch
 from .ingest import read_text, split_traces, write_trace
 from .restore import GappedTrace, LossSpec, NextEventPredictor, inject_loss
 from .restore import predict_step_by_step, restore_trace, write_gapped
@@ -131,6 +131,9 @@ def mine(trace: Trace, dictionary: Dictionary, out: Path) -> trem.MiningReport:
 
 def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
     """Run the whole experiment; returns the summary also written to report.json."""
+    needed = config.split.train_count + config.split.test_count
+    if config.synth_traces < needed:
+        raise ConfigError(f"synth.traces = {config.synth_traces} cannot fill a split of {needed}")
     out = Path(out_dir)
     train_pool, test_pool = split(synth(config, out / "traces"), config, out / "split")
     vocabulary = dictionary(train_pool, out / "dict.txt")

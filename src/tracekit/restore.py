@@ -53,18 +53,19 @@ class NextEventPredictor(Protocol):
 
 @dataclass(frozen=True)
 class LossSpec:
-    """How much to remove and in what shape."""
+    """How much to remove and in what shape.
+
+    ``burst_length`` is the shape: the length of each lost run. Blocks of 1
+    are uniformly scattered loss.
+    """
 
     fraction: float
-    mode: str = "scattered"  # or "burst"
     burst_length: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction < 1.0:
             raise InvalidFraction(f"loss fraction must be in [0, 1), got {self.fraction}")
-        if self.mode not in ("scattered", "burst"):
-            raise ValueError(f"unknown loss mode {self.mode!r}")
         if self.burst_length < 1:
             raise ValueError("burst_length must be >= 1")
 
@@ -105,29 +106,24 @@ def inject_loss(trace: Trace, spec: LossSpec) -> GappedTrace:
     At least one event always survives, so every fraction in [0, 1) gives a
     valid gapped trace, however short the trace.
 
-    Scattered mode removes uniformly random positions. Burst mode cuts the
-    budget into blocks of ``burst_length`` (the last one truncated) and
-    places the k blocks uniformly among the surviving events by choosing k
-    of ``survivors + k`` places, so the budget is always met; adjacent
-    blocks form one gap.
+    The budget is cut into blocks of ``burst_length`` (the last one
+    truncated), and the k blocks are placed uniformly among the surviving
+    events by choosing k of ``survivors + k`` places, so the budget is
+    always met; adjacent blocks form one gap. Blocks of 1 are scattered
+    loss: k of ``len`` places are chosen, uniformly random positions.
     """
     if len(trace) < 1:
         raise DegenerateInput("cannot inject loss into an empty trace")
     length = len(trace)
     budget = min(round(spec.fraction * length), length - 1)
-    rng = random.Random(spec.seed)
-    if spec.mode == "scattered":
-        lost = set(rng.sample(range(length), budget))
-        missing = [pos in lost for pos in range(length)]
-    else:
-        full, rest = divmod(budget, spec.burst_length)
-        blocks = [spec.burst_length] * full + ([rest] if rest else [])
-        places = length - budget + len(blocks)
-        chosen = set(rng.sample(range(places), len(blocks)))
-        sizes = iter(blocks)
-        missing = []
-        for place in range(places):
-            missing.extend([True] * next(sizes) if place in chosen else [False])
+    full, rest = divmod(budget, spec.burst_length)
+    blocks = [spec.burst_length] * full + ([rest] if rest else [])
+    places = length - budget + len(blocks)
+    chosen = set(random.Random(spec.seed).sample(range(places), len(blocks)))
+    sizes = iter(blocks)
+    missing = []
+    for place in range(places):
+        missing.extend([True] * next(sizes) if place in chosen else [False])
     slots = tuple(None if gone else ev for ev, gone in zip(trace.events, missing))
     return GappedTrace(slots, label=trace.label)
 

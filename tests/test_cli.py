@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from tracekit import cli, lstm
-from tracekit.core import Event, EventId, Trace, build_dictionary
+from tracekit import cli, lstm, pipeline
+from tracekit.config import RunConfig
+from tracekit.core import Dictionary, Event, EventId, Trace, build_dictionary
 from tracekit.ingest import TRACE_HEADER, read_trace, write_trace
 from tracekit.markov import learn_transitions
 from tracekit.pipeline import DICT_HEADER
@@ -63,7 +64,7 @@ def restore_with(model_path, tmp_path):
 def assert_clean_failure(capsys, code):
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: ")
+    assert err.startswith(("error: ", "io error: "))
     assert "Traceback" not in err
     return err
 
@@ -158,6 +159,8 @@ BAD_INPUTS = {  # case: (argv, a fragment of the error message)
     "mining report repeats an instance": (["compare", "--original", "{d}/twice_mined.txt",
                                            "--other", "{d}/twice_mined.txt"],
                                           "duplicate (template, P, S)"),
+    "missing gapped file": (["restore", "--model", "{d}/markov.model", "--in", "{d}/missing.gapped",
+                             "--out", "{d}/r.trace"], "io error: [Errno 2] No such file"),
 }
 
 
@@ -209,18 +212,13 @@ def test_loss_of_every_event_keeps_one(tmp_path):
 def test_leading_gap_is_filled_from_the_dictionary(tmp_path, family):
     # 7F, the pool's most frequent id, is not in the dictionary, so the
     # prior that fills a leading gap must pool it as OTHER.
-    (tmp_path / "pool").mkdir()
-    for i, ids in enumerate(["7F 7F A 7F 7F B 7F", "7F B 7F 7F A 7F 7F"]):
-        events = tuple(Event(EventId(e), t * 0.1) for t, e in enumerate(ids.split()))
-        write_trace(Trace(events), tmp_path / "pool" / f"t{i}.trace")
-    (tmp_path / "dict.txt").write_text(f"{DICT_HEADER}\nA\nB\n")
-    (tmp_path / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in REPORT_CONFIG.items()))
+    pool = [Trace(tuple(Event(EventId(e), t * 0.1) for t, e in enumerate(ids.split())))
+            for ids in ["7F 7F A 7F 7F B 7F", "7F B 7F 7F A 7F 7F"]]
+    config = RunConfig.parse("".join(f"{k} = {v}\n" for k, v in REPORT_CONFIG.items()))
+    model = tmp_path / "model"
+    getattr(pipeline, f"train_{family}")(config, pool, Dictionary(("A", "B")), model)
     (tmp_path / "lossy.gapped").write_text(f"{GAPPED_HEADER}\n? 2\n1.0 A\n2.0 B\n")
-    model = str(tmp_path / "model")
-    assert cli.main([f"train-{family}", "--config", str(tmp_path / "run.cfg"),
-                     "--train", str(tmp_path / "pool"), "--dict", str(tmp_path / "dict.txt"),
-                     "--out", model]) == 0
-    assert cli.main(["restore", "--model", model, "--in", str(tmp_path / "lossy.gapped"),
+    assert cli.main(["restore", "--model", str(model), "--in", str(tmp_path / "lossy.gapped"),
                      "--out", str(tmp_path / "restored.trace")]) == 0
     restored = read_trace(tmp_path / "restored.trace").ids()
     assert restored[0] == "OTHER"
@@ -285,9 +283,11 @@ BAD_USAGE = {  # case: (argv, a fragment of the error message)
     "markov.order = 0": (["train-markov", "--train", "{d}/train", "--out", "{d}/m.model"],
                          "markov.order must be >= 1"),
     "loss.burst_length = 0": (["report", "--out", "{d}/report"], "burst_length must be >= 1"),
-    "loss.mode = bursty": (["report", "--out", "{d}/report"], "unknown loss mode 'bursty'"),
+    "loss.mode = bursty": (["report", "--out", "{d}/report"], "unknown key 'loss.mode'"),
     "train-markov: loss.mode = bursty": (["train-markov", "--train", "{d}/train",
-                                          "--out", "{d}/m.model"], "unknown loss mode 'bursty'"),
+                                          "--out", "{d}/m.model"], "unknown key 'loss.mode'"),
+    "synth.traces = 2": (["report", "--out", "{d}/report"],
+                         "synth.traces = 2 cannot fill a split of 3"),
     "report: lstm.unroll = 0": (["report", "--out", "{d}/report"], "unroll_steps must be >= 1"),
     "train.rounds = 0": (["report", "--out", "{d}/report"], "rounds must be >= 1"),
     "synth.periodic = A 0 0.1": (["report", "--out", "{d}/report"], "period of A must be > 0"),
@@ -300,8 +300,16 @@ BAD_USAGE = {  # case: (argv, a fragment of the error message)
                         "unrecognized arguments: --top-k -1"),
     "inject-loss --burst-length 0": (["inject-loss", "--in", "{d}/train/t0.trace",
                                       "--out", "{d}/x.gapped", "--fraction", "10", "--seed", "1",
-                                      "--mode", "burst", "--burst-length", "0"],
+                                      "--burst-length", "0"],
                                      "argument --burst-length: must be >= 1"),
+    "inject-loss --mode burst": (["inject-loss", "--in", "{d}/train/t0.trace",
+                                  "--out", "{d}/x.gapped", "--fraction", "10", "--seed", "1",
+                                  "--mode", "burst"], "unrecognized arguments: --mode burst"),
+    "train-markov --dict": (["train-markov", "--config", "{d}/run.cfg", "--train", "{d}/train",
+                             "--dict", "{d}/dict.txt", "--out", "{d}/m.model"],
+                            "unrecognized arguments: --dict"),
+    "ingest": (["ingest", "--out", "{d}/normalized", "{d}/train/t0.trace"],
+               "invalid choice: 'ingest'"),
     "inject-loss --fraction 150": (["inject-loss", "--in", "{d}/train/t0.trace",
                                     "--out", "{d}/x.gapped", "--fraction", "150", "--seed", "1"],
                                    "argument --fraction: must be in [0, 100), got 150"),

@@ -28,7 +28,6 @@ NON_DEFAULT_VALUES = {  # a valid value for each key, other than its default
     "train.epochs_flat": "1",
     "train.epochs_decay": "1",
     "loss.fractions": "10",
-    "loss.mode": "burst",
     "loss.burst_length": "2",
     "loss.restorer": "markov",
     "eval.start": "5",
@@ -104,10 +103,10 @@ class TestValues:
 
     def test_set_keys_override_the_spec_defaults(self):
         config = RunConfig.parse(
-            "seed = 1\nlstm.lstm_width = 7\ntrain.epochs_decay = 5\nloss.mode = burst\n")
+            "seed = 1\nlstm.lstm_width = 7\ntrain.epochs_decay = 5\nloss.burst_length = 3\n")
         assert config.network_config(5) == NetworkConfig.for_vocab(5, lstm_width=7)
         assert config.schedule.epochs_decay == 5
-        assert config.loss_spec(0.1, "t").mode == "burst"
+        assert config.loss_spec(0.1, "t").burst_length == 3
 
     def test_synthetic_traces_are_labelled_like_their_files(self):
         config = RunConfig.parse("seed = 1\nsynth.periodic = A 0.1 0.0\n")
@@ -153,7 +152,7 @@ class TestValues:
             ("train.epochs_flat = 0\ntrain.epochs_decay = 0",
              "bad TrainingSchedule values: a round needs at least one epoch"),
             ("loss.burst_length = 0", "bad LossSpec values: burst_length must be >= 1"),
-            ("loss.mode = bursty", "bad LossSpec values: unknown loss mode 'bursty'"),
+            ("loss.mode = bursty", "line 2: unknown key 'loss.mode'"),
             ("markov.order = 0", "markov.order must be >= 1, got 0"),
             ("synth.traces = many", "key 'synth.traces' must be an integer, got 'many'"),
             ("synth.traces = 0", "synth.traces must be >= 1, got 0"),

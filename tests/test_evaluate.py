@@ -71,6 +71,19 @@ class TestAlignmentProperties:
 
     @settings(deadline=None)
     @given(st.data())
+    def test_single_insertion_is_one_substitution(self, data):
+        tokens = data.draw(st.lists(st.sampled_from("ABCDE"), min_size=4, max_size=50))
+        pos = data.draw(st.integers(0, len(tokens)))
+        truth = ids(*tokens)
+        predicted = truth[:pos] + ids("X") + truth[pos:]
+        report = align_and_classify(predicted, truth)
+        assert report.substitutions == 1
+        assert report.omissions == report.ordering_mistakes == 0
+        assert report.correct == len(truth)
+        assert report.total == len(truth) + 1
+
+    @settings(deadline=None)
+    @given(st.data())
     def test_single_forward_move_is_one_ordering_mistake(self, data):
         # Unique symbols keep the displaced element unambiguous.
         size = data.draw(st.integers(14, 26))

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from tracekit.lstm import (
     NetworkConfig,
     TrainingSchedule,
     _FORMAT_VERSION,
+    _MAGIC,
     _forward,
     _lstm_forward,
     _output,
@@ -54,6 +57,11 @@ def tiny_model(config=None, seed=0):
     config = config or tiny_config()
     d = Dictionary(tuple(EventId(f"E{i}") for i in range(config.vocab - 1)))
     return LstmModel.initialize(config, d, seed=seed)
+
+
+def resigned(body):
+    """A model file of ``body`` with its checksum recomputed."""
+    return body + hashlib.sha256(body).digest()
 
 
 def random_window(config, rng, steps=None):
@@ -493,20 +501,35 @@ class TestSerialization:
         with pytest.raises(CorruptModel):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda raw: raw[: len(_MAGIC) + 4 + 8 + 31], "model file truncated"),
+            (lambda raw: b"X" + raw[1:], "bad magic string"),
+            (lambda raw: resigned(raw[: len(_MAGIC) + 4] + struct.pack("<Q", 4) + b"{no}"),
+             "unreadable header"),
+            (lambda raw: resigned(raw[:-32 - 8]), "data truncated"),
+            (lambda raw: resigned(raw[:-32] + bytes(8)), "trailing bytes after parameter data"),
+        ],
+        ids=["shorter than the fixed header", "bad magic", "header not JSON",
+             "parameter bytes cut", "trailing bytes"],
+    )
+    def test_damaged_file_rejected_with_its_own_message(self, tmp_path, damage, message):
+        path = tmp_path / "m.lstm"
+        save_model(tiny_model(seed=17), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(CorruptModel, match=message):
+            load_model(path)
+
     @pytest.mark.parametrize("version", [1, _FORMAT_VERSION + 1], ids=["v1", "next"])
     def test_version_mismatch_rejected(self, tmp_path, version):
-        import hashlib
-        import struct
-
-        from tracekit.lstm import _MAGIC
-
         model = tiny_model(seed=15)
         path = tmp_path / "m.lstm"
         save_model(model, path)
         raw = bytearray(path.read_bytes())
         struct.pack_into("<I", raw, len(_MAGIC), version)
         body = bytes(raw[:-32])
-        path.write_bytes(body + hashlib.sha256(body).digest())
+        path.write_bytes(resigned(body))
         with pytest.raises(VersionMismatch):
             load_model(path)
 
@@ -535,12 +558,6 @@ class TestSerialization:
              "event_freq count 0", "event_freq count a float", "trained a string"],
     )
     def test_bad_header_rejected(self, tmp_path, edit):
-        import hashlib
-        import json
-        import struct
-
-        from tracekit.lstm import _MAGIC
-
         path = tmp_path / "m.lstm"
         save_model(tiny_model(seed=16), path)
         raw = path.read_bytes()
@@ -550,6 +567,6 @@ class TestSerialization:
         edit(header)
         text = json.dumps(header, sort_keys=True).encode("utf-8")
         body = raw[:offset] + struct.pack("<Q", len(text)) + text + raw[offset + 8 + length : -32]
-        path.write_bytes(body + hashlib.sha256(body).digest())
+        path.write_bytes(resigned(body))
         with pytest.raises(CorruptModel):
             load_model(path)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,18 +220,30 @@ def set_line(i, line):
 ROOT = 3  # body line of node 0; node k is on line ROOT + k
 
 # Edits of TestSerialization.make_model's file that keep a valid checksum
-# but break the node list. Node 2 is `n 1 B ...`, node 3 is `n 2 C D:1`.
+# but break the header or the node list, each with its error message.
+# Node 2 is `n 1 B ...`, node 3 is `n 2 C D:1`.
 BAD_BODIES = {
-    "parent is the node itself": set_line(ROOT + 2, "n 2 B C:1,D:1"),
-    "parent after the node": set_line(ROOT + 2, "n 5 B C:1,D:1"),
-    "unknown symbol id": set_line(ROOT + 1, "n 0 Z B:3,C:1,D:1"),
-    "unknown successor id": set_line(ROOT + 3, "n 2 C Z:1"),
-    "duplicate parent and symbol": lambda lines: lines + [lines[ROOT + 1]],
-    "depth above order": set_line(1, "order 2"),
-    "zero count": set_line(ROOT + 3, "n 2 C D:0"),
-    "negative count": set_line(ROOT + 3, "n 2 C D:-1"),
-    "non-integer count": set_line(ROOT + 3, "n 2 C D:1.5"),
-    "non-root node without successors": set_line(ROOT + 3, "n 2 C "),
+    "parent is the node itself": (set_line(ROOT + 2, "n 2 B C:1,D:1"),
+                                  "node 2: parent 2 is not an earlier node"),
+    "parent after the node": (set_line(ROOT + 2, "n 5 B C:1,D:1"),
+                              "node 2: parent 5 is not an earlier node"),
+    "unknown symbol id": (set_line(ROOT + 1, "n 0 Z B:3,C:1,D:1"), "node 1: unknown id 'Z'"),
+    "unknown successor id": (set_line(ROOT + 3, "n 2 C Z:1"), "unknown id 'Z' in successors"),
+    "duplicate parent and symbol": (lambda lines: lines + [lines[ROOT + 1]], "duplicate child"),
+    "depth above order": (set_line(1, "order 2"), "depth 3 exceeds order"),
+    "zero count": (set_line(ROOT + 3, "n 2 C D:0"), "non-positive count"),
+    "negative count": (set_line(ROOT + 3, "n 2 C D:-1"), "non-positive count"),
+    "non-integer count": (set_line(ROOT + 3, "n 2 C D:1.5"), "malformed successors"),
+    "non-root node without successors": (set_line(ROOT + 3, "n 2 C "), "malformed successors"),
+    "bad first line": (set_line(0, "tracekit-markov"), "bad header"),
+    "no order line": (lambda lines: lines[:1] + lines[2:], "lacks order, vocab or root lines"),
+    "no vocab line": (lambda lines: lines[:2] + lines[3:], "lacks order, vocab or root lines"),
+    "non-integer order": (set_line(1, "order two"), "malformed model header"),
+    "order 0": (set_line(1, "order 0"), "order must be >= 1, got 0"),
+    "node line of 3 fields": (set_line(ROOT + 3, "n 2 C"), "malformed node line 3"),
+    "first node is not the root": (set_line(ROOT, "n 0 - A:1"), "first node line is not the root"),
+    "non-integer parent": (set_line(ROOT + 3, "n x C D:1"), "node 3: bad parent 'x'"),
+    "repeated successor": (set_line(ROOT + 3, "n 2 C D:1,D:1"), "duplicate successor"),
 }
 
 
@@ -270,12 +283,16 @@ class TestSerialization:
         with pytest.raises(CorruptModel):
             MarkovModel.from_text("\n".join(text.splitlines()[:-1]) + "\n")
 
-    @pytest.mark.parametrize("edit", BAD_BODIES.values(), ids=BAD_BODIES.keys())
-    def test_malformed_node_list_rejected(self, edit):
+    @pytest.mark.parametrize("edit, message", BAD_BODIES.values(), ids=BAD_BODIES.keys())
+    def test_malformed_node_list_rejected(self, edit, message):
         text = self.make_model().to_text()
         assert resign(text, lambda lines: lines) == text
-        with pytest.raises(CorruptModel):
+        with pytest.raises(CorruptModel, match=re.escape(message)):
             MarkovModel.from_text(resign(text, edit))
+
+    def test_empty_file_rejected(self):
+        with pytest.raises(CorruptModel, match="empty model file"):
+            MarkovModel.from_text("")
 
     def test_version_mismatch(self):
         text = self.make_model().to_text()

@@ -6,6 +6,7 @@ import pytest
 
 from tracekit import cli
 from tracekit.config import RunConfig
+from tracekit.ingest import read_trace
 
 TINY = """\
 seed = 5
@@ -71,11 +72,19 @@ def test_subcommands_reproduce_the_report(report):
     run("dict", "--in", chain / "split" / "train", "--out", chain / "dict.txt")
     for family in ("markov", "lstm"):
         run(f"train-{family}", "--config", cfg, "--train", chain / "split" / "train",
-            "--dict", chain / "dict.txt", "--out", chain / f"{family}.model")
+            "--out", chain / f"{family}.model")
     for tree in ("traces", "split"):
         assert digests(chain / tree) == digests(first / tree)
     for artifact in ("dict.txt", "markov.model", "lstm.model"):
         assert (chain / artifact).read_bytes() == (first / artifact).read_bytes()
+
+    # the raster of the first test trace's true continuation, after its rollout seed
+    probe = sorted((chain / "split" / "test").glob("*.trace"))[0]
+    seed_len = min(config.network_config(1).unroll_steps, max(1, len(read_trace(probe)) // 4))
+    run("render", "--in", probe, "--dict", chain / "dict.txt", "--start", seed_len,
+        "--length", 120, "--out", chain / "true_events.pgm")
+    raster = (first / "rasters" / "true_events.pgm").read_bytes()
+    assert (chain / "true_events.pgm").read_bytes() == raster
 
     def mine(trace, tag):
         run("mine", "--in", trace, "--dict", chain / "dict.txt",
@@ -94,8 +103,8 @@ def test_subcommands_reproduce_the_report(report):
             level.mkdir(exist_ok=True)
             gapped, restored = level / f"{label}.gapped", level / f"{label}.restored.trace"
             run("inject-loss", "--in", chain / "split" / "test" / f"{label}.trace",
-                "--out", gapped, "--fraction", pct, "--mode", spec.mode,
-                "--burst-length", spec.burst_length, "--seed", spec.seed)
+                "--out", gapped, "--fraction", pct, "--burst-length", spec.burst_length,
+                "--seed", spec.seed)
             run("restore", "--model", chain / f"{config.restorer}.model", "--in", gapped,
                 "--out", restored)
             mine(gapped, f"lossy_{pct:02d}_{label}")

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -74,7 +76,7 @@ class TestInjectLoss:
 
     def test_burst_mode_contiguity(self):
         trace = trace_of(*(["A"] * 200))
-        g = inject_loss(trace, LossSpec(fraction=0.1, mode="burst", burst_length=5, seed=5))
+        g = inject_loss(trace, LossSpec(fraction=0.1, burst_length=5, seed=5))
         assert g.missing_total() == 20
         sizes = [count for _, count in g.gaps()]
         # adjacent bursts merge, so every gap is a whole number of bursts
@@ -88,7 +90,7 @@ class TestInjectLoss:
         trace = trace_of(*(["A", "B"] * 12)[:length])
         budget = round(fraction * length)
         for seed in range(50):
-            spec = LossSpec(fraction=fraction, mode="burst", burst_length=burst_length, seed=seed)
+            spec = LossSpec(fraction=fraction, burst_length=burst_length, seed=seed)
             g = inject_loss(trace, spec)
             assert g.missing_total() == budget, seed
             assert all(slot in (None, ev) for slot, ev in zip(g.slots, trace.events))
@@ -97,10 +99,21 @@ class TestInjectLoss:
             assert all(size % burst_length == 0 for size in sizes[:-1]), seed
             assert sizes[-1] % burst_length == budget % burst_length, seed
 
+    @pytest.mark.parametrize("length", [1, 2, 7, 40, 301])
+    @pytest.mark.parametrize("fraction", [0.0, 0.05, 0.25, 0.5, 0.99])
+    def test_bursts_of_one_are_a_uniform_sample_of_positions(self, length, fraction):
+        """Blocks of 1 draw the lost positions as ``sample(range(len), budget)``."""
+        trace = trace_of(*(["A", "B", "C"] * 101)[:length])
+        budget = min(round(fraction * length), length - 1)
+        for seed in range(20):
+            g = inject_loss(trace, LossSpec(fraction, seed=seed))
+            lost = {pos for pos, slot in enumerate(g.slots) if slot is None}
+            assert lost == set(random.Random(seed).sample(range(length), budget)), seed
+
     def test_one_event_always_survives(self):
         """75 % of 2 events rounds to 2; the budget stops at 1."""
-        for mode in ("scattered", "burst"):
-            spec = LossSpec(fraction=0.75, mode=mode, burst_length=2, seed=1)
+        for burst_length in (1, 2):
+            spec = LossSpec(fraction=0.75, burst_length=burst_length, seed=1)
             assert inject_loss(trace_of("A", "B"), spec).missing_total() == 1
 
     def test_invalid_fraction(self):
@@ -253,12 +266,11 @@ class TestGappedFiles:
     @given(
         length=st.integers(1, 40),
         percent=st.integers(0, 99),
-        mode=st.sampled_from(["scattered", "burst"]),
         burst_length=st.integers(1, 6),
         seed=st.integers(0, 1000),
     )
-    def test_injected_loss_round_trips(self, length, percent, mode, burst_length, seed):
-        spec = LossSpec(fraction=percent / 100, mode=mode, burst_length=burst_length, seed=seed)
+    def test_injected_loss_round_trips(self, length, percent, burst_length, seed):
+        spec = LossSpec(fraction=percent / 100, burst_length=burst_length, seed=seed)
         g = inject_loss(trace_of(*("AB" * 20)[:length], label="t0"), spec)
         assert parse_gapped(serialize_gapped(g), g.label) == g
 
