@@ -23,7 +23,12 @@ teacher-forced prediction) go through ``outputs_along``: every window
 shorter than ``unroll_steps`` is a prefix of the sequence starting from the
 zero state, so one pass over the first ``unroll_steps`` events scores all
 of them, and the full-length windows run in chunks of ``INFERENCE_CHUNK``,
-which bounds the pass's memory.
+which bounds the pass's memory. Self-fed passes (restoration, rollout),
+whose windows end in events the model itself predicts, go through
+``LstmModel.fill``: a lockstep walk over the sequence that advances every
+window in flight at a position by one ``_lstm_step`` per recurrent layer,
+the step the window kernel runs, so at most ``unroll_steps + 1`` windows
+of state are held at once.
 
 The loss is per-node binary cross-entropy summed over output nodes, and all
 gradients are exact reverse-mode derivatives through the unrolled stack,
@@ -261,6 +266,47 @@ def _dense_forward(params, windows, masks):
     return {"x0": x0, "h1": h1, "h1d": h1d, "h2": h2, "h2d": h2d}
 
 
+def _step_weights(params, prefix):
+    """What ``_lstm_step`` reads of a layer: ``Wh`` transposed and the (4, H)
+    layer-norm gains and shifts."""
+    wh_t = params[f"{prefix}/wh"].T
+    width = wh_t.shape[0]
+    gain = params[f"{prefix}/gain"].reshape(4, width)
+    shift = params[f"{prefix}/shift"].reshape(4, width)
+    return wh_t, gain, shift
+
+
+def _input_projection(params, prefix, inputs):
+    """``Wx·x + b`` of a recurrent layer for inputs of any leading shape."""
+    pre_x = inputs @ params[f"{prefix}/wx"].T
+    pre_x += params[f"{prefix}/b"]
+    return pre_x
+
+
+def _lstm_step(weights, pre_x, h, c, mask):
+    """One time step of a recurrent layer for a (B, H) block of states.
+
+    ``pre_x`` is the step's input projection, (B, 4H) or one row that all B
+    windows share. Returns the new hidden and cell states, then the (B, 4, H)
+    normalized pre-activations, (B, 4, 1) inverse standard deviations and
+    (B, 4, H) gates that the backward pass reads.
+    """
+    wh_t, gain, shift = weights
+    batch, width = h.shape
+    # Layer-normalize the four gate blocks at once: rows of a (B, 4, H) view.
+    pre = (pre_x + h @ wh_t).reshape(batch, 4, width)
+    centered = pre - pre.sum(axis=2, keepdims=True) / width
+    inv_std = 1.0 / np.sqrt((centered**2).sum(axis=2, keepdims=True) / width + LN_EPS)
+    xhat = centered * inv_std
+    z = gain * xhat + shift
+    gate = _sigmoid(z)
+    gate[:, 2] = np.tanh(z[:, 2])
+    gate_i, gate_f, cand, gate_o = gate.swapaxes(0, 1)
+    c_next = gate_f * c + gate_i * (cand * mask)
+    h_next = gate_o * np.tanh(c_next)
+    return h_next, c_next, xhat, inv_std, gate
+
+
 def _lstm_forward(params, prefix, inputs, mask, keep_cache=False):
     """One recurrent layer over whole windows: (B, T, in) inputs to (B, T, H) outputs.
 
@@ -273,13 +319,9 @@ def _lstm_forward(params, prefix, inputs, mask, keep_cache=False):
     contiguous (B, ·) block; outputs and cache are batch-first views.
     """
     batch, steps = inputs.shape[:2]
-    wh_t = params[f"{prefix}/wh"].T
-    width = wh_t.shape[0]
-    gain = params[f"{prefix}/gain"].reshape(4, width)
-    shift = params[f"{prefix}/shift"].reshape(4, width)
-    pre_x = inputs @ params[f"{prefix}/wx"].T
-    pre_x += params[f"{prefix}/b"]
-    pre_x = pre_x.swapaxes(0, 1)
+    weights = _step_weights(params, prefix)
+    width = weights[0].shape[0]
+    pre_x = _input_projection(params, prefix, inputs).swapaxes(0, 1)
 
     h = np.zeros((steps + 1, batch, width))
     c = np.zeros((steps + 1, batch, width))
@@ -288,17 +330,7 @@ def _lstm_forward(params, prefix, inputs, mask, keep_cache=False):
         inv_stds = np.empty((steps, batch, 4, 1))
         gates = np.empty((steps, batch, 4, width))
     for t in range(steps):
-        # Layer-normalize the four gate blocks at once: rows of a (B, 4, H) view.
-        pre = (pre_x[t] + h[t] @ wh_t).reshape(batch, 4, width)
-        centered = pre - pre.sum(axis=2, keepdims=True) / width
-        inv_std = 1.0 / np.sqrt((centered**2).sum(axis=2, keepdims=True) / width + LN_EPS)
-        xhat = centered * inv_std
-        z = gain * xhat + shift
-        gate = _sigmoid(z)
-        gate[:, 2] = np.tanh(z[:, 2])
-        gate_i, gate_f, cand, gate_o = gate.swapaxes(0, 1)
-        c[t + 1] = gate_f * c[t] + gate_i * (cand * mask)
-        h[t + 1] = gate_o * np.tanh(c[t + 1])
+        h[t + 1], c[t + 1], xhat, inv_std, gate = _lstm_step(weights, pre_x[t], h[t], c[t], mask)
         if keep_cache:
             xhats[t], inv_stds[t], gates[t] = xhat, inv_std, gate
     outputs = h[1:].swapaxes(0, 1)
@@ -520,6 +552,61 @@ class LstmModel:
         outputs = outputs_along(self, encode_ids(ids[skip:], self.dictionary))
         return [decode_index(int(i), self.dictionary)
                 for i in np.argmax(outputs[start - skip - 1 :], axis=1)]
+
+    def fill(self, slots: Sequence[EventId | None]) -> list[EventId]:
+        """Replace each ``None`` in ``slots`` with ``predict_next`` of every id
+        before it, known or already predicted, up to rounding.
+
+        Lost slot ``q`` is scored from the window ``ids[max(0, q - unroll):q]``
+        started from the zero state, as ``predict_next`` scores it, but the
+        windows run in lockstep. The walk goes through the slots once, and
+        at each position it computes the event's dense stack and ``lstm0``
+        input projection once, then advances every window holding that
+        position by one batched step per recurrent layer. The windows of
+        lost slots up to ``unroll_steps`` are prefixes of one stream from
+        position 0, so at most ``unroll_steps + 1`` windows are in flight,
+        and the walk looks at most ``unroll_steps`` slots ahead.
+        """
+        lost = [slot is None for slot in slots]
+        if any(lost) and not self.trained:
+            raise UntrainedModel("model has not been trained")
+        params, unroll, length = self.params, self.config.unroll_steps, len(slots)
+        weights0, weights1 = _step_weights(params, "lstm0"), _step_weights(params, "lstm1")
+        # States (h0, c0, h1, c1) of the windows in flight, oldest first, and
+        # the position at which each window is read for the last time.
+        states = [np.zeros((0, self.config.lstm_width))] * 4
+        ends: list[int] = []
+        prefix_end = max((q - 1 for q in range(1, min(unroll + 1, length)) if lost[q]),
+                         default=None)
+        ids: list[EventId] = []
+        for p, slot in enumerate(slots):
+            if slot is not None:
+                ids.append(slot)
+            else:
+                ids.append(self.prior_event() if p == 0 else predicted)
+            # The window that starts here: the prefix stream, or lost slot p + unroll's.
+            end = prefix_end if p == 0 else None
+            if p and p + unroll < length and lost[p + unroll]:
+                end = p + unroll - 1
+            if end is not None:
+                states = [np.concatenate([s, np.zeros((1, s.shape[1]))]) for s in states]
+                ends.append(end)
+            if not ends:
+                continue
+            dense = _dense_forward(params, encode_ids([ids[p]], self.dictionary), NO_DROPOUT)
+            pre_x0 = _input_projection(params, "lstm0", dense["h2d"])
+            h0, c0, *_ = _lstm_step(weights0, pre_x0, states[0], states[1], 1.0)
+            pre_x1 = _input_projection(params, "lstm1", h0)
+            h1, c1, *_ = _lstm_step(weights1, pre_x1, states[2], states[3], 1.0)
+            states = [h0, c0, h1, c1]
+            # Lost slot p + 1 reads the oldest window in flight, and retires
+            # it when this is its last read.
+            if p + 1 < length and lost[p + 1]:
+                predicted = decode_index(int(np.argmax(_output(params, h1[0]))), self.dictionary)
+                if ends[0] == p:
+                    states = [s[1:] for s in states]
+                    del ends[0]
+        return ids
 
     def prior_event(self) -> EventId:
         """Most frequent event of the training pool (leading-gap fallback)."""

@@ -45,7 +45,13 @@ from pathlib import Path
 from typing import Sequence
 
 from .core import Dictionary, EventId, Trace, decode_index, pick_most_frequent
-from .errors import CorruptModel, EmptyTrainingSet, UntrainedModel, VersionMismatch
+from .errors import (
+    CorruptModel,
+    EmptyTrainingSet,
+    LengthMismatch,
+    UntrainedModel,
+    VersionMismatch,
+)
 from .ingest import read_text
 
 _FORMAT_NAME = "tracekit-markov"
@@ -122,13 +128,23 @@ class MarkovModel:
 
     def predict_along(self, ids: Sequence[EventId | str], start: int) -> list[EventId]:
         """Teacher-forced predictions: ``predict_next(ids[:k])`` for each ``k``
-        from ``start`` to ``len(ids) - 1``."""
+        from ``start`` (at least 1) to ``len(ids) - 1``."""
+        if start < 1:
+            raise LengthMismatch(f"predictions start at position 1, not {start}")
         history = list(ids[:start])
         predictions = []
         for true_id in ids[start:]:
             predictions.append(self.predict_next(history))
             history.append(true_id)
         return predictions
+
+    def fill(self, slots: Sequence[EventId | None]) -> list[EventId]:
+        """Replace each ``None`` in ``slots``, left to right, with
+        ``predict_next`` of every id before it, known or already predicted."""
+        ids: list[EventId] = []
+        for slot in slots:
+            ids.append(self.predict_next(ids) if slot is None else slot)
+        return ids
 
     # -- serialization ----------------------------------------------------
 

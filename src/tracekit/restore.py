@@ -4,10 +4,12 @@ A ``GappedTrace`` holds one slot per position of the original trace: the
 surviving event, or ``None`` where the event was lost. ``gaps()`` derives
 the maximal runs of lost slots.
 
-One loop, ``fill_gaps``, feeds a model its own predictions: it walks the
-slots' ids left to right and replaces each lost one with the model's
-prediction from every id before it, known or already predicted.
-``predict_step_by_step`` is that loop over a seed followed by lost slots.
+Each model family feeds itself its own predictions in its ``fill``: it
+walks the slots' ids left to right and replaces each lost one with its
+prediction from every id before it, known or already predicted. The
+Markov model loops over ``predict_next``; the LSTM steps every window in
+flight in lockstep. ``fill_gaps`` is the one call into it, and
+``predict_step_by_step`` is a fill of a seed followed by lost slots.
 Restoration is one fill of a gapped trace's slots followed by stamping:
 each filled event receives a timestamp linearly interpolated between the
 known events that flank its gap, so a restored trace has the original
@@ -41,14 +43,21 @@ class NextEventPredictor(Protocol):
     """Anything that maps an id context to the next id (both model families).
 
     ``predict_along(ids, start)`` is the teacher-forced form: for each
-    ``k`` from ``start`` (at least 1) to ``len(ids) - 1`` it gives what
-    ``predict_next(ids[:k])`` gives, all in one call, so a model can batch
-    windows it knows up front.
+    ``k`` from ``start`` (at least 1; less raises ``LengthMismatch``) to
+    ``len(ids) - 1`` it gives what ``predict_next(ids[:k])`` gives, all in
+    one call, so a model can batch windows it knows up front.
+
+    ``fill(slots)`` is the self-fed form: it replaces each ``None`` in
+    ``slots``, left to right, with what ``predict_next`` gives for every id
+    before it, known or already predicted, so a model can batch the windows
+    of lost slots that are in flight together.
     """
 
     def predict_next(self, context: Sequence[EventId]) -> EventId: ...
 
     def predict_along(self, ids: Sequence[EventId], start: int) -> list[EventId]: ...
+
+    def fill(self, slots: Sequence[EventId | None]) -> list[EventId]: ...
 
 
 @dataclass(frozen=True)
@@ -135,15 +144,13 @@ def inject_loss(trace: Trace, spec: LossSpec) -> GappedTrace:
 def fill_gaps(model: NextEventPredictor, slots: Sequence[EventId | None]) -> list[EventId]:
     """Replace every ``None`` in ``slots`` with ``model``'s next-event prediction.
 
-    Slots are filled left to right. Each prediction reads every id before
-    its slot, known or already predicted, so the model continues from its
-    own outputs, and the known ids after a gap re-synchronize the context.
-    A leading ``None`` reads the empty context. Known ids pass through.
+    Slots are filled left to right by ``model.fill``. Each prediction reads
+    every id before its slot, known or already predicted, so the model
+    continues from its own outputs, and the known ids after a gap
+    re-synchronize the context. A leading ``None`` reads the empty context.
+    Known ids pass through.
     """
-    ids: list[EventId] = []
-    for slot in slots:
-        ids.append(model.predict_next(ids) if slot is None else slot)
-    return ids
+    return model.fill(slots)
 
 
 def predict_step_by_step(

@@ -7,9 +7,10 @@ All seeds are pinned; every fixture is fully deterministic.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from tracekit.core import EventId, build_dictionary
+from tracekit.core import Dictionary, EventId, build_dictionary
 from tracekit.lstm import LstmModel, NetworkConfig, TrainingSchedule, train
 from tracekit.synth import GeneratorSpec, PeriodicMessage, generate_trace
 
@@ -46,3 +47,25 @@ def trained_cyclic_lstm(cyclic_traces):
     model = LstmModel.initialize(config, dictionary, seed=7)
     train(model, train_pool, TrainingSchedule(rounds=2, seed=7))
     return model, cyclic_traces
+
+
+@pytest.fixture(scope="session")
+def random_lstm():
+    """Builds an LSTM with jittered random weights over A-C, marked trained,
+    for a given unroll: its argmax varies with the context, unlike a model
+    trained to a cycle."""
+
+    def build(unroll):
+        dictionary = Dictionary((EventId("A"), EventId("B"), EventId("C")))
+        config = NetworkConfig(
+            vocab=dictionary.size, dense_width=5, lstm_width=7, unroll_steps=unroll
+        )
+        model = LstmModel.initialize(config, dictionary, seed=3)
+        rng = np.random.default_rng(3)
+        for p in model.params.values():
+            p += rng.uniform(-0.5, 0.5, size=p.shape)
+        model.trained = True
+        model.event_freq = {EventId("A"): 1}
+        return model
+
+    return build

@@ -10,7 +10,7 @@ from tracekit.evaluate import (
     next_event_accuracy,
     render_onehot_image,
 )
-from tracekit.lstm import INFERENCE_CHUNK, LstmModel, NetworkConfig
+from tracekit.lstm import INFERENCE_CHUNK
 from tracekit.markov import learn_transitions
 
 
@@ -154,20 +154,6 @@ def shuffled_ids(length, seed, alphabet="ABCD"):
     return [EventId(alphabet[i]) for i in rng.integers(0, len(alphabet), length)]
 
 
-def random_lstm(unroll=6):
-    """An LSTM with jittered random weights over A-C, marked trained: its
-    argmax varies with the context, unlike a model trained to a cycle."""
-    dictionary = Dictionary(ids("A", "B", "C"))
-    config = NetworkConfig(vocab=dictionary.size, dense_width=5, lstm_width=7, unroll_steps=unroll)
-    model = LstmModel.initialize(config, dictionary, seed=3)
-    rng = np.random.default_rng(3)
-    for p in model.params.values():
-        p += rng.uniform(-0.5, 0.5, size=p.shape)
-    model.trained = True
-    model.event_freq = {EventId("A"): 1}
-    return model
-
-
 @pytest.fixture(params=["markov", "cyclic lstm", "random lstm"])
 def scored(request):
     """A model of either family and a held-out id sequence to score it on."""
@@ -179,7 +165,8 @@ def scored(request):
         model, traces = request.getfixturevalue("trained_cyclic_lstm")
         return model, traces[-1].ids()
     # D is outside the dictionary, so some windows hold OTHER.
-    return random_lstm(), shuffled_ids(6 + 3 * INFERENCE_CHUNK + 2, 3)
+    model = request.getfixturevalue("random_lstm")(6)
+    return model, shuffled_ids(6 + 3 * INFERENCE_CHUNK + 2, 3)
 
 
 def predict_next_loop(model, sequence, start):
@@ -200,14 +187,20 @@ class TestNextEventAccuracy:
         hits = sum(p == t for p, t in zip(expected, sequence[4:]))
         assert next_event_accuracy(model, sequence, start=4) == hits / (len(sequence) - 4)
 
+    @pytest.mark.parametrize("start", [0, -1])
+    def test_predict_along_starts_at_position_1(self, scored, start):
+        model, sequence = scored
+        with pytest.raises(LengthMismatch, match="start at position 1"):
+            model.predict_along(sequence, start)
+
     @pytest.mark.parametrize("start", [0, -1, 12, 13])
     def test_start_out_of_range(self, scored, start):
         model, sequence = scored
         with pytest.raises(LengthMismatch):
             next_event_accuracy(model, sequence[:12], start=start)
 
-    def test_untrained_lstm_rejected(self):
-        model = random_lstm()
+    def test_untrained_lstm_rejected(self, random_lstm):
+        model = random_lstm(6)
         model.trained = False
         with pytest.raises(UntrainedModel):
             next_event_accuracy(model, shuffled_ids(10, 4, "ABC"), start=2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from tracekit.core import Event, EventId, Trace, build_dictionary, decode_index, encode_ids
-from tracekit.errors import DegenerateInput, InvalidFraction, MalformedLine
+from tracekit.errors import DegenerateInput, InvalidFraction, MalformedLine, UntrainedModel
 from tracekit.lstm import forward_window
 from tracekit.markov import learn_transitions
 from tracekit.restore import (
@@ -217,6 +217,61 @@ class TestFillGaps:
         restored = restore_trace(family_model, gapped_of(trace, *range(len(trace) - k, len(trace))))
         prefix = trace.ids()[:-k]
         assert restored.ids() == prefix + predict_step_by_step(family_model, prefix, k)
+
+
+def predict_next_loop(model, slots):
+    """The B=1 reference for ``fill``: ``predict_next`` over the growing ids."""
+    ids = []
+    for slot in slots:
+        ids.append(model.predict_next(ids) if slot is None else slot)
+    return ids
+
+
+UNROLL = 10  # of both LSTMs below
+
+# (length, lost positions) of each slot pattern.
+SLOT_PATTERNS = {
+    "leading gap": (40, range(0, 3)),
+    "lost inside the first unroll": (40, [1, 4, 5, 9, 10]),
+    "gap longer than unroll": (50, range(20, 20 + UNROLL + 5)),
+    "trailing rollout": (12 + 3 * UNROLL, range(12, 12 + 3 * UNROLL)),
+    "no lost slot": (30, []),
+    "one slot": (1, []),
+    "one known slot": (16, [i for i in range(16) if i != 5]),
+}
+
+
+@pytest.fixture(params=["cyclic lstm", "random lstm"])
+def lstm_and_ids(request, random_lstm):
+    """An LSTM of unroll ``UNROLL`` and an id sequence to cut slots from."""
+    if request.param == "cyclic lstm":
+        model, traces = request.getfixturevalue("trained_cyclic_lstm")
+        assert model.config.unroll_steps == UNROLL
+        return model, traces[-1].ids()
+    # D is outside the dictionary, so some windows hold OTHER.
+    rng = random.Random(5)
+    return random_lstm(UNROLL), [EventId(rng.choice("ABCD")) for _ in range(60)]
+
+
+class TestLockstepFill:
+    @pytest.mark.parametrize("pattern", SLOT_PATTERNS)
+    def test_matches_the_predict_next_loop(self, lstm_and_ids, pattern):
+        model, ids = lstm_and_ids
+        length, lost = SLOT_PATTERNS[pattern]
+        slots = [None if i in lost else eid for i, eid in enumerate(ids[:length])]
+        assert model.fill(slots) == predict_next_loop(model, slots)
+
+    @given(marks=st.lists(st.sampled_from(["A", "B", "C", "D", None]), max_size=40))
+    def test_any_slot_mask_matches_the_predict_next_loop(self, random_lstm, marks):
+        model = random_lstm(UNROLL)
+        slots = [None if m is None else EventId(m) for m in marks]
+        assert model.fill(slots) == predict_next_loop(model, slots)
+
+    def test_untrained_model_with_a_lost_slot_is_refused(self, random_lstm):
+        model = random_lstm(UNROLL)
+        model.trained = False
+        with pytest.raises(UntrainedModel):
+            model.fill([EventId("A"), None])
 
 
 class TestLstmRestore:
