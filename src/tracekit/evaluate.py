@@ -5,7 +5,7 @@ Two complementary views:
 * ``next_event_accuracy`` is teacher-forced: every prediction reads the
   true history before it. All those histories are known before the first
   prediction, so the model makes them in one ``predict_along`` call (the
-  LSTM runs its windows batched).
+  LSTM scores them all in one walk over the sequence).
 * ``align_and_classify`` mirrors how long rollouts are scored by hand: the
   predicted and true sequences are scanned together and every mismatch is
   explained as an omission (the model skipped a true event and stays in sync
@@ -63,10 +63,6 @@ class AlignmentReport:
         return self.omissions / self.total if self.total else 0.0
 
     @property
-    def events_per_ordering_mistake(self) -> float:
-        return self.total / self.ordering_mistakes if self.ordering_mistakes else float("inf")
-
-    @property
     def accuracy(self) -> float:
         return self.correct / self.total if self.total else 0.0
 
@@ -79,7 +75,6 @@ class AlignmentReport:
             "substitutions": self.substitutions,
             "accuracy": self.accuracy,
             "omission_rate": self.omission_rate,
-            "events_per_ordering_mistake": self.events_per_ordering_mistake,
         }
 
     def to_text(self) -> str:

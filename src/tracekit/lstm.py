@@ -12,23 +12,21 @@ Architecture (widths follow the vocabulary size V):
 * a sigmoid output layer of width V scoring the next event; multi-step
   prediction feeds each predicted event back in as input.
 
-The kernel takes (B, T, V) windows: a leading window axis, then time.
-Each recurrent layer runs over the whole windows before the next layer
+The window kernel takes (B, T, V) windows: a leading window axis, then
+time. Each recurrent layer runs over the whole windows before the next layer
 starts: its input projection ``Wx·x + b`` is one matrix product for all
-steps, and only ``Wh·h`` and the gate arithmetic stay in the time loop,
-each step one product for all B windows. Training runs it with B=1 and
-keeps the caches its backward pass reads; a pass without gradients keeps
-none. Passes whose windows are all known up front (validation loss,
-teacher-forced prediction) go through ``outputs_along``: every window
-shorter than ``unroll_steps`` is a prefix of the sequence starting from the
-zero state, so one pass over the first ``unroll_steps`` events scores all
-of them, and the full-length windows run in chunks of ``INFERENCE_CHUNK``,
-which bounds the pass's memory. Self-fed passes (restoration, rollout),
-whose windows end in events the model itself predicts, go through
-``LstmModel.fill``: a lockstep walk over the sequence that advances every
-window in flight at a position by one ``_lstm_step`` per recurrent layer,
-the step the window kernel runs, so at most ``unroll_steps + 1`` windows
-of state are held at once.
+steps, and only ``Wh·h`` and the gate arithmetic stay in the time loop.
+Training runs it on one window at a time and its backward pass reads the
+caches it keeps.
+
+Every inference pass over a sequence (validation loss, teacher-forced
+prediction, restoration, rollout) is one walk, ``_lockstep``: position ``q``
+is scored from the window ``ids[max(0, q - unroll_steps):q]`` started from
+the zero state, and the walk goes left to right, advancing every window in
+flight at a position by one ``_lstm_step`` per recurrent layer, the step
+the window kernel runs. At most ``unroll_steps + 1`` windows of state are
+held at once, and a position's id is read only after the output scoring it
+has been taken, so a self-fed pass can write its prediction there first.
 
 The loss is per-node binary cross-entropy summed over output nodes, and all
 gradients are exact reverse-mode derivatives through the unrolled stack,
@@ -52,7 +50,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,8 +79,6 @@ GRAD_CLIP_NORM = 5.0
 BASE_LR = 0.2
 LR_DECAY = 1.0 / 1.1
 _PROB_FLOOR = 1e-12
-# Full-length windows per batched inference pass: bounds the pass's memory.
-INFERENCE_CHUNK = 8
 
 _MAGIC = b"TKLSTMF\x00"
 _FORMAT_VERSION = 2
@@ -186,15 +182,6 @@ def init_parameters(config: NetworkConfig, seed: int) -> dict[str, np.ndarray]:
     params["out/w"] = uniform((v, h), h)
     params["out/b"] = np.zeros(v)
     return params
-
-
-def parameters_checksum(params: Mapping[str, np.ndarray]) -> str:
-    """SHA-256 fingerprint of all parameters, order-independent by name."""
-    digest = hashlib.sha256()
-    for name in sorted(params):
-        digest.update(name.encode("utf-8"))
-        digest.update(np.ascontiguousarray(params[name], dtype=np.float64).tobytes())
-    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +294,15 @@ def _lstm_step(weights, pre_x, h, c, mask):
     return h_next, c_next, xhat, inv_std, gate
 
 
-def _lstm_forward(params, prefix, inputs, mask, keep_cache=False):
+def _lstm_forward(params, prefix, inputs, mask):
     """One recurrent layer over whole windows: (B, T, in) inputs to (B, T, H) outputs.
 
     ``mask`` is the per-sequence inverted-dropout mask applied to the tanh
-    candidate vector; dropout that is off is a mask of 1.0. With
-    ``keep_cache`` the returned cache holds the (B, T, 4, H) normalized
-    pre-activations and gates and the (B, T+1, H) hidden and cell states,
-    step 0 being the zero start state; without it the cache is ``None``.
-    The states are stored time-major, so each step reads and writes one
-    contiguous (B, ·) block; outputs and cache are batch-first views.
+    candidate vector; dropout that is off is a mask of 1.0. The returned
+    cache holds the (B, T, 4, H) normalized pre-activations and gates and
+    the (B, T+1, H) hidden and cell states, step 0 being the zero start
+    state. The states are stored time-major, so each step reads and writes
+    one contiguous (B, ·) block; outputs and cache are batch-first views.
     """
     batch, steps = inputs.shape[:2]
     weights = _step_weights(params, prefix)
@@ -325,19 +311,16 @@ def _lstm_forward(params, prefix, inputs, mask, keep_cache=False):
 
     h = np.zeros((steps + 1, batch, width))
     c = np.zeros((steps + 1, batch, width))
-    if keep_cache:
-        xhats = np.empty((steps, batch, 4, width))
-        inv_stds = np.empty((steps, batch, 4, 1))
-        gates = np.empty((steps, batch, 4, width))
+    xhats = np.empty((steps, batch, 4, width))
+    inv_stds = np.empty((steps, batch, 4, 1))
+    gates = np.empty((steps, batch, 4, width))
     for t in range(steps):
-        h[t + 1], c[t + 1], xhat, inv_std, gate = _lstm_step(weights, pre_x[t], h[t], c[t], mask)
-        if keep_cache:
-            xhats[t], inv_stds[t], gates[t] = xhat, inv_std, gate
-    outputs = h[1:].swapaxes(0, 1)
-    if not keep_cache:
-        return outputs, None
+        h[t + 1], c[t + 1], xhats[t], inv_stds[t], gates[t] = _lstm_step(
+            weights, pre_x[t], h[t], c[t], mask
+        )
     states = {"h": h, "c": c, "xhats": xhats, "inv_stds": inv_stds, "gates": gates}
-    return outputs, {"inputs": inputs} | {name: v.swapaxes(0, 1) for name, v in states.items()}
+    cache = {"inputs": inputs} | {name: v.swapaxes(0, 1) for name, v in states.items()}
+    return h[1:].swapaxes(0, 1), cache
 
 
 def _lstm_backward(params, prefix, cache, d_out, mask, grads):
@@ -383,13 +366,13 @@ def _lstm_backward(params, prefix, cache, d_out, mask, grads):
     return d_pre @ params[f"{prefix}/wx"]
 
 
-def _forward(params, windows, masks, keep_cache=False):
+def _forward(params, windows, masks):
     """Dense stack and both recurrent layers over (B, T, V) windows; returns
     the top layer's (B, T, H) outputs and the (dense, lstm0, lstm1) caches."""
     recurrent0, recurrent1 = masks[2]
     dense = _dense_forward(params, windows, masks)
-    y0, lstm0 = _lstm_forward(params, "lstm0", dense["h2d"], recurrent0, keep_cache)
-    y1, lstm1 = _lstm_forward(params, "lstm1", y0, recurrent1, keep_cache)
+    y0, lstm0 = _lstm_forward(params, "lstm0", dense["h2d"], recurrent0)
+    y1, lstm1 = _lstm_forward(params, "lstm1", y0, recurrent1)
     return y1, (dense, lstm0, lstm1)
 
 
@@ -423,26 +406,52 @@ def forward_window(model: "LstmModel", window: np.ndarray) -> np.ndarray:
     return _output(model.params, top[0, -1])
 
 
-def outputs_along(model: "LstmModel", encoded: np.ndarray) -> np.ndarray:
-    """Sigmoid outputs for every position 1..L-1 of an encoded (L, V) sequence.
+def _lockstep(model: "LstmModel", ids: Sequence[EventId | str], scored: Sequence[bool]):
+    """Yields ``(q, output)`` for each position ``q >= 1`` with ``scored[q]``,
+    in order: the sigmoid output of the window ``ids[max(0, q - unroll):q]``
+    started from the zero state, as ``forward_window`` scores it, up to
+    rounding.
 
-    Row ``k - 1`` scores position ``k`` from the window before it, as
-    ``forward_window(model, encoded[:k])`` does, up to rounding. Windows of
-    fewer than ``unroll_steps`` events are prefixes of the sequence that
-    start from the zero state, so one pass over the first
-    ``min(unroll_steps, L - 1)`` events gives all of them, read at every
-    step. The full-length windows run ``INFERENCE_CHUNK`` at a time.
+    The windows run in lockstep. The walk goes through the positions once,
+    and at each position it computes the event's dense stack and ``lstm0``
+    input projection once, then advances every window holding that position
+    by one batched step per recurrent layer. The windows of scored positions
+    up to ``unroll`` are prefixes of one stream from position 0, so at most
+    ``unroll + 1`` windows are in flight. ``ids[p]`` is read only after the
+    output for ``p`` has been taken, and no id more than ``unroll`` positions
+    before the first scored one is read at all.
     """
-    params, unroll = model.params, model.config.unroll_steps
-    length = encoded.shape[0]
-    top, _ = _forward(params, encoded[None, : min(unroll, length - 1)], NO_DROPOUT)
-    outputs = [_output(params, top[0])]
-    for lo in range(1, length - unroll, INFERENCE_CHUNK):
-        starts = range(lo, min(lo + INFERENCE_CHUNK, length - unroll))
-        windows = np.stack([encoded[s : s + unroll] for s in starts])
-        top, _ = _forward(params, windows, NO_DROPOUT)
-        outputs.append(_output(params, top[:, -1]))
-    return np.concatenate(outputs)
+    params, unroll, length = model.params, model.config.unroll_steps, len(scored)
+    weights0, weights1 = _step_weights(params, "lstm0"), _step_weights(params, "lstm1")
+    # States (h0, c0, h1, c1) of the windows in flight, oldest first, and
+    # the position at which each window is read for the last time.
+    states = [np.zeros((0, model.config.lstm_width))] * 4
+    ends: list[int] = []
+    prefix_end = max((q - 1 for q in range(1, min(unroll + 1, length)) if scored[q]),
+                     default=None)
+    for p in range(length - 1):
+        # The window that starts here: the prefix stream, or position p + unroll's.
+        end = prefix_end if p == 0 else None
+        if p and p + unroll < length and scored[p + unroll]:
+            end = p + unroll - 1
+        if end is not None:
+            states = [np.concatenate([s, np.zeros((1, s.shape[1]))]) for s in states]
+            ends.append(end)
+        if not ends:
+            continue
+        dense = _dense_forward(params, encode_ids([ids[p]], model.dictionary), NO_DROPOUT)
+        pre_x0 = _input_projection(params, "lstm0", dense["h2d"])
+        h0, c0, *_ = _lstm_step(weights0, pre_x0, states[0], states[1], 1.0)
+        pre_x1 = _input_projection(params, "lstm1", h0)
+        h1, c1, *_ = _lstm_step(weights1, pre_x1, states[2], states[3], 1.0)
+        states = [h0, c0, h1, c1]
+        # Position p + 1 reads the oldest window in flight, and retires it
+        # when this is its last read.
+        if scored[p + 1]:
+            yield p + 1, _output(params, h1[0])
+            if ends[0] == p:
+                states = [s[1:] for s in states]
+                del ends[0]
 
 
 def loss_and_gradients(
@@ -459,7 +468,7 @@ def loss_and_gradients(
     target = np.asarray(target, dtype=np.float64)
     params = model.params
 
-    top, caches = _forward(params, window[None], masks, keep_cache=True)
+    top, caches = _forward(params, window[None], masks)
     dense, lstm0, lstm1 = ({name: value[0] for name, value in cache.items()} for cache in caches)
     output = _output(params, top[0, -1])
     loss = logloss(output, target)
@@ -538,74 +547,31 @@ class LstmModel:
 
     def predict_along(self, ids: Sequence[EventId | str], start: int) -> list[EventId]:
         """Teacher-forced predictions: ``predict_next(ids[:k])`` for each ``k``
-        from ``start`` (at least 1) to ``len(ids) - 1``, up to rounding.
-
-        The windows are all known up front, so they run batched through
-        ``outputs_along``, which never reads ids more than ``unroll_steps``
-        before ``start``.
-        """
+        from ``start`` (at least 1) to ``len(ids) - 1``, up to rounding, all
+        from one ``_lockstep`` walk."""
         if not self.trained:
             raise UntrainedModel("model has not been trained")
         if start < 1:
             raise LengthMismatch(f"predictions start at position 1, not {start}")
-        skip = max(0, start - self.config.unroll_steps)
-        outputs = outputs_along(self, encode_ids(ids[skip:], self.dictionary))
-        return [decode_index(int(i), self.dictionary)
-                for i in np.argmax(outputs[start - skip - 1 :], axis=1)]
+        scored = [k >= start for k in range(len(ids))]
+        return [decode_index(int(np.argmax(output)), self.dictionary)
+                for _, output in _lockstep(self, ids, scored)]
 
     def fill(self, slots: Sequence[EventId | None]) -> list[EventId]:
         """Replace each ``None`` in ``slots`` with ``predict_next`` of every id
         before it, known or already predicted, up to rounding.
 
-        Lost slot ``q`` is scored from the window ``ids[max(0, q - unroll):q]``
-        started from the zero state, as ``predict_next`` scores it, but the
-        windows run in lockstep. The walk goes through the slots once, and
-        at each position it computes the event's dense stack and ``lstm0``
-        input projection once, then advances every window holding that
-        position by one batched step per recurrent layer. The windows of
-        lost slots up to ``unroll_steps`` are prefixes of one stream from
-        position 0, so at most ``unroll_steps + 1`` windows are in flight,
-        and the walk looks at most ``unroll_steps`` slots ahead.
+        One ``_lockstep`` walk scores the lost slots, and each prediction is
+        written into its slot before the walk reads it as input.
         """
         lost = [slot is None for slot in slots]
         if any(lost) and not self.trained:
             raise UntrainedModel("model has not been trained")
-        params, unroll, length = self.params, self.config.unroll_steps, len(slots)
-        weights0, weights1 = _step_weights(params, "lstm0"), _step_weights(params, "lstm1")
-        # States (h0, c0, h1, c1) of the windows in flight, oldest first, and
-        # the position at which each window is read for the last time.
-        states = [np.zeros((0, self.config.lstm_width))] * 4
-        ends: list[int] = []
-        prefix_end = max((q - 1 for q in range(1, min(unroll + 1, length)) if lost[q]),
-                         default=None)
-        ids: list[EventId] = []
-        for p, slot in enumerate(slots):
-            if slot is not None:
-                ids.append(slot)
-            else:
-                ids.append(self.prior_event() if p == 0 else predicted)
-            # The window that starts here: the prefix stream, or lost slot p + unroll's.
-            end = prefix_end if p == 0 else None
-            if p and p + unroll < length and lost[p + unroll]:
-                end = p + unroll - 1
-            if end is not None:
-                states = [np.concatenate([s, np.zeros((1, s.shape[1]))]) for s in states]
-                ends.append(end)
-            if not ends:
-                continue
-            dense = _dense_forward(params, encode_ids([ids[p]], self.dictionary), NO_DROPOUT)
-            pre_x0 = _input_projection(params, "lstm0", dense["h2d"])
-            h0, c0, *_ = _lstm_step(weights0, pre_x0, states[0], states[1], 1.0)
-            pre_x1 = _input_projection(params, "lstm1", h0)
-            h1, c1, *_ = _lstm_step(weights1, pre_x1, states[2], states[3], 1.0)
-            states = [h0, c0, h1, c1]
-            # Lost slot p + 1 reads the oldest window in flight, and retires
-            # it when this is its last read.
-            if p + 1 < length and lost[p + 1]:
-                predicted = decode_index(int(np.argmax(_output(params, h1[0]))), self.dictionary)
-                if ends[0] == p:
-                    states = [s[1:] for s in states]
-                    del ends[0]
+        ids = list(slots)
+        if lost and lost[0]:
+            ids[0] = self.prior_event()
+        for q, output in _lockstep(self, ids, lost):
+            ids[q] = decode_index(int(np.argmax(output)), self.dictionary)
         return ids
 
     def prior_event(self) -> EventId:
@@ -633,8 +599,6 @@ class RoundMetrics:
     train_label: str
     val_label: str
     epochs: list[EpochMetrics]
-    checksum_start: str
-    checksum_end: str
 
 
 def _window_bounds(length: int, unroll: int) -> list[tuple[int, int]]:
@@ -642,12 +606,13 @@ def _window_bounds(length: int, unroll: int) -> list[tuple[int, int]]:
     return [(max(0, end - unroll), end) for end in range(1, length)]
 
 
-def _validation_loss(model: LstmModel, encoded: np.ndarray) -> float:
-    outputs = outputs_along(model, encoded)
+def _validation_loss(model: LstmModel, ids: Sequence[EventId]) -> float:
+    """Mean logloss of every position from 1 on, scored by one ``_lockstep`` walk."""
+    targets = encode_ids(ids, model.dictionary)
     total = 0.0
-    for output, target in zip(outputs, encoded[1:]):
-        total += logloss(output, target)
-    return total / len(outputs)
+    for q, output in _lockstep(model, ids, [True] * len(ids)):
+        total += logloss(output, targets[q])
+    return total / (len(ids) - 1)
 
 
 def train(
@@ -679,10 +644,9 @@ def train(
         picked = rng.choice(len(pool), size=2, replace=False)
         train_idx, val_idx = int(picked[0]), int(picked[1])
         train_mat = encoded_pool[train_idx]
-        val_mat = encoded_pool[val_idx]
+        val_ids = pool[val_idx].ids()
         bounds = _window_bounds(train_mat.shape[0], config.unroll_steps)
 
-        checksum_start = parameters_checksum(model.params)
         epoch_metrics: list[EpochMetrics] = []
         for epoch in range(1, schedule.epochs_flat + schedule.epochs_decay + 1):
             lr = schedule.learning_rate(epoch)
@@ -702,7 +666,7 @@ def train(
                     epoch=epoch,
                     learning_rate=lr,
                     train_logloss=running_loss / len(bounds),
-                    val_logloss=_validation_loss(model, val_mat),
+                    val_logloss=_validation_loss(model, val_ids),
                 )
             )
         history.append(
@@ -711,8 +675,6 @@ def train(
                 train_label=pool[train_idx].label,
                 val_label=pool[val_idx].label,
                 epochs=epoch_metrics,
-                checksum_start=checksum_start,
-                checksum_end=parameters_checksum(model.params),
             )
         )
     model.trained = True

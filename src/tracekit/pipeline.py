@@ -220,6 +220,6 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
         }
 
     (out / "report.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8"
     )
     return summary

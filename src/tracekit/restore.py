@@ -45,12 +45,14 @@ class NextEventPredictor(Protocol):
     ``predict_along(ids, start)`` is the teacher-forced form: for each
     ``k`` from ``start`` (at least 1; less raises ``LengthMismatch``) to
     ``len(ids) - 1`` it gives what ``predict_next(ids[:k])`` gives, all in
-    one call, so a model can batch windows it knows up front.
+    one call.
 
     ``fill(slots)`` is the self-fed form: it replaces each ``None`` in
     ``slots``, left to right, with what ``predict_next`` gives for every id
-    before it, known or already predicted, so a model can batch the windows
-    of lost slots that are in flight together.
+    before it, known or already predicted.
+
+    The LSTM runs both forms as one walk over the sequence that advances
+    every window in flight at a position together.
     """
 
     def predict_next(self, context: Sequence[EventId]) -> EventId: ...

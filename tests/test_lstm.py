@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tracekit.core import Dictionary, EventId, build_dictionary
+from tracekit import lstm
+from tracekit.core import Dictionary, EventId, build_dictionary, encode_ids
 from tracekit.errors import (
     CorruptModel,
     EmptyWindow,
@@ -16,7 +18,6 @@ from tracekit.errors import (
     VersionMismatch,
 )
 from tracekit.lstm import (
-    INFERENCE_CHUNK,
     NO_DROPOUT,
     LstmModel,
     NetworkConfig,
@@ -24,6 +25,7 @@ from tracekit.lstm import (
     _FORMAT_VERSION,
     _MAGIC,
     _forward,
+    _lockstep,
     _lstm_forward,
     _output,
     _validation_loss,
@@ -33,8 +35,6 @@ from tracekit.lstm import (
     load_model,
     logloss,
     loss_and_gradients,
-    outputs_along,
-    parameters_checksum,
     sample_masks,
     save_model,
     train,
@@ -141,7 +141,7 @@ class TestLstmLayer:
         cfg = tiny_config()
         params = {k: np.zeros_like(v) for k, v in init_parameters(cfg, 0).items()}
         inputs = np.ones((1, 3, cfg.dense_width))
-        y, cache = _lstm_forward(params, "lstm0", inputs, 1.0, keep_cache=True)
+        y, cache = _lstm_forward(params, "lstm0", inputs, 1.0)
         assert y.shape == (1, 3, cfg.lstm_width)
         assert np.allclose(y, 0.0)
         assert np.allclose(cache["h"], 0.0)
@@ -151,8 +151,8 @@ class TestLstmLayer:
         cfg = tiny_config()
         params = init_parameters(cfg, 1)
         inputs = np.random.default_rng(0).normal(size=(1, 3, cfg.dense_width))
-        y1, cache1 = _lstm_forward(params, "lstm0", inputs, 1.0, keep_cache=True)
-        y2, cache2 = _lstm_forward(params, "lstm0", inputs, 1.0, keep_cache=True)
+        y1, cache1 = _lstm_forward(params, "lstm0", inputs, 1.0)
+        y2, cache2 = _lstm_forward(params, "lstm0", inputs, 1.0)
         assert np.array_equal(y1, y2)
         assert np.array_equal(cache1["c"], cache2["c"])
 
@@ -212,32 +212,56 @@ class TestForward:
         assert np.array_equal(forward_window(model, window), forward_window(model, window))
 
 
-class TestOutputsAlong:
-    """The batched outputs against ``forward_window`` on each window."""
+def jittered_model(seed):
+    """A tiny model of unroll 5 whose weights are jittered off their init."""
+    model = tiny_model(tiny_config(unroll=5), seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in model.params.values():
+        p += rng.uniform(-0.3, 0.3, size=p.shape)
+    return model
+
+
+def random_ids(model, rng, length):
+    """Ids over the model's dictionary plus one unknown id, which encodes as OTHER."""
+    alphabet = [*model.dictionary.ids, EventId("unknown")]
+    return [alphabet[i] for i in rng.integers(0, len(alphabet), length)]
+
+
+def assert_walk_matches_forward_window(model, ids, scored):
+    """The walk yields exactly the scored positions from 1 on, each row the
+    output ``forward_window`` gives for the window before it."""
+    unroll = model.config.unroll_steps
+    rows = list(_lockstep(model, ids, scored))
+    assert [q for q, _ in rows] == [q for q in range(1, len(ids)) if scored[q]]
+    for q, output in rows:
+        window = encode_ids(ids[max(0, q - unroll) : q], model.dictionary)
+        assert_close(output, forward_window(model, window))
+
+
+class TestLockstep:
+    """The inference walk against ``forward_window`` on each window."""
 
     @pytest.mark.parametrize(
-        "length",
-        [4, 6, 6 + 2 * INFERENCE_CHUNK + 3],
-        ids=["shorter than unroll", "unroll + 1", "partial last chunk"],
+        "length", [4, 6, 17], ids=["shorter than unroll", "unroll + 1", "3 x unroll + 2"]
     )
-    def test_matches_forward_window(self, length):
-        cfg = tiny_config(unroll=5)
-        model = tiny_model(cfg, seed=40)
-        rng = np.random.default_rng(40)
-        for p in model.params.values():
-            p += rng.uniform(-0.3, 0.3, size=p.shape)
-        encoded = random_window(cfg, rng, steps=length)
-        outputs = outputs_along(model, encoded)
-        assert outputs.shape == (length - 1, cfg.vocab)
-        for k in range(1, length):
-            assert_close(outputs[k - 1], forward_window(model, encoded[:k]))
+    def test_every_position_matches_forward_window(self, length):
+        model = jittered_model(40)
+        ids = random_ids(model, np.random.default_rng(40), length)
+        assert_walk_matches_forward_window(model, ids, [True] * length)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scored=st.lists(st.booleans(), max_size=40), seed=st.integers(0, 2**16))
+    def test_any_scored_mask_matches_forward_window(self, scored, seed):
+        model = jittered_model(41)
+        ids = random_ids(model, np.random.default_rng(seed), len(scored))
+        assert_walk_matches_forward_window(model, ids, scored)
 
     def test_validation_loss_is_the_per_window_mean(self):
-        cfg = tiny_config(unroll=5)
-        model = tiny_model(cfg, seed=41)
-        encoded = random_window(cfg, np.random.default_rng(41), steps=30)
+        model = jittered_model(41)
+        ids = random_ids(model, np.random.default_rng(41), 30)
+        encoded = encode_ids(ids, model.dictionary)
         losses = [logloss(forward_window(model, encoded[:k]), encoded[k]) for k in range(1, 30)]
-        assert _validation_loss(model, encoded) == pytest.approx(sum(losses) / 29, rel=1e-12)
+        assert _validation_loss(model, ids) == pytest.approx(sum(losses) / 29, rel=1e-12)
 
 
 class TestLogloss:
@@ -422,11 +446,35 @@ def training_setup(rounds=1, seed=3):
     return model, pool, TrainingSchedule(rounds=rounds, seed=seed)
 
 
+def copy_params(params):
+    return {name: value.copy() for name, value in params.items()}
+
+
+def params_equal(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[name], b[name]) for name in a)
+
+
 @pytest.fixture(scope="module")
 def three_rounds():
-    """One 3-round training run, shared by the tests that only read its result."""
+    """One 3-round training run, shared by the tests that only read its
+    result, with copies of the weights at the start and end of every epoch."""
     model, pool, sched = training_setup(rounds=3)
-    return model, train(model, pool, sched)
+    starts, ends = [], []
+    learning_rate, validation_loss = TrainingSchedule.learning_rate, lstm._validation_loss
+
+    def recording_rate(schedule, epoch):
+        starts.append(copy_params(model.params))
+        return learning_rate(schedule, epoch)
+
+    def recording_loss(*args):
+        ends.append(copy_params(model.params))
+        return validation_loss(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TrainingSchedule, "learning_rate", recording_rate)
+        patch.setattr(lstm, "_validation_loss", recording_loss)
+        history = train(model, pool, sched)
+    return model, history, starts, ends
 
 
 class TestTraining:
@@ -436,7 +484,7 @@ class TestTraining:
             train(model, pool[:1], sched)
 
     def test_metrics_shape_and_lr_schedule(self, three_rounds):
-        _, history = three_rounds
+        _, history, _, _ = three_rounds
         assert len(history) == 3
         for round_metrics in history:
             assert len(round_metrics.epochs) == 30
@@ -445,20 +493,24 @@ class TestTraining:
             assert round_metrics.train_label != round_metrics.val_label
 
     def test_weights_carry_across_rounds(self, three_rounds):
-        _, history = three_rounds
-        for prev, nxt in zip(history, history[1:]):
-            assert prev.checksum_end == nxt.checksum_start
-        assert history[0].checksum_start != history[-1].checksum_end
+        # Every epoch, the first of a round included, starts on the weights
+        # the epoch before it ended on.
+        _, _, starts, ends = three_rounds
+        assert len(starts) == len(ends) == 90
+        for end, start in zip(ends, starts[1:]):
+            assert params_equal(start, end)
+        assert not params_equal(starts[0], ends[-1])
 
     def test_bitwise_determinism(self, three_rounds):
         # A fresh 1-round run ends bit for bit where the shared run's first
         # round ended, so a round also does not depend on the rounds after it.
         model, pool, sched = training_setup(rounds=1)
         train(model, pool, sched)
-        assert parameters_checksum(model.params) == three_rounds[1][0].checksum_end
+        ends = three_rounds[3]
+        assert params_equal(model.params, ends[29])  # the first round's last epoch
 
     def test_marks_trained_and_records_frequencies(self, three_rounds):
-        model, _ = three_rounds
+        model = three_rounds[0]
         assert model.trained
         assert model.prior_event() == "A"
 
@@ -480,7 +532,7 @@ class TestSerialization:
         assert again.dictionary == model.dictionary
         assert again.trained == model.trained
         assert again.event_freq == model.event_freq
-        assert parameters_checksum(again.params) == parameters_checksum(model.params)
+        assert params_equal(again.params, model.params)
 
     def test_truncated_file_rejected(self, tmp_path):
         model = tiny_model(seed=13)

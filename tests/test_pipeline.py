@@ -1,6 +1,7 @@
 """``tracekit report`` is byte-stable, and the subcommands reproduce its artifacts."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -61,6 +62,16 @@ def test_rerun_is_byte_identical(report):
     assert "markov.model" in expected and "lstm.model" in expected
     assert len([name for name in expected if name.startswith("mine/")]) == 2 + 2 * 2 * 2
     assert digests(d / "second") == expected
+
+
+def test_report_is_strict_json(report):
+    """A rollout with no ordering mistake still leaves no NaN or Infinity in the report."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    summary = json.loads((report[3] / "report.json").read_text(), parse_constant=refuse)
+    assert any(r["ordering_mistakes"] == 0 for r in summary["rollout"].values())
 
 
 def test_subcommands_reproduce_the_report(report):
