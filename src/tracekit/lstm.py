@@ -27,6 +27,11 @@ flight at a position by one ``_lstm_step`` per recurrent layer, the step
 the window kernel runs. At most ``unroll_steps + 1`` windows of state are
 held at once, and a position's id is read only after the output scoring it
 has been taken, so a self-fed pass can write its prediction there first.
+The walk multiplies by C-contiguous copies of both layers' ``Wh.T`` and of
+``lstm1``'s ``Wx.T``, about twice as fast at its batch sizes as the
+transposed views; training keeps the views, because at a batch of one the
+copy rounds differently and would change every model. The walk's ``lstm0``
+input row is computed once per dictionary index, on its first read.
 
 The loss is per-node binary cross-entropy summed over output nodes, and all
 gradients are exact reverse-mode derivatives through the unrolled stack,
@@ -276,21 +281,34 @@ def _lstm_step(weights, pre_x, h, c, mask):
     ``pre_x`` is the step's input projection, (B, 4H) or one row that all B
     windows share. Returns the new hidden and cell states, then the (B, 4, H)
     normalized pre-activations, (B, 4, 1) inverse standard deviations and
-    (B, 4, H) gates that the backward pass reads.
+    (B, 4, H) gates that the backward pass reads. The arithmetic runs in place
+    but in the order of the one-expression form the tests keep, so its bits
+    match it.
     """
     wh_t, gain, shift = weights
     batch, width = h.shape
     # Layer-normalize the four gate blocks at once: rows of a (B, 4, H) view.
-    pre = (pre_x + h @ wh_t).reshape(batch, 4, width)
-    centered = pre - pre.sum(axis=2, keepdims=True) / width
-    inv_std = 1.0 / np.sqrt((centered**2).sum(axis=2, keepdims=True) / width + LN_EPS)
-    xhat = centered * inv_std
-    z = gain * xhat + shift
-    gate = _sigmoid(z)
-    gate[:, 2] = np.tanh(z[:, 2])
+    xhat = h @ wh_t
+    xhat += pre_x
+    xhat = xhat.reshape(batch, 4, width)
+    xhat -= xhat.sum(axis=2, keepdims=True) / width
+    inv_std = 1.0 / np.sqrt((xhat**2).sum(axis=2, keepdims=True) / width + LN_EPS)
+    xhat *= inv_std
+    z = gain * xhat
+    z += shift
+    # The sigmoid 0.5 * (1 + tanh(z / 2)) of every block, then tanh of the candidate's.
+    gate = z / 2.0
+    np.tanh(gate, out=gate)
+    gate += 1.0
+    gate *= 0.5
+    np.tanh(z[:, 2], out=gate[:, 2])
     gate_i, gate_f, cand, gate_o = gate.swapaxes(0, 1)
-    c_next = gate_f * c + gate_i * (cand * mask)
-    h_next = gate_o * np.tanh(c_next)
+    c_next = gate_f * c
+    update = cand * mask
+    update *= gate_i
+    c_next += update
+    h_next = np.tanh(c_next)
+    h_next *= gate_o
     return h_next, c_next, xhat, inv_std, gate
 
 
@@ -413,16 +431,24 @@ def _lockstep(model: "LstmModel", ids: Sequence[EventId | str], scored: Sequence
     rounding.
 
     The windows run in lockstep. The walk goes through the positions once,
-    and at each position it computes the event's dense stack and ``lstm0``
-    input projection once, then advances every window holding that position
-    by one batched step per recurrent layer. The windows of scored positions
-    up to ``unroll`` are prefixes of one stream from position 0, so at most
-    ``unroll + 1`` windows are in flight. ``ids[p]`` is read only after the
-    output for ``p`` has been taken, and no id more than ``unroll`` positions
-    before the first scored one is read at all.
+    and at each position it takes the event's ``lstm0`` input row, computed
+    by the one-hot pass on the first read of its dictionary index, then
+    advances every window holding that position by one batched step per
+    recurrent layer, on contiguous weight copies taken once per walk. The
+    windows of scored positions up to ``unroll`` are prefixes of one stream
+    from position 0, so at most ``unroll + 1`` windows are in flight.
+    ``ids[p]`` is read only after the output for ``p`` has been taken, and no
+    id more than ``unroll`` positions before the first scored one is read at
+    all.
     """
     params, unroll, length = model.params, model.config.unroll_steps, len(scored)
-    weights0, weights1 = _step_weights(params, "lstm0"), _step_weights(params, "lstm1")
+    weights0, weights1 = (
+        (np.ascontiguousarray(wh_t), gain, shift)
+        for wh_t, gain, shift in (_step_weights(params, "lstm0"), _step_weights(params, "lstm1"))
+    )
+    wx1_t, b1 = np.ascontiguousarray(params["lstm1/wx"].T), params["lstm1/b"]
+    # The lstm0 input projection of each dictionary index read so far.
+    input_rows: dict[int, np.ndarray] = {}
     # States (h0, c0, h1, c1) of the windows in flight, oldest first, and
     # the position at which each window is read for the last time.
     states = [np.zeros((0, model.config.lstm_width))] * 4
@@ -439,10 +465,13 @@ def _lockstep(model: "LstmModel", ids: Sequence[EventId | str], scored: Sequence
             ends.append(end)
         if not ends:
             continue
-        dense = _dense_forward(params, encode_ids([ids[p]], model.dictionary), NO_DROPOUT)
-        pre_x0 = _input_projection(params, "lstm0", dense["h2d"])
-        h0, c0, *_ = _lstm_step(weights0, pre_x0, states[0], states[1], 1.0)
-        pre_x1 = _input_projection(params, "lstm1", h0)
+        index = model.dictionary.index_of(ids[p])
+        if index not in input_rows:
+            dense = _dense_forward(params, encode_ids([ids[p]], model.dictionary), NO_DROPOUT)
+            input_rows[index] = _input_projection(params, "lstm0", dense["h2d"])
+        h0, c0, *_ = _lstm_step(weights0, input_rows[index], states[0], states[1], 1.0)
+        pre_x1 = h0 @ wx1_t
+        pre_x1 += b1
         h1, c1, *_ = _lstm_step(weights1, pre_x1, states[2], states[3], 1.0)
         states = [h0, c0, h1, c1]
         # Position p + 1 reads the oldest window in flight, and retires it
@@ -719,7 +748,8 @@ def load_model(source: str | os.PathLike) -> LstmModel:
     offset += 4
     if version != _FORMAT_VERSION:
         raise VersionMismatch(f"unsupported model version {version}")
-    body, digest = raw[:-32], raw[-32:]
+    # A view, so the file's bytes are not copied again, whole or per parameter.
+    body, digest = memoryview(raw)[:-32], raw[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise CorruptModel("checksum mismatch")
     (header_len,) = struct.unpack_from("<Q", raw, offset)

@@ -69,3 +69,19 @@ def random_lstm():
         return model
 
     return build
+
+
+@pytest.fixture(scope="session")
+def wide_lstm():
+    """An LSTM at the benchmark's widths (V=17, dense 34, H=136, unroll 40)
+    with jittered random weights, marked trained. At these widths BLAS takes
+    the paths whose bits depend on the batch size and memory layout."""
+    dictionary = Dictionary(tuple(EventId(f"E{i}") for i in range(16)))
+    config = NetworkConfig(vocab=17, dense_width=34, lstm_width=136, unroll_steps=40)
+    model = LstmModel.initialize(config, dictionary, seed=17)
+    rng = np.random.default_rng(17)
+    for p in model.params.values():
+        p += rng.uniform(-0.3, 0.3, size=p.shape)
+    model.trained = True
+    model.event_freq = {EventId("E0"): 1}
+    return model

@@ -264,6 +264,107 @@ class TestLockstep:
         assert _validation_loss(model, ids) == pytest.approx(sum(losses) / 29, rel=1e-12)
 
 
+# Positions scored over 100 ids at the benchmark's widths, and the number of
+# windows the walk holds in flight at its busiest position.
+WIDE_MASKS = {
+    "one window": ([70], 1),
+    "two windows": ([60, 61], 2),
+    "prefix stream and two more": ([1, 5, 39, 41, 50], 3),
+    "every fifth": (range(3, 100, 5), 8),
+    "every position": (range(100), 40),
+}
+
+
+class TestLockstepAtBenchmarkWidths:
+    """The walk at V=17, dense 34, H=136 and unroll 40, where the bits of a
+    matrix product depend on its batch size and on the weights' layout."""
+
+    @pytest.mark.parametrize("mask", WIDE_MASKS)
+    def test_rows_match_forward_window(self, wide_lstm, mask, monkeypatch):
+        positions, in_flight = WIDE_MASKS[mask]
+        batches = []
+        step = lstm._lstm_step
+
+        def counting_step(weights, pre_x, h, c, recurrent_mask):
+            batches.append(h.shape[0])
+            return step(weights, pre_x, h, c, recurrent_mask)
+
+        monkeypatch.setattr(lstm, "_lstm_step", counting_step)
+        ids = random_ids(wide_lstm, np.random.default_rng(17), 100)
+        assert_walk_matches_forward_window(wide_lstm, ids, [q in positions for q in range(100)])
+        assert max(batches) == in_flight
+
+
+def one_expression_step(weights, pre_x, h, c, mask):
+    """``_lstm_step`` written one expression per quantity: the reference whose
+    bits training, every saved model and ``lstm_golden.json`` rest on."""
+    wh_t, gain, shift = weights
+    batch, width = h.shape
+    pre = (pre_x + h @ wh_t).reshape(batch, 4, width)
+    centered = pre - pre.sum(axis=2, keepdims=True) / width
+    inv_std = 1.0 / np.sqrt((centered**2).sum(axis=2, keepdims=True) / width + lstm.LN_EPS)
+    xhat = centered * inv_std
+    z = gain * xhat + shift
+    gate = 0.5 * (1.0 + np.tanh(z / 2.0))
+    gate[:, 2] = np.tanh(z[:, 2])
+    gate_i, gate_f, cand, gate_o = gate.swapaxes(0, 1)
+    c_next = gate_f * c + gate_i * (cand * mask)
+    h_next = gate_o * np.tanh(c_next)
+    return h_next, c_next, xhat, inv_std, gate
+
+
+class TestStepBits:
+    @pytest.mark.parametrize("batch, rows", [(1, 1), (8, 8), (8, 1)],
+                             ids=["B=1", "B=8", "B=8, one shared input row"])
+    def test_matches_the_one_expression_form(self, wide_lstm, batch, rows):
+        rng = np.random.default_rng(batch + rows)
+        width = wide_lstm.config.lstm_width
+        weights = lstm._step_weights(wide_lstm.params, "lstm1")
+        pre_x = rng.standard_normal((rows, 4 * width))
+        h, c = rng.standard_normal((2, batch, width))
+        recurrent_mask = (rng.random(width) >= 0.4) / 0.6
+        for mask in (recurrent_mask, 1.0):
+            got = lstm._lstm_step(weights, pre_x, h, c, mask)
+            want = one_expression_step(weights, pre_x, h, c, mask)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestInputRows:
+    """The walk computes each dictionary index's ``lstm0`` input row once."""
+
+    def test_fill_runs_the_dense_stack_once_per_distinct_id(self, wide_lstm, monkeypatch):
+        calls = []
+        dense_forward = lstm._dense_forward
+
+        def counting_dense_forward(*args):
+            calls.append(args)
+            return dense_forward(*args)
+
+        monkeypatch.setattr(lstm, "_dense_forward", counting_dense_forward)
+        ids = random_ids(wide_lstm, np.random.default_rng(18), 100)
+        filled = wide_lstm.fill([None if q % 4 == 0 else eid for q, eid in enumerate(ids)])
+        assert 0 < len(calls) <= len(set(filled))
+
+    def test_each_position_gets_its_ids_row(self, wide_lstm, monkeypatch):
+        inputs = []
+        step = lstm._lstm_step
+
+        def recording_step(weights, pre_x, *rest):
+            inputs.append(pre_x)
+            return step(weights, pre_x, *rest)
+
+        monkeypatch.setattr(lstm, "_lstm_step", recording_step)
+        ids = random_ids(wide_lstm, np.random.default_rng(19), 60)
+        list(_lockstep(wide_lstm, ids, [True] * len(ids)))
+        # One step per layer and position, lstm0 first; the last id is never read.
+        lstm0_inputs = inputs[0::2]
+        assert len(lstm0_inputs) == len(ids) - 1
+        params = wide_lstm.params
+        for eid, row in zip(ids, lstm0_inputs):
+            dense = lstm._dense_forward(params, encode_ids([eid], wide_lstm.dictionary), NO_DROPOUT)
+            assert np.array_equal(row, lstm._input_projection(params, "lstm0", dense["h2d"]))
+
+
 class TestLogloss:
     def test_perfect_prediction_near_zero(self):
         target = np.array([1.0, 0.0, 0.0])

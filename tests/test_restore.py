@@ -267,6 +267,18 @@ class TestLockstepFill:
         slots = [None if m is None else EventId(m) for m in marks]
         assert model.fill(slots) == predict_next_loop(model, slots)
 
+    @pytest.mark.parametrize(
+        "lost",
+        [[70], [60, 61], [0, 1, 5, 39, 41, 50], range(3, 100, 5), range(60, 100)],
+        ids=["one window", "two windows", "leading gap and prefix stream", "every fifth",
+             "trailing rollout"],
+    )
+    def test_matches_the_predict_next_loop_at_benchmark_widths(self, wide_lstm, lost):
+        rng = random.Random(17)
+        alphabet = [*wide_lstm.dictionary.ids, EventId("unknown")]
+        slots = [None if i in lost else rng.choice(alphabet) for i in range(100)]
+        assert wide_lstm.fill(slots) == predict_next_loop(wide_lstm, slots)
+
     def test_untrained_model_with_a_lost_slot_is_refused(self, random_lstm):
         model = random_lstm(UNROLL)
         model.trained = False
