@@ -37,7 +37,8 @@ class EventId(str):
         token = str(raw).strip().upper()
         if not token:
             raise ValueError("event id must be a non-empty token")
-        if any(ch.isspace() for ch in token):
+        # split() breaks at exactly the characters str.isspace() accepts.
+        if token.split() != [token]:
             raise ValueError(f"event id may not contain whitespace: {raw!r}")
         return super().__new__(cls, token)
 
@@ -117,7 +118,9 @@ class Dictionary:
 
     def index_of(self, eid: EventId | str) -> int:
         """Dense index of ``eid``; unknown ids map to the OTHER index."""
-        return self._index.get(EventId(eid), self.other_index)
+        if not isinstance(eid, EventId):
+            eid = EventId(eid)
+        return self._index.get(eid, self.other_index)
 
 
 def build_dictionary(traces: Sequence[Trace]) -> Dictionary:

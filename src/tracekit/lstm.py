@@ -732,8 +732,8 @@ def save_model(model: LstmModel, sink: str | os.PathLike) -> None:
     blob += header_bytes
     for name, _ in manifest:
         blob += np.ascontiguousarray(model.params[name], dtype="<f8").tobytes()
-    blob += hashlib.sha256(bytes(blob)).digest()
-    Path(sink).write_bytes(bytes(blob))
+    blob += hashlib.sha256(blob).digest()
+    Path(sink).write_bytes(blob)
 
 
 def load_model(source: str | os.PathLike) -> LstmModel:

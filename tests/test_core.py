@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tracekit.core import (
     Dictionary,
@@ -20,6 +20,11 @@ def trace_of(*ids, label=""):
     return Trace(tuple(Event(EventId(i), t * 0.1) for t, i in enumerate(ids)), label=label)
 
 
+# Whitespace by str.isspace() that is easy to miss: the C0 separators, NEL,
+# no-break space, line separator and ideographic space, besides space and tab.
+SPACES = "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000 \t"
+
+
 class TestEventId:
     def test_uppercase_normalization(self):
         assert EventId("b0") == "B0"
@@ -34,6 +39,16 @@ class TestEventId:
     def test_behaves_like_str(self):
         assert EventId("B0") in {"B0"}
         assert sorted([EventId("B2"), EventId("B0")]) == ["B0", "B2"]
+
+    @settings(max_examples=300)
+    @given(st.text(st.sampled_from(SPACES + "b0Zß") | st.characters(), max_size=6))
+    def test_rejects_exactly_empty_or_spaced_tokens(self, raw):
+        token = raw.strip().upper()
+        if not token or any(ch.isspace() for ch in token):
+            with pytest.raises(ValueError):
+                EventId(raw)
+        else:
+            assert EventId(raw) == token
 
 
 class TestEvent:
@@ -81,6 +96,13 @@ class TestDictionary:
             Dictionary((EventId("A"), EventId("A")))
         with pytest.raises(ValueError):  # would alias the OTHER slot
             Dictionary((EventId("A"), EventId("OTHER")))
+
+    @given(st.sampled_from(["b0", "2c6", "a", "7f"]), st.sampled_from(list(SPACES)))
+    def test_index_of_agrees_for_ids_and_plain_strings(self, raw, pad):
+        d = Dictionary((EventId("2C6"), EventId("B0"), EventId("A")))
+        index = d.index_of(EventId(raw))
+        assert index == d.index_of(raw) == d.index_of(pad + raw + pad)
+        assert index == (d.ids.index(raw.upper()) if raw.upper() in d.ids else d.other_index)
 
     def test_deterministic(self):
         traces = [trace_of("B0", "B2"), trace_of("2C6", "B0")]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -634,6 +635,22 @@ class TestSerialization:
         assert again.trained == model.trained
         assert again.event_freq == model.event_freq
         assert params_equal(again.params, model.params)
+
+    def test_benchmark_width_save_round_trips_without_copying_the_file(self, wide_lstm,
+                                                                       tmp_path):
+        path, again_path = tmp_path / "m.lstm", tmp_path / "again.lstm"
+        tracemalloc.start()
+        try:
+            save_model(wide_lstm, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < 1.5 * size
+        again = load_model(path)
+        assert params_equal(again.params, wide_lstm.params)
+        save_model(again, again_path)
+        assert again_path.read_bytes() == path.read_bytes()
 
     def test_truncated_file_rejected(self, tmp_path):
         model = tiny_model(seed=13)

@@ -1,11 +1,13 @@
 import hashlib
+import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tracekit import cli
-from tracekit.core import Dictionary, Event, EventId, Trace, build_dictionary
+from tracekit import markov
+from tracekit.core import Dictionary, Event, EventId, Trace, build_dictionary, decode_index
 from tracekit.errors import CorruptModel, EmptyTrainingSet, UntrainedModel, VersionMismatch
 from tracekit.ingest import write_trace
 from tracekit.markov import _FORMAT_VERSION, MarkovModel, learn_transitions
@@ -24,8 +26,6 @@ def learn(traces, order_n):
 
 def table_by_ids(model):
     """Every trie path as a k-gram of ids mapped to its successor counts."""
-    from tracekit.core import decode_index
-
     table = {}
     stack = [(0, ())]  # (node, its context read backwards from the last id)
     while stack:
@@ -219,6 +219,16 @@ def set_line(i, line):
 
 ROOT = 3  # body line of node 0; node k is on line ROOT + k
 
+# Malformed successor fields, each with its error message.
+BAD_SUCCESSORS = {
+    "unknown successor id": ("Z:1", "unknown id 'Z' in successors"),
+    "zero count": ("D:0", "non-positive count"),
+    "negative count": ("D:-1", "non-positive count"),
+    "non-integer count": ("D:1.5", "malformed successors"),
+    "non-root node without successors": ("", "malformed successors"),
+    "repeated successor": ("D:1,D:1", "duplicate successor"),
+}
+
 # Edits of TestSerialization.make_model's file that keep a valid checksum
 # but break the header or the node list, each with its error message.
 # Node 2 is `n 1 B ...`, node 3 is `n 2 C D:1`.
@@ -228,13 +238,8 @@ BAD_BODIES = {
     "parent after the node": (set_line(ROOT + 2, "n 5 B C:1,D:1"),
                               "node 2: parent 5 is not an earlier node"),
     "unknown symbol id": (set_line(ROOT + 1, "n 0 Z B:3,C:1,D:1"), "node 1: unknown id 'Z'"),
-    "unknown successor id": (set_line(ROOT + 3, "n 2 C Z:1"), "unknown id 'Z' in successors"),
     "duplicate parent and symbol": (lambda lines: lines + [lines[ROOT + 1]], "duplicate child"),
     "depth above order": (set_line(1, "order 2"), "depth 3 exceeds order"),
-    "zero count": (set_line(ROOT + 3, "n 2 C D:0"), "non-positive count"),
-    "negative count": (set_line(ROOT + 3, "n 2 C D:-1"), "non-positive count"),
-    "non-integer count": (set_line(ROOT + 3, "n 2 C D:1.5"), "malformed successors"),
-    "non-root node without successors": (set_line(ROOT + 3, "n 2 C "), "malformed successors"),
     "bad first line": (set_line(0, "tracekit-markov"), "bad header"),
     "no order line": (lambda lines: lines[:1] + lines[2:], "lacks order, vocab or root lines"),
     "no vocab line": (lambda lines: lines[:2] + lines[3:], "lacks order, vocab or root lines"),
@@ -243,7 +248,8 @@ BAD_BODIES = {
     "node line of 3 fields": (set_line(ROOT + 3, "n 2 C"), "malformed node line 3"),
     "first node is not the root": (set_line(ROOT, "n 0 - A:1"), "first node line is not the root"),
     "non-integer parent": (set_line(ROOT + 3, "n x C D:1"), "node 3: bad parent 'x'"),
-    "repeated successor": (set_line(ROOT + 3, "n 2 C D:1,D:1"), "duplicate successor"),
+    **{name: (set_line(ROOT + 3, f"n 2 C {field}"), message)
+       for name, (field, message) in BAD_SUCCESSORS.items()},
 }
 
 
@@ -323,3 +329,107 @@ class TestSerialization:
         model.save(path)
         again = MarkovModel.load(path)
         assert table_by_ids(again) == table_by_ids(model)
+
+
+def token_sorted_text(model):
+    """The writer before the rank table, kept as the reference: it sorts each
+    node's successors and children by comparing their id tokens."""
+    tokens = [decode_index(i, model.dictionary) for i in range(model.dictionary.size)]
+    children, counts = model.children, model.counts
+
+    def successors(node):
+        ordered = sorted(counts[node].items(), key=lambda kv: tokens[kv[0]])
+        return ",".join(f"{tokens[idx]}:{c}" for idx, c in ordered)
+
+    lines = [
+        f"tracekit-markov v{_FORMAT_VERSION}",
+        f"order {model.order_n}",
+        "vocab " + " ".join(model.dictionary.ids),
+    ]
+    stack = [(0, "-", "-")]
+    while stack:
+        node, token, parent = stack.pop()
+        position = len(lines) - 3
+        lines.append(f"n {parent} {token} {successors(node)}")
+        kids = sorted((tokens[sym], child) for sym, child in children[node].items())
+        stack.extend((child, tok, position) for tok, child in reversed(kids))
+    body = "\n".join(lines) + "\n"
+    return body + f"# sha256 {hashlib.sha256(body.encode('utf-8')).hexdigest()}\n"
+
+
+# Dictionary ids whose token order (10, 9, A, B, OTHER, Z) no dictionary
+# order shares, since OTHER is always the last index; trace ids add a
+# lowercase spelling, the reserved OTHER and an id outside the dictionary.
+WRITER_DICT_IDS = ("9", "10", "A", "B", "Z")
+WRITER_TRACE_IDS = ("9", "10", "A", "b", "z", "OTHER", "Q")
+
+
+class TestWriterOrder:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_the_token_sorting_writer(self, data):
+        dictionary = Dictionary(tuple(data.draw(st.permutations(WRITER_DICT_IDS))))
+        n_traces = data.draw(st.integers(1, 3))
+        traces = [
+            trace_of(*data.draw(st.lists(st.sampled_from(WRITER_TRACE_IDS),
+                                         min_size=8, max_size=40)))
+            for _ in range(n_traces)
+        ]
+        model = learn_transitions(traces, data.draw(st.integers(1, 6)), dictionary)
+        # Below the root too, some node has several successors and some
+        # several children, so both sorted paths run besides the direct ones.
+        assume(any(len(c) > 1 for c in model.counts[1:]))
+        assume(any(len(k) > 1 for k in model.children[1:]))
+        assert model.to_text() == token_sorted_text(model)
+
+
+def motif_model(order_n=20):
+    """A model of thousands of nodes whose successor fields repeat often."""
+    rng = random.Random(5)
+    ids = [eid for _ in range(120) for eid in rng.choice(["ABAC", "ABD", "AEF", "ABACD"])]
+    return learn([trace_of(*ids)], order_n=order_n)
+
+
+def successor_fields(text):
+    return [line.split(" ")[3] for line in text.splitlines()[3:-1]]
+
+
+class TestParseCache:
+    def test_parses_each_distinct_successor_field_once(self, monkeypatch):
+        text = motif_model().to_text()
+        calls = []
+        parse_counts = markov._parse_counts
+
+        def counting_parse_counts(field_text, index):
+            calls.append(field_text)
+            return parse_counts(field_text, index)
+
+        monkeypatch.setattr(markov, "_parse_counts", counting_parse_counts)
+        again = MarkovModel.from_text(text)
+        fields = successor_fields(text)
+        assert len(fields) > 2000
+        assert sorted(calls) == sorted(set(fields))
+        assert again.to_text() == text
+
+    def test_every_node_owns_its_counts(self):
+        dictionary = build_dictionary([trace_of(*"ABACDEF")])
+        first, second = trace_of(*"ABACABACABDABAC"), trace_of(*"ABACAEFABACD")
+        loaded = MarkovModel.from_text(
+            learn_transitions([first], 4, dictionary).to_text()
+        )
+        loaded.learn_trace(second)
+        both = learn_transitions([first, second], 4, dictionary)
+        assert loaded.to_text() == both.to_text()
+
+    @pytest.mark.parametrize("field, message", BAD_SUCCESSORS.values(),
+                             ids=BAD_SUCCESSORS.keys())
+    def test_bad_field_on_the_last_line_is_still_rejected(self, field, message):
+        text = motif_model().to_text()
+        assert len(successor_fields(text)) > 2000
+
+        def break_last_node(lines):
+            parts = lines[-1].split(" ")
+            return lines[:-1] + [" ".join(parts[:3] + [field])]
+
+        with pytest.raises(CorruptModel, match=re.escape(message)):
+            MarkovModel.from_text(resign(text, break_last_node))
