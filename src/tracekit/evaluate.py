@@ -3,9 +3,9 @@
 Two complementary views:
 
 * ``next_event_accuracy`` is teacher-forced: every prediction reads the
-  true history before it. All those histories are known before the first
-  prediction, so the model makes them in one ``predict_along`` call (the
-  LSTM scores them all in one walk over the sequence).
+  true history before it. It is the one teacher-forced loop: one
+  ``walk`` of the model over the true ids, scoring every position from
+  ``start`` on (the LSTM scores them all in one lockstep walk).
 * ``align_and_classify`` mirrors how long rollouts are scored by hand: the
   predicted and true sequences are scanned together and every mismatch is
   explained as an omission (the model skipped a true event and stays in sync
@@ -203,12 +203,12 @@ def align_and_classify(
 def next_event_accuracy(model: NextEventPredictor, ids: Sequence[EventId], *, start: int) -> float:
     """Teacher-forced 1-step accuracy from position ``start`` onward: the
     share of positions whose true id equals ``predict_next`` of the true ids
-    before it, computed by one ``predict_along`` call."""
+    before it, computed by one ``walk`` over the true ids."""
     ids = [EventId(e) for e in ids]
     if not 1 <= start < len(ids):
         raise LengthMismatch(f"need 1 <= start < {len(ids)}")
-    predictions = model.predict_along(ids, start)
-    hits = sum(p == t for p, t in zip(predictions, ids[start:]))
+    scored = [q >= start for q in range(len(ids))]
+    hits = sum(predicted == ids[q] for q, predicted in model.walk(ids, scored))
     return hits / (len(ids) - start)
 
 

@@ -12,12 +12,13 @@ Architecture (widths follow the vocabulary size V):
 * a sigmoid output layer of width V scoring the next event; multi-step
   prediction feeds each predicted event back in as input.
 
-The window kernel takes (B, T, V) windows: a leading window axis, then
-time. Each recurrent layer runs over the whole windows before the next layer
-starts: its input projection ``Wx·x + b`` is one matrix product for all
-steps, and only ``Wh·h`` and the gate arithmetic stay in the time loop.
-Training runs it on one window at a time and its backward pass reads the
-caches it keeps.
+The window kernel takes one (T, V) window. Each recurrent layer runs over
+the whole window before the next layer starts: its input projection
+``Wx·x + b`` is one matrix product for all steps, and only ``Wh·h`` and the
+gate arithmetic stay in the time loop. Training runs it on each window, and
+its backward pass reads the time-major caches it keeps; ``forward_window``
+runs it without dropout as the reference the inference walk is tested
+against.
 
 Every inference pass over a sequence (validation loss, teacher-forced
 prediction, restoration, rollout) is one walk, ``_lockstep``: position ``q``
@@ -26,7 +27,10 @@ the zero state, and the walk goes left to right, advancing every window in
 flight at a position by one ``_lstm_step`` per recurrent layer, the step
 the window kernel runs. At most ``unroll_steps + 1`` windows of state are
 held at once, and a position's id is read only after the output scoring it
-has been taken, so a self-fed pass can write its prediction there first.
+has been taken. ``LstmModel.walk`` turns those outputs into predicted ids,
+so the self-fed loop of ``restore.fill_gaps`` can write each prediction
+into its slot before the walk reads it as input, and the teacher-forced
+loop of ``evaluate.next_event_accuracy`` reads the true ids.
 The walk multiplies by C-contiguous copies of both layers' ``Wh.T`` and of
 ``lstm1``'s ``Wx.T``, about twice as fast at its batch sizes as the
 transposed views; training keeps the views, because at a batch of one the
@@ -55,7 +59,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -74,7 +78,6 @@ from .errors import (
     EmptyTrainingSet,
     EmptyWindow,
     InsufficientTraces,
-    LengthMismatch,
     UntrainedModel,
     VersionMismatch,
 )
@@ -313,32 +316,32 @@ def _lstm_step(weights, pre_x, h, c, mask):
 
 
 def _lstm_forward(params, prefix, inputs, mask):
-    """One recurrent layer over whole windows: (B, T, in) inputs to (B, T, H) outputs.
+    """One recurrent layer over a window: (T, in) inputs to (T, H) outputs.
 
     ``mask`` is the per-sequence inverted-dropout mask applied to the tanh
     candidate vector; dropout that is off is a mask of 1.0. The returned
-    cache holds the (B, T, 4, H) normalized pre-activations and gates and
-    the (B, T+1, H) hidden and cell states, step 0 being the zero start
-    state. The states are stored time-major, so each step reads and writes
-    one contiguous (B, ·) block; outputs and cache are batch-first views.
+    cache holds the (T, 4, H) normalized pre-activations and gates and the
+    (T+1, H) hidden and cell states, step 0 being the zero start state, all
+    time-major as ``_lstm_backward`` reads them. Each step runs
+    ``_lstm_step`` on a block of one state, ``h[t : t + 1]``.
     """
-    batch, steps = inputs.shape[:2]
+    steps = inputs.shape[0]
     weights = _step_weights(params, prefix)
     width = weights[0].shape[0]
-    pre_x = _input_projection(params, prefix, inputs).swapaxes(0, 1)
+    pre_x = _input_projection(params, prefix, inputs)
 
-    h = np.zeros((steps + 1, batch, width))
-    c = np.zeros((steps + 1, batch, width))
-    xhats = np.empty((steps, batch, 4, width))
-    inv_stds = np.empty((steps, batch, 4, 1))
-    gates = np.empty((steps, batch, 4, width))
+    h = np.zeros((steps + 1, width))
+    c = np.zeros((steps + 1, width))
+    xhats = np.empty((steps, 4, width))
+    inv_stds = np.empty((steps, 4, 1))
+    gates = np.empty((steps, 4, width))
     for t in range(steps):
         h[t + 1], c[t + 1], xhats[t], inv_stds[t], gates[t] = _lstm_step(
-            weights, pre_x[t], h[t], c[t], mask
+            weights, pre_x[t], h[t : t + 1], c[t : t + 1], mask
         )
-    states = {"h": h, "c": c, "xhats": xhats, "inv_stds": inv_stds, "gates": gates}
-    cache = {"inputs": inputs} | {name: v.swapaxes(0, 1) for name, v in states.items()}
-    return h[1:].swapaxes(0, 1), cache
+    cache = {"inputs": inputs, "h": h, "c": c, "xhats": xhats, "inv_stds": inv_stds,
+             "gates": gates}
+    return h[1:], cache
 
 
 def _lstm_backward(params, prefix, cache, d_out, mask, grads):
@@ -384,11 +387,11 @@ def _lstm_backward(params, prefix, cache, d_out, mask, grads):
     return d_pre @ params[f"{prefix}/wx"]
 
 
-def _forward(params, windows, masks):
-    """Dense stack and both recurrent layers over (B, T, V) windows; returns
-    the top layer's (B, T, H) outputs and the (dense, lstm0, lstm1) caches."""
+def _forward(params, window, masks):
+    """Dense stack and both recurrent layers over a (T, V) window; returns
+    the top layer's (T, H) outputs and the (dense, lstm0, lstm1) caches."""
     recurrent0, recurrent1 = masks[2]
-    dense = _dense_forward(params, windows, masks)
+    dense = _dense_forward(params, window, masks)
     y0, lstm0 = _lstm_forward(params, "lstm0", dense["h2d"], recurrent0)
     y1, lstm1 = _lstm_forward(params, "lstm1", y0, recurrent1)
     return y1, (dense, lstm0, lstm1)
@@ -418,10 +421,11 @@ def forward_window(model: "LstmModel", window: np.ndarray) -> np.ndarray:
 
     This is the deterministic inference path, without dropout. Windows
     shorter than ``unroll_steps`` simply run fewer recurrence steps from the
-    zero state.
+    zero state. It is the B=1 reference that the tests compare ``_lockstep``
+    against; inference itself runs the walk.
     """
-    top, _ = _forward(model.params, _checked_window(model, window)[None], NO_DROPOUT)
-    return _output(model.params, top[0, -1])
+    top, _ = _forward(model.params, _checked_window(model, window), NO_DROPOUT)
+    return _output(model.params, top[-1])
 
 
 def _lockstep(model: "LstmModel", ids: Sequence[EventId | str], scored: Sequence[bool]):
@@ -497,9 +501,8 @@ def loss_and_gradients(
     target = np.asarray(target, dtype=np.float64)
     params = model.params
 
-    top, caches = _forward(params, window[None], masks)
-    dense, lstm0, lstm1 = ({name: value[0] for name, value in cache.items()} for cache in caches)
-    output = _output(params, top[0, -1])
+    top, (dense, lstm0, lstm1) = _forward(params, window, masks)
+    output = _output(params, top[-1])
     loss = logloss(output, target)
 
     grads = {name: np.zeros_like(value) for name, value in params.items()}
@@ -565,6 +568,8 @@ class LstmModel:
         """Argmax next-event prediction from the last ``unroll_steps`` events.
 
         An empty context falls back to the most frequent training event.
+        This one-window-per-call form is the B=1 reference that the tests
+        compare ``walk`` against; the program's own passes run ``walk``.
         """
         if not self.trained:
             raise UntrainedModel("model has not been trained")
@@ -574,34 +579,19 @@ class LstmModel:
         output = forward_window(self, encode_ids(tail, self.dictionary))
         return decode_index(int(np.argmax(output)), self.dictionary)
 
-    def predict_along(self, ids: Sequence[EventId | str], start: int) -> list[EventId]:
-        """Teacher-forced predictions: ``predict_next(ids[:k])`` for each ``k``
-        from ``start`` (at least 1) to ``len(ids) - 1``, up to rounding, all
-        from one ``_lockstep`` walk."""
-        if not self.trained:
-            raise UntrainedModel("model has not been trained")
-        if start < 1:
-            raise LengthMismatch(f"predictions start at position 1, not {start}")
-        scored = [k >= start for k in range(len(ids))]
-        return [decode_index(int(np.argmax(output)), self.dictionary)
-                for _, output in _lockstep(self, ids, scored)]
-
-    def fill(self, slots: Sequence[EventId | None]) -> list[EventId]:
-        """Replace each ``None`` in ``slots`` with ``predict_next`` of every id
-        before it, known or already predicted, up to rounding.
-
-        One ``_lockstep`` walk scores the lost slots, and each prediction is
-        written into its slot before the walk reads it as input.
+    def walk(
+        self, ids: Sequence[EventId | str], scored: Sequence[bool]
+    ) -> Iterator[tuple[int, EventId]]:
+        """Yields ``(q, predict_next(ids[:q]))`` for each ``q`` with
+        ``scored[q]``, in order, up to rounding, all from one ``_lockstep``
+        walk. ``ids[q]`` is read only after ``q`` has been yielded.
         """
-        lost = [slot is None for slot in slots]
-        if any(lost) and not self.trained:
+        if any(scored) and not self.trained:
             raise UntrainedModel("model has not been trained")
-        ids = list(slots)
-        if lost and lost[0]:
-            ids[0] = self.prior_event()
-        for q, output in _lockstep(self, ids, lost):
-            ids[q] = decode_index(int(np.argmax(output)), self.dictionary)
-        return ids
+        if scored and scored[0]:
+            yield 0, self.prior_event()
+        for q, output in _lockstep(self, ids, scored):
+            yield q, decode_index(int(np.argmax(output)), self.dictionary)
 
     def prior_event(self) -> EventId:
         """Most frequent event of the training pool (leading-gap fallback)."""

@@ -51,13 +51,12 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import Dictionary, EventId, Trace, decode_index, pick_most_frequent
 from .errors import (
     CorruptModel,
     EmptyTrainingSet,
-    LengthMismatch,
     UntrainedModel,
     VersionMismatch,
 )
@@ -135,25 +134,16 @@ class MarkovModel:
         by_id = {decode_index(idx, self.dictionary): c for idx, c in self.counts[node].items()}
         return pick_most_frequent(by_id, self.dictionary)
 
-    def predict_along(self, ids: Sequence[EventId | str], start: int) -> list[EventId]:
-        """Teacher-forced predictions: ``predict_next(ids[:k])`` for each ``k``
-        from ``start`` (at least 1) to ``len(ids) - 1``."""
-        if start < 1:
-            raise LengthMismatch(f"predictions start at position 1, not {start}")
-        history = list(ids[:start])
-        predictions = []
-        for true_id in ids[start:]:
-            predictions.append(self.predict_next(history))
-            history.append(true_id)
-        return predictions
-
-    def fill(self, slots: Sequence[EventId | None]) -> list[EventId]:
-        """Replace each ``None`` in ``slots``, left to right, with
-        ``predict_next`` of every id before it, known or already predicted."""
-        ids: list[EventId] = []
-        for slot in slots:
-            ids.append(self.predict_next(ids) if slot is None else slot)
-        return ids
+    def walk(
+        self, ids: Sequence[EventId | str], scored: Sequence[bool]
+    ) -> Iterator[tuple[int, EventId]]:
+        """Yields ``(q, predict_next(ids[:q]))`` for each ``q`` with
+        ``scored[q]``, in order, passing ``predict_next`` only the last
+        ``order_n`` ids before ``q``. ``ids[q]`` is read only after ``q`` has
+        been yielded."""
+        for q, wanted in enumerate(scored):
+            if wanted:
+                yield q, self.predict_next(ids[max(0, q - self.order_n) : q])
 
     # -- serialization ----------------------------------------------------
 

@@ -4,16 +4,16 @@ A ``GappedTrace`` holds one slot per position of the original trace: the
 surviving event, or ``None`` where the event was lost. ``gaps()`` derives
 the maximal runs of lost slots.
 
-Each model family feeds itself its own predictions in its ``fill``: it
-walks the slots' ids left to right and replaces each lost one with its
-prediction from every id before it, known or already predicted. The
-Markov model loops over ``predict_next``; the LSTM steps every window in
-flight in lockstep. ``fill_gaps`` is the one call into it, and
-``predict_step_by_step`` is a fill of a seed followed by lost slots.
-Restoration is one fill of a gapped trace's slots followed by stamping:
-each filled event receives a timestamp linearly interpolated between the
-known events that flank its gap, so a restored trace has the original
-length and is directly minable.
+``fill_gaps`` is the one self-fed loop: it runs the model's ``walk`` over
+the slots' ids with the lost slots scored, and writes each predicted id
+into its slot before the walk reads it, so every prediction reads every id
+before its slot, known or already predicted. The Markov model's walk calls
+``predict_next`` per lost slot; the LSTM's walk steps every window in
+flight in lockstep. ``predict_step_by_step`` is a fill of a seed followed
+by lost slots. Restoration is one fill of a gapped trace's slots followed
+by stamping: each filled event receives a timestamp linearly interpolated
+between the known events that flank its gap, so a restored trace has the
+original length and is directly minable.
 
 The restorer knows each gap's size by design: loss measurements compare
 fixed-length traces, which presupposes knowing how much was lost.
@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 from .core import Event, EventId, Trace
 from .errors import DegenerateInput, InvalidFraction, MalformedLine
@@ -40,26 +40,18 @@ GAPPED_HEADER = "# tracekit-gapped v1"
 
 
 class NextEventPredictor(Protocol):
-    """Anything that maps an id context to the next id (both model families).
+    """Anything that predicts next ids along a sequence (both model families).
 
-    ``predict_along(ids, start)`` is the teacher-forced form: for each
-    ``k`` from ``start`` (at least 1; less raises ``LengthMismatch``) to
-    ``len(ids) - 1`` it gives what ``predict_next(ids[:k])`` gives, all in
-    one call.
-
-    ``fill(slots)`` is the self-fed form: it replaces each ``None`` in
-    ``slots``, left to right, with what ``predict_next`` gives for every id
-    before it, known or already predicted.
-
-    The LSTM runs both forms as one walk over the sequence that advances
-    every window in flight at a position together.
+    ``walk(ids, scored)`` yields ``(q, predict_next(ids[:q]))`` for each
+    position ``q`` with ``scored[q]``, in order, and reads ``ids[q]`` only
+    after it has yielded ``q``. A caller may therefore write into ``ids[q]``
+    between yields: ``fill_gaps`` writes each prediction there (self-fed),
+    ``evaluate.next_event_accuracy`` leaves the true ids (teacher-forced).
     """
 
-    def predict_next(self, context: Sequence[EventId]) -> EventId: ...
-
-    def predict_along(self, ids: Sequence[EventId], start: int) -> list[EventId]: ...
-
-    def fill(self, slots: Sequence[EventId | None]) -> list[EventId]: ...
+    def walk(
+        self, ids: Sequence[EventId], scored: Sequence[bool]
+    ) -> Iterator[tuple[int, EventId]]: ...
 
 
 @dataclass(frozen=True)
@@ -146,13 +138,16 @@ def inject_loss(trace: Trace, spec: LossSpec) -> GappedTrace:
 def fill_gaps(model: NextEventPredictor, slots: Sequence[EventId | None]) -> list[EventId]:
     """Replace every ``None`` in ``slots`` with ``model``'s next-event prediction.
 
-    Slots are filled left to right by ``model.fill``. Each prediction reads
-    every id before its slot, known or already predicted, so the model
-    continues from its own outputs, and the known ids after a gap
-    re-synchronize the context. A leading ``None`` reads the empty context.
-    Known ids pass through.
+    Slots are filled left to right by one ``model.walk`` over the lost
+    slots. Each prediction reads every id before its slot, known or already
+    predicted, so the model continues from its own outputs, and the known
+    ids after a gap re-synchronize the context. A leading ``None`` reads the
+    empty context. Known ids pass through.
     """
-    return model.fill(slots)
+    ids = list(slots)
+    for q, predicted in model.walk(ids, [slot is None for slot in slots]):
+        ids[q] = predicted
+    return ids
 
 
 def predict_step_by_step(

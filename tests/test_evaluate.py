@@ -173,11 +173,12 @@ def predict_next_loop(model, sequence, start):
 
 
 class TestNextEventAccuracy:
-    def test_predict_along_matches_predict_next(self, scored):
+    def test_walk_matches_predict_next(self, scored):
         model, sequence = scored
-        for start in (1, 5, 6, 7, 20, len(sequence) - 1):
+        for start in (0, 1, 5, 6, 7, 20, len(sequence) - 1):
+            mask = [q >= start for q in range(len(sequence))]
             expected = predict_next_loop(model, sequence, start)
-            assert model.predict_along(sequence, start) == expected
+            assert list(model.walk(sequence, mask)) == list(enumerate(expected, start))
 
     def test_accuracy_counts_the_hits(self, scored):
         model, sequence = scored
@@ -185,15 +186,9 @@ class TestNextEventAccuracy:
         hits = sum(p == t for p, t in zip(expected, sequence[4:]))
         assert next_event_accuracy(model, sequence, start=4) == hits / (len(sequence) - 4)
 
-    def test_predict_along_from_the_end_is_empty(self, scored):
+    def test_walk_with_nothing_scored_is_empty(self, scored):
         model, sequence = scored
-        assert model.predict_along(sequence, len(sequence)) == []
-
-    @pytest.mark.parametrize("start", [0, -1])
-    def test_predict_along_starts_at_position_1(self, scored, start):
-        model, sequence = scored
-        with pytest.raises(LengthMismatch, match="start at position 1"):
-            model.predict_along(sequence, start)
+        assert list(model.walk(sequence, [False] * len(sequence))) == []
 
     @pytest.mark.parametrize("start", [0, -1, 12, 13])
     def test_start_out_of_range(self, scored, start):

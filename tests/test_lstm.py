@@ -40,6 +40,7 @@ from tracekit.lstm import (
     save_model,
     train,
 )
+from tracekit.restore import fill_gaps
 
 
 def tiny_config(vocab=5, dense=4, width=6, unroll=5, dropout=0.0):
@@ -79,9 +80,9 @@ def random_target(config, rng):
 
 
 def window_output(params, window, masks):
-    """The kernel's sigmoid output for one (T, V) window, run as a batch of one."""
-    top, _ = _forward(params, window[None], masks)
-    return _output(params, top[0, -1])
+    """The kernel's sigmoid output for one (T, V) window."""
+    top, _ = _forward(params, window, masks)
+    return _output(params, top[-1])
 
 
 def assert_close(actual, expected):
@@ -141,9 +142,9 @@ class TestLstmLayer:
     def test_zero_parameters_give_zero_state(self):
         cfg = tiny_config()
         params = {k: np.zeros_like(v) for k, v in init_parameters(cfg, 0).items()}
-        inputs = np.ones((1, 3, cfg.dense_width))
+        inputs = np.ones((3, cfg.dense_width))
         y, cache = _lstm_forward(params, "lstm0", inputs, 1.0)
-        assert y.shape == (1, 3, cfg.lstm_width)
+        assert y.shape == (3, cfg.lstm_width)
         assert np.allclose(y, 0.0)
         assert np.allclose(cache["h"], 0.0)
         assert np.allclose(cache["c"], 0.0)
@@ -151,7 +152,7 @@ class TestLstmLayer:
     def test_inference_is_deterministic(self):
         cfg = tiny_config()
         params = init_parameters(cfg, 1)
-        inputs = np.random.default_rng(0).normal(size=(1, 3, cfg.dense_width))
+        inputs = np.random.default_rng(0).normal(size=(3, cfg.dense_width))
         y1, cache1 = _lstm_forward(params, "lstm0", inputs, 1.0)
         y2, cache2 = _lstm_forward(params, "lstm0", inputs, 1.0)
         assert np.array_equal(y1, y2)
@@ -343,7 +344,7 @@ class TestInputRows:
 
         monkeypatch.setattr(lstm, "_dense_forward", counting_dense_forward)
         ids = random_ids(wide_lstm, np.random.default_rng(18), 100)
-        filled = wide_lstm.fill([None if q % 4 == 0 else eid for q, eid in enumerate(ids)])
+        filled = fill_gaps(wide_lstm, [None if q % 4 == 0 else eid for q, eid in enumerate(ids)])
         assert 0 < len(calls) <= len(set(filled))
 
     def test_each_position_gets_its_ids_row(self, wide_lstm, monkeypatch):

@@ -194,12 +194,17 @@ class TestStepByStepPrediction:
         assert model.predict_next(ids) == model.predict_next(tail) == expected
 
 
+def abc_markov():
+    """An order-3 Markov model over the ids A, B and C."""
+    pool = [trace_of(*"ABCACBBA" * 4)]
+    return learn_transitions(pool, 3, build_dictionary(pool))
+
+
 @pytest.fixture(params=["markov", "lstm"])
 def family_model(request):
     """A model of either family over the ids A, B and C."""
     if request.param == "markov":
-        pool = [trace_of(*"ABCACBBA" * 4)]
-        return learn_transitions(pool, 3, build_dictionary(pool))
+        return abc_markov()
     return request.getfixturevalue("trained_cyclic_lstm")[0]
 
 
@@ -219,8 +224,39 @@ class TestFillGaps:
         assert restored.ids() == prefix + predict_step_by_step(family_model, prefix, k)
 
 
+class ReadGuard:
+    """Ids that refuse a read of a scored position not yet yielded by the walk."""
+
+    def __init__(self, ids, scored):
+        self.ids = list(ids)
+        self.unyielded = {q for q, wanted in enumerate(scored) if wanted}
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, key):
+        read = range(len(self.ids))[key]
+        early = self.unyielded.intersection(read if isinstance(read, range) else [read])
+        assert not early, f"read position {min(early)} before yielding it"
+        return self.ids[key]
+
+
+class TestWalkReadOrder:
+    @pytest.mark.parametrize(
+        "lost", [range(24), range(0, 24, 3), range(9, 24)],
+        ids=["every position", "every third", "trailing run"],
+    )
+    def test_a_scored_position_is_read_only_after_it_is_yielded(self, family_model, lost):
+        scored = [q in lost for q in range(24)]
+        ids = ReadGuard([EventId(e) for e in "ABCAACBABCBA" * 2], scored)
+        for q, predicted in family_model.walk(ids, scored):
+            ids.unyielded.remove(q)
+            ids.ids[q] = predicted
+        assert not ids.unyielded
+
+
 def predict_next_loop(model, slots):
-    """The B=1 reference for ``fill``: ``predict_next`` over the growing ids."""
+    """The B=1 reference for ``fill_gaps``: ``predict_next`` over the growing ids."""
     ids = []
     for slot in slots:
         ids.append(model.predict_next(ids) if slot is None else slot)
@@ -259,13 +295,13 @@ class TestLockstepFill:
         model, ids = lstm_and_ids
         length, lost = SLOT_PATTERNS[pattern]
         slots = [None if i in lost else eid for i, eid in enumerate(ids[:length])]
-        assert model.fill(slots) == predict_next_loop(model, slots)
+        assert fill_gaps(model, slots) == predict_next_loop(model, slots)
 
     @given(marks=st.lists(st.sampled_from(["A", "B", "C", "D", None]), max_size=40))
     def test_any_slot_mask_matches_the_predict_next_loop(self, random_lstm, marks):
-        model = random_lstm(UNROLL)
         slots = [None if m is None else EventId(m) for m in marks]
-        assert model.fill(slots) == predict_next_loop(model, slots)
+        for model in (random_lstm(UNROLL), abc_markov()):
+            assert fill_gaps(model, slots) == predict_next_loop(model, slots)
 
     @pytest.mark.parametrize(
         "lost",
@@ -277,13 +313,13 @@ class TestLockstepFill:
         rng = random.Random(17)
         alphabet = [*wide_lstm.dictionary.ids, EventId("unknown")]
         slots = [None if i in lost else rng.choice(alphabet) for i in range(100)]
-        assert wide_lstm.fill(slots) == predict_next_loop(wide_lstm, slots)
+        assert fill_gaps(wide_lstm, slots) == predict_next_loop(wide_lstm, slots)
 
     def test_untrained_model_with_a_lost_slot_is_refused(self, random_lstm):
         model = random_lstm(UNROLL)
         model.trained = False
         with pytest.raises(UntrainedModel):
-            model.fill([EventId("A"), None])
+            fill_gaps(model, [EventId("A"), None])
 
 
 class TestLstmRestore:
