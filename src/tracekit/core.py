@@ -59,6 +59,13 @@ class Event:
         object.__setattr__(self, "timestamp", ts)
 
 
+def check_time_order(events: Iterable[Event]) -> None:
+    """Raise ``ValueError`` unless the events' timestamps are non-decreasing."""
+    times = [ev.timestamp for ev in events]
+    if times != sorted(times):  # no timestamp is NaN, so this is the order check
+        raise ValueError("trace timestamps must be non-decreasing")
+
+
 @dataclass(frozen=True)
 class Trace:
     """An ordered sequence of events from one recording session.
@@ -72,9 +79,7 @@ class Trace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
-        times = self.timestamps()
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("trace timestamps must be non-decreasing")
+        check_time_order(self.events)
 
     def __len__(self) -> int:
         return len(self.events)

@@ -12,11 +12,15 @@ conventional file extension is ``.trace``.
 Written files open with ``TRACE_HEADER``; text opening with another
 ``# tracekit-`` header is refused, headerless text is plain user input. The
 gapped form in ``restore`` reuses the line and header helpers here.
+
+Readers leave each rule on values to the type they build: ``EventId`` (one
+uppercased token), ``Event`` (a finite timestamp >= 0), ``Dictionary`` (no
+duplicate, no ``OTHER``), ``Trace`` and ``GappedTrace`` (time order, which
+the line loop checks again after ``Event`` only to name the line).
 """
 
 from __future__ import annotations
 
-import math
 import os
 import random
 from dataclasses import dataclass
@@ -25,6 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import Event, EventId, Trace
 from .errors import (
+    CorruptModel,
     InsufficientTraces,
     MalformedLine,
     NonMonotonicTimestamp,
@@ -50,6 +55,16 @@ def check_header(text: str, header: str) -> None:
         raise VersionMismatch(f"expected `{header}`, found {first!r}")
 
 
+def check_format_line(lines: Sequence[str], name: str, version: int) -> None:
+    """Refuse a Markov model or mining report whose first line is not ``<name> v<version>``."""
+    first = lines[0] if lines else ""
+    header = first.split()
+    if len(header) != 2 or header[0] != name:
+        raise CorruptModel(f"bad header: {first!r}, expected `{name} v{version}`")
+    if header[1] != f"v{version}":
+        raise VersionMismatch(f"unsupported {name} version {header[1]!r}")
+
+
 def content_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
     """(1-based line number, raw line, tokens) of every non-blank, non-comment line."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -59,7 +74,7 @@ def content_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
 
 
 def parse_event_line(line_no: int, raw: str, parts: list[str], prev_ts: float | None) -> Event:
-    """One ``<timestamp> <id>`` line, which may not step back before ``prev_ts``."""
+    """One ``<timestamp> <id>`` line whose ``Event`` may not step back before ``prev_ts``."""
     if len(parts) != 2:
         raise MalformedLine(line_no, raw, "expected `<timestamp> <id>`")
     ts_token, id_token = parts
@@ -67,14 +82,13 @@ def parse_event_line(line_no: int, raw: str, parts: list[str], prev_ts: float | 
         ts = float(ts_token)
     except ValueError:
         raise MalformedLine(line_no, raw, "timestamp is not a number") from None
-    if not (math.isfinite(ts) and ts >= 0):
-        raise MalformedLine(line_no, raw, "timestamp must be finite and >= 0")
-    if prev_ts is not None and ts < prev_ts:
-        raise NonMonotonicTimestamp(line_no)
     try:
-        return Event(EventId(id_token), ts)
+        ev = Event(EventId(id_token), ts)
     except ValueError as exc:
         raise MalformedLine(line_no, raw, str(exc)) from None
+    if prev_ts is not None and ts < prev_ts:
+        raise NonMonotonicTimestamp(line_no)
+    return ev
 
 
 def parse_trace(text: str, label: str = "") -> Trace:

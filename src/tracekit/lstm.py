@@ -546,12 +546,12 @@ def clip_gradients(grads: dict[str, np.ndarray]) -> float:
 
 @dataclass
 class LstmModel:
-    """Network configuration, event dictionary and learned parameters."""
+    """Network configuration, event dictionary, learned parameters and the
+    training pool's id frequencies, empty until ``train``."""
 
     config: NetworkConfig
     dictionary: Dictionary
     params: dict[str, np.ndarray]
-    trained: bool = False
     event_freq: dict[EventId, int] = field(default_factory=dict)
 
     @classmethod
@@ -571,7 +571,7 @@ class LstmModel:
         This one-window-per-call form is the B=1 reference that the tests
         compare ``walk`` against; the program's own passes run ``walk``.
         """
-        if not self.trained:
+        if not self.event_freq:
             raise UntrainedModel("model has not been trained")
         if not context:
             return self.prior_event()
@@ -586,7 +586,7 @@ class LstmModel:
         ``scored[q]``, in order, up to rounding, all from one ``_lockstep``
         walk. ``ids[q]`` is read only after ``q`` has been yielded.
         """
-        if any(scored) and not self.trained:
+        if any(scored) and not self.event_freq:
             raise UntrainedModel("model has not been trained")
         if scored and scored[0]:
             yield 0, self.prior_event()
@@ -595,8 +595,6 @@ class LstmModel:
 
     def prior_event(self) -> EventId:
         """Most frequent event of the training pool (leading-gap fallback)."""
-        if not self.event_freq:
-            raise UntrainedModel("model has no recorded training frequencies")
         return pick_most_frequent(self.event_freq, self.dictionary)
 
 
@@ -655,7 +653,6 @@ def train(
             raise EmptyTrainingSet(f"trace {trace.label!r} too short for training windows")
 
     rng = np.random.Generator(np.random.PCG64(schedule.seed))
-    model.event_freq = event_frequencies(pool, model.dictionary)
     encoded_pool = [encode_ids(t.ids(), model.dictionary) for t in pool]
 
     history: list[RoundMetrics] = []
@@ -696,7 +693,7 @@ def train(
                 epochs=epoch_metrics,
             )
         )
-    model.trained = True
+    model.event_freq = event_frequencies(pool, model.dictionary)
     return history
 
 
@@ -705,13 +702,14 @@ def train(
 
 
 def save_model(model: LstmModel, sink: str | os.PathLike) -> None:
-    """Write the versioned binary model file (magic, header, data, checksum)."""
+    """Write the versioned binary model file (magic, header, data, checksum);
+    the JSON header's keys are ``config``, ``dictionary``, ``event_freq`` and
+    ``params``. ``load_model`` ignores the ``trained`` key of older files."""
     manifest = [[name, list(model.params[name].shape)] for name in sorted(model.params)]
     header = {
         "config": asdict(model.config),
         "dictionary": list(model.dictionary.ids),
         "event_freq": {str(k): v for k, v in sorted(model.event_freq.items())},
-        "trained": model.trained,
         "params": manifest,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -754,17 +752,14 @@ def load_model(source: str | os.PathLike) -> LstmModel:
     # the wrong type or shape; any of those is a corrupt model.
     try:
         config = NetworkConfig(**header["config"])
-        dictionary = Dictionary(tuple(EventId(t) for t in header["dictionary"]))
+        dictionary = Dictionary(tuple(header["dictionary"]))
         manifest = [(name, tuple(shape)) for name, shape in header["params"]]
         shapes = dict(manifest)
-        trained = header["trained"]
         event_freq = {EventId(k): v for k, v in header["event_freq"].items()}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CorruptModel(f"malformed header: {exc!r}") from exc
     if config.vocab != dictionary.size:
         raise CorruptModel(f"config vocab {config.vocab} != dictionary size {dictionary.size}")
-    if not isinstance(trained, bool):
-        raise CorruptModel(f"trained must be true or false, got {trained!r}")
     known = {*dictionary.ids, OTHER_TOKEN}
     for eid, count in event_freq.items():
         if eid not in known or not _is_int(count) or count < 1:
@@ -783,6 +778,4 @@ def load_model(source: str | os.PathLike) -> LstmModel:
         offset += nbytes
     if offset != len(body):
         raise CorruptModel("trailing bytes after parameter data")
-    return LstmModel(
-        config=config, dictionary=dictionary, params=params, trained=trained, event_freq=event_freq
-    )
+    return LstmModel(config=config, dictionary=dictionary, params=params, event_freq=event_freq)

@@ -54,13 +54,8 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .core import Dictionary, EventId, Trace, decode_index, pick_most_frequent
-from .errors import (
-    CorruptModel,
-    EmptyTrainingSet,
-    UntrainedModel,
-    VersionMismatch,
-)
-from .ingest import read_text
+from .errors import CorruptModel, EmptyTrainingSet, UntrainedModel
+from .ingest import check_format_line, read_text
 
 _FORMAT_NAME = "tracekit-markov"
 _FORMAT_VERSION = 2
@@ -192,13 +187,7 @@ class MarkovModel:
     @classmethod
     def from_text(cls, text: str) -> "MarkovModel":
         lines = text.splitlines()
-        if not lines:
-            raise CorruptModel("empty model file")
-        header = lines[0].split()
-        if len(header) != 2 or header[0] != _FORMAT_NAME:
-            raise CorruptModel(f"bad header: {lines[0]!r}")
-        if header[1] != f"v{_FORMAT_VERSION}":
-            raise VersionMismatch(f"unsupported model version {header[1]!r}")
+        check_format_line(lines, _FORMAT_NAME, _FORMAT_VERSION)
         if not lines[-1].startswith("# sha256 "):
             raise CorruptModel("missing checksum line")
         body = "\n".join(lines[:-1]) + "\n"
@@ -210,7 +199,7 @@ class MarkovModel:
             raise CorruptModel("model file lacks order, vocab or root lines")
         try:
             order_n = int(lines[1][len("order ") :])
-            dictionary = Dictionary(tuple(EventId(t) for t in lines[2][len("vocab ") :].split()))
+            dictionary = Dictionary(tuple(lines[2][len("vocab ") :].split()))
         except ValueError as exc:
             raise CorruptModel(f"malformed model header: {exc}") from exc
         if order_n < 1:

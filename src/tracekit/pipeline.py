@@ -35,7 +35,7 @@ from pathlib import Path
 
 from . import evaluate, lstm, markov, trem
 from .config import RunConfig
-from .core import Dictionary, EventId, Trace, build_dictionary
+from .core import Dictionary, Trace, build_dictionary
 from .errors import ConfigError, CorruptModel, VersionMismatch
 from .ingest import read_text, split_traces, write_trace
 from .restore import GappedTrace, LossSpec, NextEventPredictor, inject_loss
@@ -50,7 +50,7 @@ def read_dictionary(path: Path) -> Dictionary:
     if not lines or lines[0] != DICT_HEADER:
         raise VersionMismatch(f"{path} lacks the `{DICT_HEADER}` header")
     try:
-        return Dictionary(tuple(EventId(t) for t in lines[1:] if t.strip()))
+        return Dictionary(tuple(t for t in lines[1:] if t.strip()))
     except ValueError as exc:
         raise CorruptModel(f"{path}: {exc}") from None
 

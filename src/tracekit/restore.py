@@ -32,7 +32,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import Iterator, Protocol, Sequence
 
-from .core import Event, EventId, Trace
+from .core import Event, EventId, Trace, check_time_order
 from .errors import DegenerateInput, InvalidFraction, MalformedLine
 from .ingest import check_header, content_lines, format_event, parse_event_line, read_text
 
@@ -75,7 +75,8 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class GappedTrace:
-    """One slot per original position: the surviving event, or ``None`` if lost."""
+    """One slot per original position: the surviving event, or ``None`` if
+    lost. The surviving events keep a ``Trace``'s time order."""
 
     slots: tuple[Event | None, ...]
     label: str = ""
@@ -83,6 +84,7 @@ class GappedTrace:
     def __post_init__(self) -> None:
         if all(slot is None for slot in self.slots):
             raise DegenerateInput("a gapped trace needs at least one surviving event")
+        check_time_order(ev for ev in self.slots if ev is not None)
 
     def known_trace(self) -> Trace:
         """The lossy trace as plainly observed (gaps simply absent)."""

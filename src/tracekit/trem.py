@@ -32,7 +32,8 @@ import enum
 from dataclasses import dataclass
 
 from .core import Dictionary, EventId, Trace
-from .errors import CorruptModel, VersionMismatch
+from .errors import CorruptModel
+from .ingest import check_format_line
 
 _FORMAT_NAME = "tracekit-mine"
 _FORMAT_VERSION = 2
@@ -140,13 +141,7 @@ def report_to_text(report: MiningReport) -> str:
 
 def report_from_text(text: str) -> MiningReport:
     lines = text.splitlines()
-    if not lines:
-        raise CorruptModel("empty mining report")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != _FORMAT_NAME:
-        raise CorruptModel(f"bad header: {lines[0]!r}")
-    if header[1] != f"v{_FORMAT_VERSION}":
-        raise VersionMismatch(f"unsupported report version {header[1]!r}")
+    check_format_line(lines, _FORMAT_NAME, _FORMAT_VERSION)
     instances: list[TREInstance] = []
     for line in lines[1:]:
         if not line.strip():

@@ -1,6 +1,6 @@
 """Shared fixtures: a synthetic dataset and a model trained on it.
 
-The trained model is expensive (15-19 s of training on a shared 2-CPU VM,
+The trained model is expensive (6-10 s of training on a shared 2-CPU VM,
 one BLAS thread), so it is session-scoped and shared between test modules.
 All seeds are pinned; every fixture is fully deterministic.
 """
@@ -45,15 +45,15 @@ def trained_cyclic_lstm(cyclic_traces):
         vocab=dictionary.size, dense_width=8, lstm_width=16, unroll_steps=10
     )
     model = LstmModel.initialize(config, dictionary, seed=7)
-    train(model, train_pool, TrainingSchedule(rounds=2, seed=7))
+    train(model, train_pool, TrainingSchedule(rounds=1, seed=7))
     return model, cyclic_traces
 
 
 @pytest.fixture(scope="session")
 def random_lstm():
-    """Builds an LSTM with jittered random weights over A-C, marked trained,
-    for a given unroll: its argmax varies with the context, unlike a model
-    trained to a cycle."""
+    """Builds an LSTM with jittered random weights over A-C and an event
+    frequency table, which makes it trained, for a given unroll: its argmax
+    varies with the context, unlike a model trained to a cycle."""
 
     def build(unroll):
         dictionary = Dictionary((EventId("A"), EventId("B"), EventId("C")))
@@ -64,7 +64,6 @@ def random_lstm():
         rng = np.random.default_rng(3)
         for p in model.params.values():
             p += rng.uniform(-0.5, 0.5, size=p.shape)
-        model.trained = True
         model.event_freq = {EventId("A"): 1}
         return model
 
@@ -74,14 +73,14 @@ def random_lstm():
 @pytest.fixture(scope="session")
 def wide_lstm():
     """An LSTM at the benchmark's widths (V=17, dense 34, H=136, unroll 40)
-    with jittered random weights, marked trained. At these widths BLAS takes
-    the paths whose bits depend on the batch size and memory layout."""
+    with jittered random weights and an event frequency table, which makes
+    it trained. At these widths BLAS takes the paths whose bits depend on
+    the batch size and memory layout."""
     dictionary = Dictionary(tuple(EventId(f"E{i}") for i in range(16)))
     config = NetworkConfig(vocab=17, dense_width=34, lstm_width=136, unroll_steps=40)
     model = LstmModel.initialize(config, dictionary, seed=17)
     rng = np.random.default_rng(17)
     for p in model.params.values():
         p += rng.uniform(-0.3, 0.3, size=p.shape)
-    model.trained = True
     model.event_freq = {EventId("E0"): 1}
     return model

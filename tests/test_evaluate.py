@@ -198,6 +198,6 @@ class TestNextEventAccuracy:
 
     def test_untrained_lstm_rejected(self, random_lstm):
         model = random_lstm(6)
-        model.trained = False
+        model.event_freq = {}
         with pytest.raises(UntrainedModel):
             next_event_accuracy(model, shuffled_ids(10, 4, "ABC"), start=2)

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tracekit import markov, trem
 from tracekit.core import Event, EventId, Trace
 from tracekit.errors import (
+    CorruptModel,
     InsufficientTraces,
     MalformedLine,
     NonMonotonicTimestamp,
@@ -17,6 +19,7 @@ from tracekit.ingest import (
     serialize_trace,
     split_traces,
 )
+from tracekit.restore import parse_gapped
 
 
 class TestParse:
@@ -46,6 +49,13 @@ class TestParse:
         with pytest.raises(MalformedLine):
             parse_trace("inf B0\n")
 
+    @pytest.mark.parametrize("parse", [parse_trace, parse_gapped], ids=["trace", "gapped"])
+    def test_bad_value_that_also_steps_back_is_malformed(self, parse):
+        # Event checks the value before the line loop checks the order.
+        with pytest.raises(MalformedLine, match="finite and >= 0") as exc:
+            parse("0.5 A\n-1 B\n")
+        assert exc.value.line_no == 2
+
     def test_header_versions(self):
         assert len(parse_trace(f"{TRACE_HEADER}\n0.5 B0\n")) == 1
         with pytest.raises(VersionMismatch, match="tracekit-trace v2"):
@@ -56,6 +66,21 @@ class TestParse:
         p.write_text("0.1 B0\n")
         trace = read_trace(p)
         assert len(trace) == 1 and trace.label == "x"
+
+
+@pytest.mark.parametrize(
+    "read, module",
+    [(markov.MarkovModel.from_text, markov), (trem.report_from_text, trem)],
+    ids=["markov", "mining"],
+)
+def test_format_line_is_checked_alike(read, module):
+    name, version = module._FORMAT_NAME, module._FORMAT_VERSION
+    with pytest.raises(CorruptModel, match=f"bad header: '', expected `{name} v{version}`"):
+        read("")
+    with pytest.raises(CorruptModel, match="bad header: 'tracekit-other v"):
+        read(f"tracekit-other v{version}\n")
+    with pytest.raises(VersionMismatch, match=f"unsupported {name} version 'v{version + 1}'"):
+        read(f"{name} v{version + 1}\n")
 
 
 class TestSerialize:

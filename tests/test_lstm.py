@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracekit import lstm
-from tracekit.core import Dictionary, EventId, build_dictionary, encode_ids
+from tracekit.core import Dictionary, EventId, build_dictionary, encode_ids, event_frequencies
 from tracekit.errors import (
     CorruptModel,
     EmptyWindow,
@@ -64,6 +64,17 @@ def tiny_model(config=None, seed=0):
 def resigned(body):
     """A model file of ``body`` with its checksum recomputed."""
     return body + hashlib.sha256(body).digest()
+
+
+def with_header(raw, edit):
+    """Model file ``raw`` with ``edit`` applied to its JSON header, re-signed."""
+    offset = len(_MAGIC) + 4
+    (length,) = struct.unpack_from("<Q", raw, offset)
+    header = json.loads(raw[offset + 8 : offset + 8 + length])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return resigned(raw[:offset] + struct.pack("<Q", len(text)) + text
+                    + raw[offset + 8 + length : -32])
 
 
 def random_window(config, rng, steps=None):
@@ -614,7 +625,8 @@ class TestTraining:
 
     def test_marks_trained_and_records_frequencies(self, three_rounds):
         model = three_rounds[0]
-        assert model.trained
+        _, pool, _ = training_setup()
+        assert model.event_freq == event_frequencies(pool, model.dictionary)
         assert model.prior_event() == "A"
 
     def test_untrained_predict_rejected(self):
@@ -622,20 +634,32 @@ class TestTraining:
         with pytest.raises(UntrainedModel):
             model.predict_next([EventId("A")])
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda m: m.predict_next(["A", "B"]), lambda m: m.predict_next([]),
+         lambda m: list(m.walk(["A", "B", "C"], [False, False, True])),
+         lambda m: list(m.walk(["A"], [True]))],
+        ids=["predict_next", "predict_next from nothing", "walk", "walk from nothing"],
+    )
+    def test_empty_event_freq_is_untrained(self, random_lstm, call):
+        model = random_lstm(4)
+        model.event_freq = {}
+        with pytest.raises(UntrainedModel, match="not been trained"):
+            call(model)
+
 
 class TestSerialization:
     def test_round_trip_identity(self, tmp_path):
         model = tiny_model(seed=12)
-        model.trained = True
         model.event_freq = {EventId("E0"): 5, EventId("E1"): 2}
         path = tmp_path / "m.lstm"
         save_model(model, path)
         again = load_model(path)
         assert again.config == model.config
         assert again.dictionary == model.dictionary
-        assert again.trained == model.trained
         assert again.event_freq == model.event_freq
         assert params_equal(again.params, model.params)
+        assert b'"trained"' not in path.read_bytes()
 
     def test_benchmark_width_save_round_trips_without_copying_the_file(self, wide_lstm,
                                                                        tmp_path):
@@ -721,23 +745,33 @@ class TestSerialization:
             lambda h: h.update(event_freq={"ZZ": 99}),
             lambda h: h.update(event_freq={"E0": 0}),
             lambda h: h.update(event_freq={"E0": 2.5}),
-            lambda h: h.update(trained="false"),
         ],
         ids=["no config", "unknown config key", "vocab off by one", "duplicate id",
              "event_freq a list", "renamed parameter", "transposed shape", "params an int",
              "vocab a float", "unroll a float", "unroll a bool", "event_freq unknown id",
-             "event_freq count 0", "event_freq count a float", "trained a string"],
+             "event_freq count 0", "event_freq count a float"],
     )
     def test_bad_header_rejected(self, tmp_path, edit):
         path = tmp_path / "m.lstm"
         save_model(tiny_model(seed=16), path)
-        raw = path.read_bytes()
-        offset = len(_MAGIC) + 4
-        (length,) = struct.unpack_from("<Q", raw, offset)
-        header = json.loads(raw[offset + 8 : offset + 8 + length])
-        edit(header)
-        text = json.dumps(header, sort_keys=True).encode("utf-8")
-        body = raw[:offset] + struct.pack("<Q", len(text)) + text + raw[offset + 8 + length : -32]
-        path.write_bytes(resigned(body))
+        path.write_bytes(with_header(path.read_bytes(), edit))
         with pytest.raises(CorruptModel):
             load_model(path)
+
+    def test_file_with_the_old_trained_key_loads(self, tmp_path):
+        model = tiny_model(seed=18)
+        model.event_freq = {EventId("E0"): 3}
+        path = tmp_path / "m.lstm"
+        save_model(model, path)
+        path.write_bytes(with_header(path.read_bytes(), lambda h: h.update(trained=True)))
+        again = load_model(path)
+        assert again.event_freq == model.event_freq
+        assert params_equal(again.params, model.params)
+        assert again.predict_next([]) == "E0"
+
+    def test_lowercase_dictionary_ids_load_uppercase(self, tmp_path):
+        path = tmp_path / "m.lstm"
+        save_model(tiny_model(seed=19), path)
+        lowered = lambda h: h.update(dictionary=[t.lower() for t in h["dictionary"]])
+        path.write_bytes(with_header(path.read_bytes(), lowered))
+        assert load_model(path).dictionary.ids == ("E0", "E1", "E2", "E3")

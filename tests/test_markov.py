@@ -296,8 +296,16 @@ class TestSerialization:
         with pytest.raises(CorruptModel, match=re.escape(message)):
             MarkovModel.from_text(resign(text, edit))
 
+    def test_lowercase_vocab_loads_uppercase(self):
+        model = self.make_model()
+        text = model.to_text()
+        assert text.splitlines()[2] == "vocab A B C D"
+        again = MarkovModel.from_text(resign(text, set_line(2, "vocab a b c d")))
+        assert again.dictionary == model.dictionary
+        assert again.to_text() == text
+
     def test_empty_file_rejected(self):
-        with pytest.raises(CorruptModel, match="empty model file"):
+        with pytest.raises(CorruptModel, match="bad header: '', expected `tracekit-markov v2`"):
             MarkovModel.from_text("")
 
     def test_version_mismatch(self):

@@ -8,6 +8,7 @@ import pytest
 from tracekit import cli
 from tracekit.config import RunConfig
 from tracekit.ingest import read_trace
+from tracekit.pipeline import DICT_HEADER, read_dictionary
 
 TINY = """\
 seed = 5
@@ -53,6 +54,12 @@ def report(request, tmp_path_factory):
     cfg.write_text(TINY.format(restorer=request.param))
     run("report", "--config", cfg, "--out", d / "first")
     return d, cfg, RunConfig.load(cfg), d / "first"
+
+
+def test_dictionary_file_ids_load_uppercase(tmp_path):
+    path = tmp_path / "dict.txt"
+    path.write_text(f"{DICT_HEADER}\nab\nc3\n")
+    assert read_dictionary(path).ids == ("AB", "C3")
 
 
 def test_rerun_is_byte_identical(report):

@@ -47,6 +47,10 @@ class TestGappedTrace:
         assert g.gaps() == [(1, 2)]
         assert [str(e.id) for e in g.known_trace().events] == ["A", "B", "C"]
 
+    def test_survivors_out_of_time_order_are_refused(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            GappedTrace((Event("A", 2.0), None, Event("B", 1.0)))
+
     def test_gaps_are_maximal_runs_of_lost_slots(self):
         assert gapped_of(trace_of(*"ABCDE"), 1, 2, 4).gaps() == [(1, 2), (4, 1)]
         assert gapped_of(trace_of(*"ABCDEF"), 0, 1, 3, 5).gaps() == [(0, 2), (3, 1), (5, 1)]
@@ -317,7 +321,7 @@ class TestLockstepFill:
 
     def test_untrained_model_with_a_lost_slot_is_refused(self, random_lstm):
         model = random_lstm(UNROLL)
-        model.trained = False
+        model.event_freq = {}
         with pytest.raises(UntrainedModel):
             fill_gaps(model, [EventId("A"), None])
 
@@ -390,6 +394,12 @@ class TestGappedFiles:
     def test_every_event_lost_is_refused(self):
         with pytest.raises(DegenerateInput, match="at least one surviving event"):
             parse_gapped(f"{GAPPED_HEADER}\n? 2\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_timestamp_that_is_not_finite_is_refused_at_its_line(self, value):
+        with pytest.raises(MalformedLine, match="finite") as exc:
+            parse_gapped(f"0.1 A\n? 2\n{value} B\n")
+        assert exc.value.line_no == 3
 
     def test_bad_sentinel(self):
         with pytest.raises(MalformedLine):
