@@ -160,35 +160,40 @@ class TrainingSchedule:
 # parameters
 
 
+def _parameter_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in the order ``init_parameters`` draws them."""
+    v, d, h = config.vocab, config.dense_width, config.lstm_width
+    shapes = {"dense0/w": (d, v), "dense0/b": (d,), "dense1/w": (d, d), "dense1/b": (d,)}
+    for layer, in_width in ((0, d), (1, h)):
+        shapes[f"lstm{layer}/wx"] = (4 * h, in_width)
+        shapes[f"lstm{layer}/wh"] = (4 * h, h)
+        for part in ("b", "gain", "shift"):
+            shapes[f"lstm{layer}/{part}"] = (4 * h,)
+    shapes["out/w"] = (v, h)
+    shapes["out/b"] = (v,)
+    return shapes
+
+
 def init_parameters(config: NetworkConfig, seed: int) -> dict[str, np.ndarray]:
-    """Seeded uniform init in [-s, s] with s = 1/sqrt(fan-in) per matrix.
+    """Seeded uniform init in [-s, s] with s = 1/sqrt(fan-in) per matrix, whose
+    fan-in is its column count.
 
     Layer-norm gains start at 1, offsets at 0 except the forget-gate offset,
     which starts at 1 to bias cells toward remembering early in training.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    v, d, h = config.vocab, config.dense_width, config.lstm_width
-
-    def uniform(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-        s = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-s, s, size=shape)
-
+    h = config.lstm_width
     params: dict[str, np.ndarray] = {}
-    params["dense0/w"] = uniform((d, v), v)
-    params["dense0/b"] = np.zeros(d)
-    params["dense1/w"] = uniform((d, d), d)
-    params["dense1/b"] = np.zeros(d)
-    for layer, in_width in ((0, d), (1, h)):
-        params[f"lstm{layer}/wx"] = uniform((4 * h, in_width), in_width)
-        params[f"lstm{layer}/wh"] = uniform((4 * h, h), h)
-        params[f"lstm{layer}/b"] = np.zeros(4 * h)
-        gain = np.ones(4 * h)
-        shift = np.zeros(4 * h)
-        shift[h : 2 * h] = 1.0  # forget gate slice
-        params[f"lstm{layer}/gain"] = gain
-        params[f"lstm{layer}/shift"] = shift
-    params["out/w"] = uniform((v, h), h)
-    params["out/b"] = np.zeros(v)
+    for name, shape in _parameter_shapes(config).items():
+        if len(shape) == 2:
+            s = 1.0 / math.sqrt(shape[1])
+            params[name] = rng.uniform(-s, s, size=shape)
+        elif name.endswith("/gain"):
+            params[name] = np.ones(shape)
+        else:
+            params[name] = np.zeros(shape)
+    for layer in (0, 1):
+        params[f"lstm{layer}/shift"][h : 2 * h] = 1.0  # forget gate slice
     return params
 
 
@@ -764,7 +769,7 @@ def load_model(source: str | os.PathLike) -> LstmModel:
     for eid, count in event_freq.items():
         if eid not in known or not _is_int(count) or count < 1:
             raise CorruptModel(f"event_freq entry {eid}: {count!r} is not a known id's count")
-    expected = {name: value.shape for name, value in init_parameters(config, 0).items()}
+    expected = _parameter_shapes(config)
     if shapes != expected or len(manifest) != len(expected):
         raise CorruptModel("parameter manifest does not match the network config")
     params: dict[str, np.ndarray] = {}

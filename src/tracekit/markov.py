@@ -19,30 +19,48 @@ Nodes store dense dictionary indices rather than id strings: equality is
 unaffected (unknown ids conflate into OTHER, which never occurs inside
 training states unless the training traces themselves hold unknown ids).
 
-Serialization (format v2) is line-oriented text::
+Serialization (format v3) is line-oriented text::
 
-    tracekit-markov v2
+    tracekit-markov v3
     order <n>
     vocab <id> <id> ...
-    n - - <succ>:<count>,...                   the root (global frequency)
-    n <parent> <symbol> <succ>:<count>,...     one line per other node
+    n - - <succ>:<count>,...                     the root (global frequency)
+    n <parent> <sym1> ... <symK> <succ>:<count>,...   one line per chain
     # sha256 <hex digest of every line above>
 
-Node lines come in canonical pre-order: a node's children follow it, sorted
-by id token, and ``<parent>`` is the position of the parent among the node
-lines (the root is 0), so it is always smaller than the node's own position.
-Successors within a line are sorted by id token too, which makes model files
-byte-stable. The checksum line guards against truncation and edits. v1 files
-(one line per state and successor) are refused with ``VersionMismatch``.
+A line other than the root's holds a chain of K >= 1 nodes: ``<sym1>`` is a
+child of the last node of line ``<parent>``, each further symbol a child of
+the one before, and every node of the chain has the line's successor counts.
+The writer runs a line on through a node's only child while that child's
+counts equal the node's, so a line ends at a node that has no children,
+several, or one child with different counts. Lines come in canonical
+pre-order: a chain's child lines follow it, sorted by id token, and
+``<parent>`` is the position of the parent line among the node lines (the
+root is 0), so it is always smaller than the line's own position. Successors
+within a line are sorted by id token too, which makes model files
+byte-stable. The reader expands each chain into one node per symbol, numbered
+in pre-order, and checks each symbol: a known id, not a second child of the
+same symbol, and no deeper than the order. The checksum line guards against
+truncation and edits. v1 and v2 files (one line per state and successor, one
+line per node) are refused with ``VersionMismatch``.
 
-A trained trie has far more nodes than distinct successor fields (the
-benchmark's order-40 model at seed 1: 22,570 node lines, 235 distinct
-fields), so neither direction pays per-node string work it can share. The
-writer ranks the id tokens once per call and orders every node's successors
-and children by that integer rank, with a direct path for a node of one
-successor or one child. The reader parses each distinct successor field once
-and gives every node a copy of the parsed counts, so nodes never share a
-dict that later training would update.
+A file has at most ``2 * events + traces * order + 1`` node lines. Each line
+but the root's ends at a distinct node. At most ``events`` of those are
+leaves, one per successor position at most, and fewer branch. The rest hand
+their only child different counts. Every occurrence of a node's context that
+is not also one of its child's must run into the start of a trace, so such a
+node's context is the opening of some trace, and there are at most
+``traces * order`` of those.
+
+A trained trie has far more nodes than lines or distinct successor fields
+(the benchmark's order-40 model at seed 1: 22,570 nodes in 968 lines, 105 KB
+against 399 KB written one line per node, and 235 distinct fields), so
+neither direction pays per-node string work it can share. The writer ranks
+the id tokens once per call and orders every node's successors and children
+by that integer rank, with a direct path for a node of one successor or one
+child. The reader parses each distinct successor field once and gives every
+node a copy of the parsed counts, so nodes never share a dict that later
+training would update.
 """
 
 from __future__ import annotations
@@ -54,11 +72,11 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .core import Dictionary, EventId, Trace, decode_index, pick_most_frequent
-from .errors import CorruptModel, EmptyTrainingSet, UntrainedModel
+from .errors import CorruptModel, EmptyTrainingSet, UntrainedModel, VersionMismatch
 from .ingest import check_format_line, read_text
 
 _FORMAT_NAME = "tracekit-markov"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -143,7 +161,7 @@ class MarkovModel:
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
-        """Render the model in the versioned v2 node-list text format."""
+        """Render the model in the versioned v3 node-list text format."""
         tokens = [decode_index(i, self.dictionary) for i in range(self.dictionary.size)]
         # rank[i] is token i's place in token order: sorting indices by rank
         # sorts them by token without comparing strings at every node.
@@ -165,13 +183,23 @@ class MarkovModel:
             f"order {self.order_n}",
             "vocab " + " ".join(self.dictionary.ids),
         ]
-        # Depth-first from the root: (node, its symbol token, its parent's position).
+        # Depth-first from the root: (a line's first node, its symbol token,
+        # the parent line's position).
         stack: list[tuple[int, str, int | str]] = [(0, "-", "-")]
         while stack:
             node, token, parent = stack.pop()
             position = len(lines) - 3
-            lines.append(f"n {parent} {token} {successors(node)}")
+            symbols = [token]
             kids = children[node]
+            # A non-root line runs on through each only child whose counts
+            # equal its parent's: such a child adds nothing of its own.
+            while node and len(kids) == 1:
+                [(sym, child)] = kids.items()
+                if counts[child] != counts[node]:
+                    break
+                symbols.append(tokens[sym])
+                node, kids = child, children[child]
+            lines.append(f"n {parent} {' '.join(symbols)} {successors(node)}")
             if len(kids) == 1:
                 [(sym, child)] = kids.items()
                 stack.append((child, tokens[sym], position))
@@ -187,7 +215,10 @@ class MarkovModel:
     @classmethod
     def from_text(cls, text: str) -> "MarkovModel":
         lines = text.splitlines()
-        check_format_line(lines, _FORMAT_NAME, _FORMAT_VERSION)
+        try:
+            check_format_line(lines, _FORMAT_NAME, _FORMAT_VERSION)
+        except VersionMismatch as exc:
+            raise VersionMismatch(f"{exc}; retrain with `tracekit train-markov`") from None
         if not lines[-1].startswith("# sha256 "):
             raise CorruptModel("missing checksum line")
         body = "\n".join(lines[:-1]) + "\n"
@@ -206,28 +237,33 @@ class MarkovModel:
             raise CorruptModel(f"order must be >= 1, got {order_n}")
 
         index = {decode_index(i, dictionary): i for i in range(dictionary.size)}
-        node_lines = lines[3:-1]
-        children: list[dict[int, int]] = [{} for _ in node_lines]
+        children: list[dict[int, int]] = []
         counts: list[dict[int, int]] = []
-        depth = [0] * len(node_lines)
+        # The deepest node of each node line, and that node's depth: a later
+        # line hangs its chain below it.
+        end: list[int] = []
+        depth: list[int] = []
         # Many nodes share one successor field: parse each distinct field once
         # and give every node its own copy of the result.
         parsed: dict[str, dict[int, int]] = {}
 
-        def own_counts(field_text: str) -> dict[int, int]:
+        def parsed_counts(field_text: str) -> dict[int, int]:
             if field_text not in parsed:
                 parsed[field_text] = _parse_counts(field_text, index)
-            return parsed[field_text].copy()
+            return parsed[field_text]
 
-        for position, line in enumerate(node_lines):
+        for position, line in enumerate(lines[3:-1]):
             fields = line.split(" ")
-            if len(fields) != 4 or fields[0] != "n":
+            if len(fields) < 4 or fields[0] != "n":
                 raise CorruptModel(f"malformed node line {position}: {line!r}")
-            _, parent_token, symbol_token, successors = fields
+            parent_token, symbols, successors = fields[1], fields[2:-1], fields[-1]
             if position == 0:
-                if parent_token != "-" or symbol_token != "-":
+                if parent_token != "-" or symbols != ["-"]:
                     raise CorruptModel(f"first node line is not the root: {line!r}")
-                counts.append(own_counts(successors) if successors else {})
+                children.append({})
+                counts.append(parsed_counts(successors).copy() if successors else {})
+                end.append(0)
+                depth.append(0)
                 continue
             try:
                 parent = int(parent_token)
@@ -235,16 +271,24 @@ class MarkovModel:
                 raise CorruptModel(f"node {position}: bad parent {parent_token!r}") from exc
             if not 0 <= parent < position:
                 raise CorruptModel(f"node {position}: parent {parent} is not an earlier node")
-            symbol = index.get(symbol_token)
-            if symbol is None:
-                raise CorruptModel(f"node {position}: unknown id {symbol_token!r}")
-            if symbol in children[parent]:
-                raise CorruptModel(f"node {position}: duplicate child {symbol_token!r} of {parent}")
-            depth[position] = depth[parent] + 1
+            depth.append(depth[parent] + len(symbols))
             if depth[position] > order_n:
                 raise CorruptModel(f"node {position}: depth {depth[position]} exceeds order")
-            children[parent][symbol] = position
-            counts.append(own_counts(successors))
+            successor_counts = parsed_counts(successors)
+            node = end[parent]
+            for symbol_token in symbols:
+                symbol = index.get(symbol_token)
+                if symbol is None:
+                    raise CorruptModel(f"node {position}: unknown id {symbol_token!r}")
+                if symbol in children[node]:
+                    raise CorruptModel(
+                        f"node {position}: duplicate child {symbol_token!r} of {parent}"
+                    )
+                children[node][symbol] = len(counts)
+                node = len(counts)
+                children.append({})
+                counts.append(successor_counts.copy())
+            end.append(node)
         return cls(order_n=order_n, dictionary=dictionary, children=children, counts=counts)
 
     def save(self, path: str | os.PathLike) -> None:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tracekit import cli, lstm, pipeline
+from tracekit import cli, lstm, markov, pipeline
 from tracekit.config import RunConfig
 from tracekit.core import Dictionary, Event, EventId, Trace, build_dictionary
 from tracekit.ingest import TRACE_HEADER, read_trace, write_trace
@@ -88,11 +88,26 @@ def test_damaged_markov_model_fails_cleanly(markov_run, capsys, damage):
     elif damage == "edited":
         text = text.replace(":1,", ":9,", 1)
     else:
-        text = text.replace(" v2\n", " v1\n", 1)
+        text = text.replace(f" v{markov._FORMAT_VERSION}\n", " v1\n", 1)
     assert text != path.read_text()
     path.write_text(text)
     capsys.readouterr()
     assert_clean_failure(capsys, restore_with(path, tmp_path))
+
+
+@pytest.mark.parametrize("command", ["restore", "predict"])
+def test_older_markov_model_names_the_retrain_command(markov_run, capsys, command):
+    tmp_path, _, gapped = markov_run
+    body = "tracekit-markov v2\norder 1\nvocab A\nn - - A:2\nn 0 A A:1\n"
+    path = tmp_path / "old.model"
+    path.write_text(body + f"# sha256 {hashlib.sha256(body.encode()).hexdigest()}\n")
+    write_trace(gapped.known_trace(), tmp_path / "seed.trace")
+    capsys.readouterr()
+    if command == "restore":
+        code = restore_with(path, tmp_path)
+    else:
+        code = predict_with(path, tmp_path / "seed.trace", tmp_path / "pred.trace")
+    assert "retrain with `tracekit train-markov`" in assert_clean_failure(capsys, code)
 
 
 def test_lstm_model_with_bad_header_fails_cleanly(markov_run, capsys):

@@ -661,6 +661,18 @@ class TestSerialization:
         assert params_equal(again.params, model.params)
         assert b'"trained"' not in path.read_bytes()
 
+    def test_load_draws_no_network(self, tmp_path, monkeypatch):
+        # The expected parameter shapes follow from the config alone.
+        model = tiny_model(seed=12)
+        path = tmp_path / "m.lstm"
+        save_model(model, path)
+
+        def no_draw(config, seed):
+            raise AssertionError("load_model drew a random network")
+
+        monkeypatch.setattr("tracekit.lstm.init_parameters", no_draw)
+        assert params_equal(load_model(path).params, model.params)
+
     def test_benchmark_width_save_round_trips_without_copying_the_file(self, wide_lstm,
                                                                        tmp_path):
         path, again_path = tmp_path / "m.lstm", tmp_path / "again.lstm"

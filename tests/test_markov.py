@@ -217,7 +217,30 @@ def set_line(i, line):
     return lambda lines: lines[:i] + [line] + lines[i + 1 :]
 
 
-ROOT = 3  # body line of node 0; node k is on line ROOT + k
+ROOT = 3  # body line of node line 0; node line k is on line ROOT + k
+
+# TestSerialization.make_model's file: a line runs on through each only
+# child with its parent's counts, as `n 1 C B B:1` does.
+MAKE_MODEL_TEXT = """\
+tracekit-markov v3
+order 3
+vocab A B C D
+n - - A:5,B:5,C:2,D:2
+n 0 A B:3,C:1,D:1
+n 1 B C:1,D:1
+n 2 C D:1
+n 1 C B B:1
+n 1 D B B:1
+n 0 B A:2,C:1,D:1
+n 6 A C:1,D:1
+n 7 C D:1
+n 6 C A A:1
+n 0 C A:1,B:1
+n 10 A B B:1
+n 10 B A A:1
+n 0 D B A A:1
+# sha256 d1e29588f157cd67c66cfa966115df564be1e5e8227a528ef31dcde40b5c9474
+"""
 
 # Malformed successor fields, each with its error message.
 BAD_SUCCESSORS = {
@@ -231,7 +254,8 @@ BAD_SUCCESSORS = {
 
 # Edits of TestSerialization.make_model's file that keep a valid checksum
 # but break the header or the node list, each with its error message.
-# Node 2 is `n 1 B ...`, node 3 is `n 2 C D:1`.
+# Node line 2 is `n 1 B ...`, line 3 is `n 2 C D:1`, line 4 is `n 1 C B B:1`
+# and line 13 is `n 0 D B A A:1` (see MAKE_MODEL_TEXT).
 BAD_BODIES = {
     "parent is the node itself": (set_line(ROOT + 2, "n 2 B C:1,D:1"),
                                   "node 2: parent 2 is not an earlier node"),
@@ -246,6 +270,12 @@ BAD_BODIES = {
     "non-integer order": (set_line(1, "order two"), "malformed model header"),
     "order 0": (set_line(1, "order 0"), "order must be >= 1, got 0"),
     "node line of 3 fields": (set_line(ROOT + 3, "n 2 C"), "malformed node line 3"),
+    "node line with no symbol": (set_line(ROOT + 3, "n 2 D:1"), "malformed node line 3"),
+    "unknown id inside a chain": (set_line(ROOT + 13, "n 0 D Z A A:1"), "node 13: unknown id 'Z'"),
+    "chain past the order": (set_line(ROOT + 13, "n 0 D B A B A:1"),
+                             "node 13: depth 4 exceeds order"),
+    "duplicate first symbol of a chain": (set_line(ROOT + 5, "n 1 C A B:1"),
+                                          "node 5: duplicate child 'C' of 1"),
     "first node is not the root": (set_line(ROOT, "n 0 - A:1"), "first node line is not the root"),
     "non-integer parent": (set_line(ROOT + 3, "n x C D:1"), "node 3: bad parent 'x'"),
     **{name: (set_line(ROOT + 3, f"n 2 C {field}"), message)
@@ -305,7 +335,8 @@ class TestSerialization:
         assert again.to_text() == text
 
     def test_empty_file_rejected(self):
-        with pytest.raises(CorruptModel, match="bad header: '', expected `tracekit-markov v2`"):
+        expected = f"bad header: '', expected `tracekit-markov v{_FORMAT_VERSION}`"
+        with pytest.raises(CorruptModel, match=re.escape(expected)):
             MarkovModel.from_text("")
 
     def test_version_mismatch(self):
@@ -319,6 +350,16 @@ class TestSerialization:
         v1_text = resign(v1_body + "# sha256 -\n", lambda lines: lines)
         with pytest.raises(VersionMismatch):
             MarkovModel.from_text(v1_text)
+
+    def test_v2_file_rejected(self):
+        # One line per node, as the format stood before chains.
+        v2_body = "tracekit-markov v2\norder 2\nvocab A B\nn - - A:2,B:1\nn 0 A B:1\nn 1 A B:1\n"
+        v2_text = resign(v2_body + "# sha256 -\n", lambda lines: lines)
+        with pytest.raises(VersionMismatch, match="retrain with `tracekit train-markov`"):
+            MarkovModel.from_text(v2_text)
+
+    def test_text_is_pinned(self):
+        assert self.make_model().to_text() == MAKE_MODEL_TEXT
 
     def test_event_named_other_is_the_other_slot(self, tmp_path):
         # `OTHER` is not a dictionary id, so the learned model and the one
@@ -339,9 +380,42 @@ class TestSerialization:
         assert table_by_ids(again) == table_by_ids(model)
 
 
+class TestChains:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_round_trip_bound_and_maximal_chains(self, data):
+        seqs = [data.draw(st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=60))
+                for _ in range(data.draw(st.integers(1, 4)))]
+        order = data.draw(st.integers(1, 45))
+        traces = [trace_of(*s) for s in seqs]
+        model = learn(traces, order)
+        text = model.to_text()
+        again = MarkovModel.from_text(text)
+        # A learned trie numbers its nodes in insertion order, a loaded one
+        # in pre-order, so compare contexts, not node lists.
+        assert table_by_ids(again) == table_by_ids(model)
+        assert again.counts[0] == model.counts[0]
+        assert again.to_text() == text
+        node_lines = text.splitlines()[3:-1]
+        events = sum(map(len, seqs))
+        assert len(node_lines) <= 2 * events + len(traces) * order + 1
+        # Follow each line down the learned trie: it must end where a node
+        # branches, stops, or hands its only child different counts.
+        ends = [0]
+        for line in node_lines[1:]:
+            _, parent, *symbols, _ = line.split(" ")
+            node = ends[int(parent)]
+            for token in symbols:
+                node = model.children[node][model.dictionary.index_of(token)]
+            ends.append(node)
+            kids = list(model.children[node].values())
+            assert not (len(kids) == 1 and model.counts[kids[0]] == model.counts[node])
+
+
 def token_sorted_text(model):
-    """The writer before the rank table, kept as the reference: it sorts each
-    node's successors and children by comparing their id tokens."""
+    """The reference writer: it sorts each node's successors and children by
+    comparing their id tokens, and, below the root, runs a line on through
+    every only child whose counts equal its parent's."""
     tokens = [decode_index(i, model.dictionary) for i in range(model.dictionary.size)]
     children, counts = model.children, model.counts
 
@@ -354,13 +428,19 @@ def token_sorted_text(model):
         f"order {model.order_n}",
         "vocab " + " ".join(model.dictionary.ids),
     ]
-    stack = [(0, "-", "-")]
-    while stack:
-        node, token, parent = stack.pop()
+
+    def write(node, parent, symbols):
+        while node and len(children[node]) == 1:
+            (symbol, child), = children[node].items()
+            if counts[child] != counts[node]:
+                break
+            symbols, node = symbols + [tokens[symbol]], child
         position = len(lines) - 3
-        lines.append(f"n {parent} {token} {successors(node)}")
-        kids = sorted((tokens[sym], child) for sym, child in children[node].items())
-        stack.extend((child, tok, position) for tok, child in reversed(kids))
+        lines.append(f"n {parent} {' '.join(symbols)} {successors(node)}")
+        for token, child in sorted((tokens[sym], child) for sym, child in children[node].items()):
+            write(child, position, [token])
+
+    write(0, "-", ["-"])
     body = "\n".join(lines) + "\n"
     return body + f"# sha256 {hashlib.sha256(body.encode('utf-8')).hexdigest()}\n"
 
@@ -399,7 +479,7 @@ def motif_model(order_n=20):
 
 
 def successor_fields(text):
-    return [line.split(" ")[3] for line in text.splitlines()[3:-1]]
+    return [line.split(" ")[-1] for line in text.splitlines()[3:-1]]
 
 
 class TestParseCache:
@@ -414,9 +494,8 @@ class TestParseCache:
 
         monkeypatch.setattr(markov, "_parse_counts", counting_parse_counts)
         again = MarkovModel.from_text(text)
-        fields = successor_fields(text)
-        assert len(fields) > 2000
-        assert sorted(calls) == sorted(set(fields))
+        assert sorted(calls) == sorted(set(successor_fields(text)))
+        assert 10 * len(calls) < again.state_count
         assert again.to_text() == text
 
     def test_every_node_owns_its_counts(self):
@@ -433,11 +512,11 @@ class TestParseCache:
                              ids=BAD_SUCCESSORS.keys())
     def test_bad_field_on_the_last_line_is_still_rejected(self, field, message):
         text = motif_model().to_text()
-        assert len(successor_fields(text)) > 2000
+        assert len(successor_fields(text)) > 500
 
         def break_last_node(lines):
             parts = lines[-1].split(" ")
-            return lines[:-1] + [" ".join(parts[:3] + [field])]
+            return lines[:-1] + [" ".join(parts[:-1] + [field])]
 
         with pytest.raises(CorruptModel, match=re.escape(message)):
             MarkovModel.from_text(resign(text, break_last_node))
