@@ -10,11 +10,16 @@ readers refuse another artifact's header; ``mine`` also reads a ``.gapped``
 file, whose surviving events it mines, and ``predict`` rolls out either model.
 ``train-markov`` and ``train-lstm`` train on their ``--train`` pool's own
 dictionary, the one ``dict`` writes for that pool.
+
+The Markov and trace subcommands never load numpy (see ``core``); only
+``train-lstm``, ``report``, ``render`` and ``restore`` and ``predict`` with
+an LSTM model do.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -203,6 +208,7 @@ def _percent(raw: str) -> float:
     return value
 
 
+@functools.cache  # built once per process; parse_args returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracekit",

@@ -6,19 +6,43 @@ dictionary maps each id observed during training to a dense index and
 reserves one trailing OTHER index that absorbs ids never seen during training
 (and events named ``OTHER``), so encoded vectors have a fixed width of
 ``len(ids) + 1``.
+
+numpy loads on first use, not at import: ``np`` here is a lazy module that
+runs numpy's own import the first time an attribute of it is read. Each
+``tracekit`` subcommand runs as its own process, and importing numpy is
+most of the package's import time, yet only LSTM training, inference and
+model I/O, ``encode_ids`` and the ``report`` rasters use it; the Markov and
+trace paths never load it. If numpy is already in ``sys.modules``, ``np`` is
+that module as it is, and a plain ``import numpy`` anywhere loads it at once.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from types import ModuleType
 from typing import Iterable, Mapping, Sequence
 
-import math
-
-import numpy as np
-
 from .errors import EmptyTrainingSet, IndexOutOfRange
+
+
+def _lazy_import(name: str) -> ModuleType:
+    """The module ``name``, imported on first attribute access if not yet loaded."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 #: Reserved token returned when decoding the OTHER index.
 OTHER_TOKEN = "OTHER"

@@ -61,8 +61,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .core import (
     OTHER_TOKEN,
     Dictionary,
@@ -71,6 +69,7 @@ from .core import (
     encode_ids,
     decode_index,
     event_frequencies,
+    np,
     pick_most_frequent,
 )
 from .errors import (
@@ -222,8 +221,8 @@ def logloss(prediction: np.ndarray, target: np.ndarray) -> float:
 
 
 # A mask is an array or the scalar 1.0; masks are (input, (dense0, dense1),
-# (lstm0, lstm1)).
-Mask = np.ndarray | float
+# (lstm0, lstm1)). A string, so that importing this module does not load numpy.
+Mask = "np.ndarray | float"
 Masks = tuple[Mask, tuple[Mask, Mask], tuple[Mask, Mask]]
 
 NO_DROPOUT: Masks = (1.0, (1.0, 1.0), (1.0, 1.0))

@@ -402,6 +402,37 @@ def test_bad_values_and_flags_exit_2_without_traceback(markov_run, capsys, case)
         assert not Path(argv[argv.index("--out") + 1]).exists()
 
 
+def test_one_parser_serves_every_call_as_fresh_parsers_do(markov_run, capsys):
+    tmp_path, _, _ = markov_run
+    calls = [
+        ["mine", "--in", str(tmp_path / "train" / "t0.trace")],  # no --dict or --out: exit 2
+        ["dict", "--in", str(tmp_path / "train"), "--out", str(tmp_path / "{run}.dict")],
+        ["mine", "--in", str(tmp_path / "train" / "t0.trace"), "--dict",
+         str(tmp_path / "{run}.dict"), "--out", str(tmp_path / "{run}.mined")],
+    ]
+
+    def run(fresh):
+        run = "fresh" if fresh else "cached"
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            capsys.readouterr()
+            try:
+                code = cli.main([a.format(run=run) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            seen.append((code, out.replace(run, "*"), err.replace(run, "*")))
+        files = [(tmp_path / f"{run}.{ext}").read_bytes() for ext in ("dict", "mined")]
+        return seen, files
+
+    cached = run(fresh=False)
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in cached[0]] == [2, 0, 0]
+    assert run(fresh=True) == cached
+
+
 def test_report_mines_a_lossy_trace_that_keeps_one_event(tmp_path):
     """75 % loss on a 5-event trace keeps one event, which has no time span."""
     settings = dict(REPORT_CONFIG, **{"synth.duration": "0.021", "synth.triggered": "B A 1 0.001",
