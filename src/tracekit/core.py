@@ -67,7 +67,7 @@ class EventId(str):
         return super().__new__(cls, token)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One bus message occurrence: an id plus its timestamp in seconds."""
 

@@ -73,8 +73,15 @@ def content_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
             yield line_no, raw, line.split()
 
 
-def parse_event_line(line_no: int, raw: str, parts: list[str], prev_ts: float | None) -> Event:
-    """One ``<timestamp> <id>`` line whose ``Event`` may not step back before ``prev_ts``."""
+def parse_event_line(
+    line_no: int, raw: str, parts: list[str], prev_ts: float | None, ids: dict[str, EventId]
+) -> Event:
+    """One ``<timestamp> <id>`` line whose ``Event`` may not step back before ``prev_ts``.
+
+    ``ids`` maps each id token already read from the same text to its
+    ``EventId``, so equal tokens share one object; a line with a new token
+    adds it.
+    """
     if len(parts) != 2:
         raise MalformedLine(line_no, raw, "expected `<timestamp> <id>`")
     ts_token, id_token = parts
@@ -83,7 +90,10 @@ def parse_event_line(line_no: int, raw: str, parts: list[str], prev_ts: float | 
     except ValueError:
         raise MalformedLine(line_no, raw, "timestamp is not a number") from None
     try:
-        ev = Event(EventId(id_token), ts)
+        eid = ids.get(id_token)
+        if eid is None:
+            eid = ids[id_token] = EventId(id_token)
+        ev = Event(eid, ts)
     except ValueError as exc:
         raise MalformedLine(line_no, raw, str(exc)) from None
     if prev_ts is not None and ts < prev_ts:
@@ -99,9 +109,10 @@ def parse_trace(text: str, label: str = "") -> Trace:
     """
     check_header(text, TRACE_HEADER)
     events: list[Event] = []
+    ids: dict[str, EventId] = {}
     for line_no, raw, parts in content_lines(text):
         prev_ts = events[-1].timestamp if events else None
-        events.append(parse_event_line(line_no, raw, parts, prev_ts))
+        events.append(parse_event_line(line_no, raw, parts, prev_ts, ids))
     return Trace(tuple(events), label=label)
 
 

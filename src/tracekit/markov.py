@@ -1,21 +1,31 @@
 """Benchmark next-event model: a reversed-context trie with k-gram backoff.
 
 Training walks every trace once. For every successor position it walks back
-over at most ``order_n`` preceding events, one trie level per event, and
-increments the successor's count at every node it passes. A node therefore
-stands for one context (the path from the root read backwards) and holds the
-successor counts of that k-gram. Only contexts that actually occur are
+over at most ``order_n`` preceding events and counts the successor once for
+every context it passes: the k-gram of the last k events, for each k up to
+``order_n``, read backwards. Only contexts that actually occur are
 materialized; the full ``d**n`` table the naive construction would imply
-never exists. Node 0 is the root: the empty context, holding the global event
-frequency.
+never exists.
 
-Prediction follows the last ``order_n`` context ids from the root as far as
-the trie reaches. The deepest node reached is the longest context suffix seen
-in training; its most frequent successor is the answer, and the root's
-global frequency answers when not even the last id was seen. Ties break
-toward the lowest dictionary index so predictions are reproducible.
+The trie is path-compressed, a PATRICIA trie (Morrison, JACM 1968). A node
+is a chain: a run of contexts, each one event longer than the one before,
+that share one table of successor counts. Node 0 is the root: the empty
+context, holding the global event frequency. Where a walk leaves a chain
+midway, by another id or by stopping at the trace start or at the order, it
+splits the chain in two; the rest of an unseen context becomes one new leaf.
+Either way the part above has counted one more successor than the part
+below. A context's counts never fall below those of a longer one, so the two
+never become equal again, and every learned node is a maximal chain: one
+line of the model file.
 
-Nodes store dense dictionary indices rather than id strings: equality is
+Prediction follows the last ``order_n`` context ids from the root along the
+chains as far as they match. The deepest context matched is the longest
+context suffix seen in training, and the counts of its chain answer, also
+when the match ends inside the chain. The root's global frequency answers
+when not even the last id was seen. Ties break toward the lowest dictionary
+index so predictions are reproducible.
+
+Chains store dense dictionary indices rather than id strings: equality is
 unaffected (unknown ids conflate into OTHER, which never occurs inside
 training states unless the training traces themselves hold unknown ids).
 
@@ -28,39 +38,42 @@ Serialization (format v3) is line-oriented text::
     n <parent> <sym1> ... <symK> <succ>:<count>,...   one line per chain
     # sha256 <hex digest of every line above>
 
-A line other than the root's holds a chain of K >= 1 nodes: ``<sym1>`` is a
-child of the last node of line ``<parent>``, each further symbol a child of
-the one before, and every node of the chain has the line's successor counts.
-The writer runs a line on through a node's only child while that child's
-counts equal the node's, so a line ends at a node that has no children,
-several, or one child with different counts. Lines come in canonical
-pre-order: a chain's child lines follow it, sorted by id token, and
-``<parent>`` is the position of the parent line among the node lines (the
-root is 0), so it is always smaller than the line's own position. Successors
-within a line are sorted by id token too, which makes model files
-byte-stable. The reader expands each chain into one node per symbol, numbered
-in pre-order, and checks each symbol: a known id, not a second child of the
-same symbol, and no deeper than the order. The checksum line guards against
-truncation and edits. v1 and v2 files (one line per state and successor, one
-line per node) are refused with ``VersionMismatch``.
+A line other than the root's holds a chain of K >= 1 contexts: ``<sym1>``
+extends the last context of line ``<parent>`` by one event further back,
+each further symbol extends the one before, and every context of the chain
+has the line's successor counts. The writer writes one line per node, but
+runs a line on through a node's only child while that child's counts equal
+the node's. Only a model read from a hand-split file holds such a child, and
+it re-saves in canonical form. So a line ends at a context that has no
+children, several, or one child with different counts. Lines come in
+canonical pre-order: a chain's child lines follow it, sorted by id token,
+and ``<parent>`` is the position of the parent line among the node lines
+(the root is 0), so it is always smaller than the line's own position.
+Successors within a line are sorted by id token too, which makes model files
+byte-stable. The reader builds one node per line, numbered in pre-order, and
+does not expand chains. It checks each symbol: a known id, no deeper than
+the order, and the first not a second child of the same symbol. The checksum
+line guards against truncation and edits. v1 and v2 files (one line per
+state and successor, one line per context) are refused with
+``VersionMismatch``.
 
-A file has at most ``2 * events + traces * order + 1`` node lines. Each line
-but the root's ends at a distinct node. At most ``events`` of those are
-leaves, one per successor position at most, and fewer branch. The rest hand
-their only child different counts. Every occurrence of a node's context that
-is not also one of its child's must run into the start of a trace, so such a
-node's context is the opening of some trace, and there are at most
-``traces * order`` of those.
+A file has at most ``2 * events + traces * order + 1`` node lines, so a
+learned trie has at most that many nodes. Each line but the root's ends at a
+distinct context. At most ``events`` of those are leaves, one per successor
+position at most, and fewer branch. The rest hand their only child different
+counts. Every occurrence of such a context that is not also one of its
+child's must run into the start of a trace, so the context is the opening of
+some trace, and there are at most ``traces * order`` of those.
 
-A trained trie has far more nodes than lines or distinct successor fields
-(the benchmark's order-40 model at seed 1: 22,570 nodes in 968 lines, 105 KB
-against 399 KB written one line per node, and 235 distinct fields), so
-neither direction pays per-node string work it can share. The writer ranks
-the id tokens once per call and orders every node's successors and children
-by that integer rank, with a direct path for a node of one successor or one
-child. The reader parses each distinct successor field once and gives every
-node a copy of the parsed counts, so nodes never share a dict that later
-training would update.
+A trained model has far more contexts than lines or distinct successor
+fields (the benchmark's order-40 model at seed 1: 22,569 contexts in 968
+lines, and 235 distinct fields), so no direction pays per-context work it
+can share. The trie's memory grows with its lines, not with its contexts.
+The writer ranks the id tokens once per call and orders every node's
+successors and children by that integer rank, with a direct path for a node
+of one successor or one child. The reader parses each distinct successor
+field once and gives every node a copy of the parsed counts, so nodes never
+share a dict that later training would update.
 """
 
 from __future__ import annotations
@@ -83,20 +96,23 @@ _FORMAT_VERSION = 3
 class MarkovModel:
     """Order-n transition-frequency model over event ids.
 
-    ``children[node]`` maps a dictionary index to the child node one event
-    further back in the context; ``counts[node]`` maps a successor's index
-    to how often it followed that context. Node 0 is the root.
+    A node is a chain of contexts. ``labels[node]`` holds its dictionary
+    indices, each one event further back than the one before, and ``()`` for
+    the root, node 0. ``children[node]`` maps the first index of each child
+    chain to that child; ``counts[node]`` maps a successor's index to how
+    often it followed each context of the chain.
     """
 
     order_n: int
     dictionary: Dictionary
+    labels: list[tuple[int, ...]] = field(default_factory=lambda: [()])
     children: list[dict[int, int]] = field(default_factory=lambda: [{}])
     counts: list[dict[int, int]] = field(default_factory=lambda: [{}])
 
     @property
     def state_count(self) -> int:
-        """Number of distinct contexts seen in training: the non-root nodes."""
-        return len(self.counts) - 1
+        """Number of distinct contexts seen in training: the chains' lengths."""
+        return sum(map(len, self.labels))
 
     # -- training ---------------------------------------------------------
 
@@ -107,21 +123,38 @@ class MarkovModel:
         recording.
         """
         seq = [self.dictionary.index_of(eid) for eid in trace.ids()]
-        children, counts = self.children, self.counts
+        labels, children, counts = self.labels, self.children, self.counts
         root = counts[0]
         for idx in seq:
             root[idx] = root.get(idx, 0) + 1
         for j in range(1, len(seq)):
             nxt = seq[j]
-            node = 0
-            for i in range(j - 1, max(j - self.order_n, 0) - 1, -1):
-                branch = children[node]
-                child = branch.get(seq[i])
+            stop = max(j - self.order_n, 0)
+            node, i = 0, j - 1
+            while i >= stop:
+                child = children[node].get(seq[i])
                 if child is None:
-                    child = branch[seq[i]] = len(counts)
+                    # The rest of an unseen context becomes one leaf chain.
+                    children[node][seq[i]] = len(counts)
+                    labels.append(tuple(reversed(seq[stop : i + 1])))
                     children.append({})
-                    counts.append({})
-                node = child
+                    counts.append({nxt: 1})
+                    break
+                label = labels[child]
+                reach = min(len(label), i - stop + 1)
+                matched = 1
+                while matched < reach and seq[i - matched] == label[matched]:
+                    matched += 1
+                if matched < len(label):
+                    # The walk leaves the chain: its first ``matched``
+                    # contexts keep the node, the rest move to a new child.
+                    labels.append(label[matched:])
+                    children.append(children[child])
+                    counts.append(counts[child])
+                    labels[child] = label[:matched]
+                    children[child] = {label[matched]: len(counts) - 1}
+                    counts[child] = dict(counts[child])
+                node, i = child, i - matched
                 successors = counts[node]
                 successors[nxt] = successors.get(nxt, 0) + 1
 
@@ -137,13 +170,21 @@ class MarkovModel:
         """
         if not self.counts[0]:
             raise UntrainedModel("markov model has no transitions")
-        children = self.children
-        node = 0
+        labels, children, index_of = self.labels, self.children, self.dictionary.index_of
+        node, label, matched = 0, (), 0
         for eid in reversed(context[-self.order_n :]):
-            child = children[node].get(self.dictionary.index_of(eid))
+            idx = index_of(eid)
+            if matched < len(label):
+                # Within a chain every context shares the node's counts, so
+                # a partial match answers like a whole one.
+                if idx != label[matched]:
+                    break
+                matched += 1
+                continue
+            child = children[node].get(idx)
             if child is None:
                 break
-            node = child
+            node, label, matched = child, labels[child], 1
         by_id = {decode_index(idx, self.dictionary): c for idx, c in self.counts[node].items()}
         return pick_most_frequent(by_id, self.dictionary)
 
@@ -169,7 +210,7 @@ class MarkovModel:
         for place, i in enumerate(sorted(range(len(tokens)), key=tokens.__getitem__)):
             rank[i] = place
         by_token = rank.__getitem__
-        children, counts = self.children, self.counts
+        labels, children, counts = self.labels, self.children, self.counts
 
         def successors(node: int) -> str:
             succ = counts[node]
@@ -183,30 +224,30 @@ class MarkovModel:
             f"order {self.order_n}",
             "vocab " + " ".join(self.dictionary.ids),
         ]
-        # Depth-first from the root: (a line's first node, its symbol token,
-        # the parent line's position).
-        stack: list[tuple[int, str, int | str]] = [(0, "-", "-")]
+        # Depth-first from the root: (a line's first node, the parent line's
+        # position).
+        stack: list[tuple[int, int | str]] = [(0, "-")]
         while stack:
-            node, token, parent = stack.pop()
+            node, parent = stack.pop()
             position = len(lines) - 3
-            symbols = [token]
+            symbols = [tokens[idx] for idx in labels[node]] or ["-"]
             kids = children[node]
             # A non-root line runs on through each only child whose counts
-            # equal its parent's: such a child adds nothing of its own.
+            # equal its parent's: such a child adds nothing of its own. Only
+            # a model read from a hand-split file holds one.
             while node and len(kids) == 1:
-                [(sym, child)] = kids.items()
+                [child] = kids.values()
                 if counts[child] != counts[node]:
                     break
-                symbols.append(tokens[sym])
+                symbols.extend(tokens[idx] for idx in labels[child])
                 node, kids = child, children[child]
             lines.append(f"n {parent} {' '.join(symbols)} {successors(node)}")
             if len(kids) == 1:
-                [(sym, child)] = kids.items()
-                stack.append((child, tokens[sym], position))
+                [child] = kids.values()
+                stack.append((child, position))
             elif kids:
                 stack.extend(
-                    (kids[sym], tokens[sym], position)
-                    for sym in sorted(kids, key=by_token, reverse=True)
+                    (kids[sym], position) for sym in sorted(kids, key=by_token, reverse=True)
                 )
         body = "\n".join(lines) + "\n"
         digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
@@ -237,13 +278,12 @@ class MarkovModel:
             raise CorruptModel(f"order must be >= 1, got {order_n}")
 
         index = {decode_index(i, dictionary): i for i in range(dictionary.size)}
+        labels: list[tuple[int, ...]] = []
         children: list[dict[int, int]] = []
         counts: list[dict[int, int]] = []
-        # The deepest node of each node line, and that node's depth: a later
-        # line hangs its chain below it.
-        end: list[int] = []
+        # The depth of each node line's last context.
         depth: list[int] = []
-        # Many nodes share one successor field: parse each distinct field once
+        # Many lines share one successor field: parse each distinct field once
         # and give every node its own copy of the result.
         parsed: dict[str, dict[int, int]] = {}
 
@@ -260,9 +300,9 @@ class MarkovModel:
             if position == 0:
                 if parent_token != "-" or symbols != ["-"]:
                     raise CorruptModel(f"first node line is not the root: {line!r}")
+                labels.append(())
                 children.append({})
                 counts.append(parsed_counts(successors).copy() if successors else {})
-                end.append(0)
                 depth.append(0)
                 continue
             try:
@@ -274,22 +314,19 @@ class MarkovModel:
             depth.append(depth[parent] + len(symbols))
             if depth[position] > order_n:
                 raise CorruptModel(f"node {position}: depth {depth[position]} exceeds order")
-            successor_counts = parsed_counts(successors)
-            node = end[parent]
-            for symbol_token in symbols:
-                symbol = index.get(symbol_token)
-                if symbol is None:
-                    raise CorruptModel(f"node {position}: unknown id {symbol_token!r}")
-                if symbol in children[node]:
-                    raise CorruptModel(
-                        f"node {position}: duplicate child {symbol_token!r} of {parent}"
-                    )
-                children[node][symbol] = len(counts)
-                node = len(counts)
-                children.append({})
-                counts.append(successor_counts.copy())
-            end.append(node)
-        return cls(order_n=order_n, dictionary=dictionary, children=children, counts=counts)
+            label = tuple(map(index.get, symbols))
+            if None in label:
+                unknown = symbols[label.index(None)]
+                raise CorruptModel(f"node {position}: unknown id {unknown!r}")
+            if label[0] in children[parent]:
+                raise CorruptModel(f"node {position}: duplicate child {symbols[0]!r} of {parent}")
+            children[parent][label[0]] = position
+            labels.append(label)
+            children.append({})
+            counts.append(parsed_counts(successors).copy())
+        return cls(
+            order_n=order_n, dictionary=dictionary, labels=labels, children=children, counts=counts
+        )
 
     def save(self, path: str | os.PathLike) -> None:
         Path(path).write_text(self.to_text(), encoding="utf-8")

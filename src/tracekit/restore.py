@@ -211,13 +211,14 @@ def parse_gapped(text: str, label: str = "") -> GappedTrace:
     check_header(text, GAPPED_HEADER)
     slots: list[Event | None] = []
     prev_ts: float | None = None
+    ids: dict[str, EventId] = {}
     for line_no, raw, parts in content_lines(text):
         if parts[0] == "?":
             if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
                 raise MalformedLine(line_no, raw, "expected `? <missing_count>`")
             slots.extend([None] * int(parts[1]))
             continue
-        ev = parse_event_line(line_no, raw, parts, prev_ts)
+        ev = parse_event_line(line_no, raw, parts, prev_ts, ids)
         prev_ts = ev.timestamp
         slots.append(ev)
     return GappedTrace(tuple(slots), label=label)

@@ -60,6 +60,13 @@ class TestEvent:
         with pytest.raises(TypeError):
             Event(EventId("B0"))
 
+    def test_slots_and_no_instance_dict(self):
+        event = Event(EventId("B0"), 1)
+        assert not hasattr(event, "__dict__")
+        assert event.timestamp == 1.0 and type(event.timestamp) is float
+        with pytest.raises(AttributeError):
+            event.timestamp = 2.0
+
 
 class TestTrace:
     def test_rejects_decreasing_timestamps(self):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tracekit import markov, trem
+from tracekit import ingest, markov, trem
 from tracekit.core import Event, EventId, Trace
 from tracekit.errors import (
     CorruptModel,
@@ -55,6 +55,31 @@ class TestParse:
         with pytest.raises(MalformedLine, match="finite and >= 0") as exc:
             parse("0.5 A\n-1 B\n")
         assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "events",
+        [lambda text: parse_trace(text).events,
+         lambda text: parse_gapped("? 1\n" + text).known_trace().events],
+        ids=["trace", "gapped"],
+    )
+    def test_equal_tokens_share_one_id(self, events):
+        ids = [ev.id for ev in events("0.1 A\n0.2 b\n0.3 A\n0.4 b\n0.5 B\n")]
+        assert ids == ["A", "B", "A", "B", "B"]
+        assert ids[0] is ids[2] and ids[1] is ids[3]
+
+    @pytest.mark.parametrize("parse", [parse_trace, parse_gapped], ids=["trace", "gapped"])
+    def test_bad_id_is_malformed_at_its_own_line(self, parse, monkeypatch):
+        # No token that str.split yields breaks EventId's rules, so a
+        # stricter rule stands in: it rejects BAD, first seen on line 3.
+        def strict_event_id(token):
+            if token == "BAD":
+                raise ValueError("event id BAD is rejected")
+            return EventId(token)
+
+        monkeypatch.setattr(ingest, "EventId", strict_event_id)
+        with pytest.raises(MalformedLine, match="BAD is rejected") as exc:
+            parse("0.1 A\n0.2 A\n0.3 BAD\n0.4 BAD\n")
+        assert exc.value.line_no == 3
 
     def test_header_versions(self):
         assert len(parse_trace(f"{TRACE_HEADER}\n0.5 B0\n")) == 1

@@ -1,13 +1,23 @@
 import hashlib
+import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tracekit import cli
 from tracekit import markov
-from tracekit.core import Dictionary, Event, EventId, Trace, build_dictionary, decode_index
+from tracekit.core import (
+    Dictionary,
+    Event,
+    EventId,
+    Trace,
+    build_dictionary,
+    decode_index,
+    pick_most_frequent,
+)
 from tracekit.errors import CorruptModel, EmptyTrainingSet, UntrainedModel, VersionMismatch
 from tracekit.ingest import write_trace
 from tracekit.markov import _FORMAT_VERSION, MarkovModel, learn_transitions
@@ -24,18 +34,96 @@ def learn(traces, order_n):
     return learn_transitions(traces, order_n, build_dictionary(traces))
 
 
+class PerSymbolTrie:
+    """The trie with one node per context and one symbol per edge, as the
+    model stood before chains. Its ``learn_trace`` and ``predict_next`` are
+    the reference that the chain trie must agree with; its ``labels`` read
+    it as a trie of one-symbol chains."""
+
+    def __init__(self, order_n, dictionary):
+        self.order_n, self.dictionary = order_n, dictionary
+        self.children, self.counts = [{}], [{}]
+
+    @property
+    def labels(self):
+        labels = [()] * len(self.counts)
+        for branch in self.children:
+            for symbol, child in branch.items():
+                labels[child] = (symbol,)
+        return labels
+
+    @property
+    def state_count(self):
+        return len(self.counts) - 1
+
+    def learn_trace(self, trace):
+        seq = [self.dictionary.index_of(eid) for eid in trace.ids()]
+        children, counts = self.children, self.counts
+        root = counts[0]
+        for idx in seq:
+            root[idx] = root.get(idx, 0) + 1
+        for j in range(1, len(seq)):
+            nxt = seq[j]
+            node = 0
+            for i in range(j - 1, max(j - self.order_n, 0) - 1, -1):
+                branch = children[node]
+                child = branch.get(seq[i])
+                if child is None:
+                    child = branch[seq[i]] = len(counts)
+                    children.append({})
+                    counts.append({})
+                node = child
+                successors = counts[node]
+                successors[nxt] = successors.get(nxt, 0) + 1
+
+    def predict_next(self, context):
+        node = 0
+        for eid in reversed(context[-self.order_n :]):
+            child = self.children[node].get(self.dictionary.index_of(eid))
+            if child is None:
+                break
+            node = child
+        by_id = {decode_index(idx, self.dictionary): c for idx, c in self.counts[node].items()}
+        return pick_most_frequent(by_id, self.dictionary)
+
+
+def expanded(model):
+    """The ``PerSymbolTrie`` of a chain trie: each chain of K contexts becomes
+    K nodes with the chain's counts, each a child of the one before."""
+    trie = PerSymbolTrie(model.order_n, model.dictionary)
+    trie.counts[0] = model.counts[0]
+    stack = [(0, 0)]  # (a chain node, the trie node of its last context)
+    while stack:
+        node, end = stack.pop()
+        for child in model.children[node].values():
+            last = end
+            for symbol in model.labels[child]:
+                trie.children[last][symbol] = len(trie.counts)
+                last = len(trie.counts)
+                trie.children.append({})
+                trie.counts.append(model.counts[child])
+            stack.append((child, last))
+    return trie
+
+
 def table_by_ids(model):
-    """Every trie path as a k-gram of ids mapped to its successor counts."""
-    table = {}
-    stack = [(0, ())]  # (node, its context read backwards from the last id)
+    """Every context of a chain trie as a k-gram of ids mapped to its
+    successor counts."""
+    table, labels = {}, model.labels
+    stack = [(0, ())]  # (node, its last context read backwards from the last id)
     while stack:
         node, backwards = stack.pop()
-        if node:
-            table[tuple(decode_index(i, model.dictionary) for i in reversed(backwards))] = {
-                decode_index(s, model.dictionary): c for s, c in model.counts[node].items()
+        for child in model.children[node].values():
+            label = labels[child]
+            successors = {
+                decode_index(s, model.dictionary): c for s, c in model.counts[child].items()
             }
-        for symbol, child in model.children[node].items():
-            stack.append((child, backwards + (symbol,)))
+            for k in range(1, len(label) + 1):
+                context = backwards + label[:k]
+                table[tuple(decode_index(i, model.dictionary) for i in reversed(context))] = (
+                    successors
+                )
+            stack.append((child, backwards + label))
     return table
 
 
@@ -399,25 +487,28 @@ class TestChains:
         node_lines = text.splitlines()[3:-1]
         events = sum(map(len, seqs))
         assert len(node_lines) <= 2 * events + len(traces) * order + 1
-        # Follow each line down the learned trie: it must end where a node
-        # branches, stops, or hands its only child different counts.
+        # Follow each line down the learned trie, one context per symbol: it
+        # must end where a context branches, stops, or hands its only child
+        # different counts.
+        trie = expanded(model)
         ends = [0]
         for line in node_lines[1:]:
             _, parent, *symbols, _ = line.split(" ")
             node = ends[int(parent)]
             for token in symbols:
-                node = model.children[node][model.dictionary.index_of(token)]
+                node = trie.children[node][model.dictionary.index_of(token)]
             ends.append(node)
-            kids = list(model.children[node].values())
-            assert not (len(kids) == 1 and model.counts[kids[0]] == model.counts[node])
+            kids = list(trie.children[node].values())
+            assert not (len(kids) == 1 and trie.counts[kids[0]] == trie.counts[node])
 
 
-def token_sorted_text(model):
-    """The reference writer: it sorts each node's successors and children by
-    comparing their id tokens, and, below the root, runs a line on through
-    every only child whose counts equal its parent's."""
-    tokens = [decode_index(i, model.dictionary) for i in range(model.dictionary.size)]
-    children, counts = model.children, model.counts
+def token_sorted_text(trie):
+    """The reference writer of a ``PerSymbolTrie``: it sorts each node's
+    successors and children by comparing their id tokens, and, below the
+    root, runs a line on through every only child whose counts equal its
+    parent's."""
+    tokens = [decode_index(i, trie.dictionary) for i in range(trie.dictionary.size)]
+    children, counts = trie.children, trie.counts
 
     def successors(node):
         ordered = sorted(counts[node].items(), key=lambda kv: tokens[kv[0]])
@@ -425,8 +516,8 @@ def token_sorted_text(model):
 
     lines = [
         f"tracekit-markov v{_FORMAT_VERSION}",
-        f"order {model.order_n}",
-        "vocab " + " ".join(model.dictionary.ids),
+        f"order {trie.order_n}",
+        "vocab " + " ".join(trie.dictionary.ids),
     ]
 
     def write(node, parent, symbols):
@@ -464,18 +555,113 @@ class TestWriterOrder:
             for _ in range(n_traces)
         ]
         model = learn_transitions(traces, data.draw(st.integers(1, 6)), dictionary)
-        # Below the root too, some node has several successors and some
+        # Below the root too, some context has several successors and some
         # several children, so both sorted paths run besides the direct ones.
-        assume(any(len(c) > 1 for c in model.counts[1:]))
-        assume(any(len(k) > 1 for k in model.children[1:]))
-        assert model.to_text() == token_sorted_text(model)
+        trie = expanded(model)
+        assume(any(len(c) > 1 for c in trie.counts[1:]))
+        assume(any(len(k) > 1 for k in trie.children[1:]))
+        assert model.to_text() == token_sorted_text(trie)
+
+
+class TestChainTrie:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_per_symbol_trie(self, data):
+        dictionary = Dictionary(tuple(data.draw(st.permutations(WRITER_DICT_IDS))))
+        seqs = [data.draw(st.lists(st.sampled_from(WRITER_TRACE_IDS), min_size=1, max_size=60))
+                for _ in range(data.draw(st.integers(1, 4)))]
+        order = data.draw(st.integers(1, 45))
+        traces = [trace_of(*s) for s in seqs]
+        model = learn_transitions(traces, order, dictionary)
+        reference = PerSymbolTrie(order, dictionary)
+        for trace in traces:
+            reference.learn_trace(trace)
+        assert table_by_ids(model) == table_by_ids(reference)
+        assert model.state_count == reference.state_count
+        assert model.to_text() == token_sorted_text(reference)
+        # Every node is a maximal chain.
+        for kids, successors in zip(model.children[1:], model.counts[1:]):
+            assert not (len(kids) == 1 and model.counts[next(iter(kids.values()))] == successors)
+        # Random contexts rarely reach past a chain's first context; windows
+        # of the training traces stop inside chains, and a changed id in a
+        # window leaves a chain midway.
+        context_ids = st.lists(st.sampled_from(WRITER_TRACE_IDS), max_size=50)
+        contexts = data.draw(st.lists(context_ids, max_size=4))
+        for seq in seqs:
+            start = data.draw(st.integers(0, len(seq) - 1))
+            window = seq[start : data.draw(st.integers(start + 1, len(seq)))]
+            at = data.draw(st.integers(0, len(window) - 1))
+            changed = window[:at] + [data.draw(st.sampled_from(WRITER_TRACE_IDS))] + window[at + 1 :]
+            contexts += [window, changed]
+        loaded = MarkovModel.from_text(model.to_text())
+        for context in contexts:
+            expected = reference.predict_next(context)
+            assert model.predict_next(context) == expected
+            assert loaded.predict_next(context) == expected
+
+
+# MAKE_MODEL_TEXT's last line, `n 0 D B A A:1`, split by hand into lines
+# whose only child line has equal counts.
+HAND_SPLIT_TAILS = {
+    "in two": ["n 0 D B A:1", "n 13 A A:1"],
+    "in three": ["n 0 D A:1", "n 13 B A:1", "n 14 A A:1"],
+}
+
+
+class TestHandSplitChains:
+    @pytest.mark.parametrize("tail", HAND_SPLIT_TAILS.values(), ids=HAND_SPLIT_TAILS.keys())
+    def test_loads_predicts_and_resaves_canonically(self, tail):
+        assert MAKE_MODEL_TEXT.splitlines()[-2] == "n 0 D B A A:1"
+        split = MarkovModel.from_text(resign(MAKE_MODEL_TEXT, lambda lines: lines[:-1] + tail))
+        canonical = MarkovModel.from_text(MAKE_MODEL_TEXT)
+        assert len(split.counts) == len(canonical.counts) + len(tail) - 1
+        assert split.state_count == canonical.state_count
+        for k in range(5):
+            for context in itertools.product("ABCDZ", repeat=k):
+                assert split.predict_next(context) == canonical.predict_next(context)
+        assert split.to_text() == MAKE_MODEL_TEXT
+
+
+def motif_traces():
+    rng = random.Random(5)
+    ids = [eid for _ in range(120) for eid in rng.choice(["ABAC", "ABD", "AEF", "ABACD"])]
+    return [trace_of(*ids)]
 
 
 def motif_model(order_n=20):
     """A model of thousands of nodes whose successor fields repeat often."""
-    rng = random.Random(5)
-    ids = [eid for _ in range(120) for eid in rng.choice(["ABAC", "ABD", "AEF", "ABACD"])]
-    return learn([trace_of(*ids)], order_n=order_n)
+    return learn(motif_traces(), order_n=order_n)
+
+
+def kept_bytes(build):
+    """``build()``, and the bytes its result holds by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = build()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, after - before
+
+
+class TestMemory:
+    # On CPython 3.11, the motif model at order 40 (12,059 contexts in 741
+    # node lines) holds about 570 B per node line, learned or read back. With
+    # one node per context it held about 7,900 B per line.
+    BYTES_PER_LINE = 1500
+
+    def test_a_model_holds_memory_per_line_not_per_context(self):
+        traces = motif_traces()
+        dictionary = build_dictionary(traces)
+        model, learned = kept_bytes(lambda: learn_transitions(traces, 40, dictionary))
+        text = model.to_text()
+        lines = len(successor_fields(text))
+        assert model.state_count >= 10 * lines
+        again, read = kept_bytes(lambda: MarkovModel.from_text(text))
+        assert again.state_count == model.state_count
+        assert learned < self.BYTES_PER_LINE * lines
+        assert read < self.BYTES_PER_LINE * lines
 
 
 def successor_fields(text):
