@@ -26,7 +26,7 @@ from pathlib import Path
 from . import evaluate as evaluate_mod
 from . import lstm, markov, pipeline, trem
 from .config import RunConfig
-from .core import Event, Trace, build_dictionary
+from .core import Trace, build_dictionary
 from .errors import ConfigError, EmptyOriginal, TracekitError
 from .ingest import read_pool, read_text, read_trace, write_trace
 from .pipeline import read_dictionary, run_pipeline
@@ -98,7 +98,7 @@ def _cmd_inject_loss(args) -> int:
     gapped = pipeline.inject(read_trace(args.input), spec, Path(args.out))
     print(
         f"inject-loss: removed {gapped.missing_total()} of "
-        f"{len(gapped.slots)} events -> {args.out}"
+        f"{len(gapped.id_column)} events -> {args.out}"
     )
     return 0
 
@@ -107,20 +107,20 @@ def _cmd_predict(args) -> int:
     model = _load_any_model(args.model)
     seed_trace = read_trace(args.seed_trace)
     predicted = predict_step_by_step(model, seed_trace.ids(), args.horizon)
-    events = _extrapolate_events(seed_trace, predicted)
-    write_trace(Trace(tuple(events), label=f"{seed_trace.label}_pred"), args.out)
+    times = _extrapolate_times(seed_trace, len(predicted))
+    write_trace(Trace.from_columns(predicted, times, label=f"{seed_trace.label}_pred"), args.out)
     print(f"predict: {args.horizon} events -> {args.out}")
     return 0
 
 
-def _extrapolate_events(seed_trace: Trace, predicted):
-    times = seed_trace.timestamps()
+def _extrapolate_times(seed_trace: Trace, count: int) -> list[float]:
+    times = seed_trace.time_column
     if len(times) >= 2:
         delta = (times[-1] - times[0]) / (len(times) - 1)
     else:
         delta = 1.0
     t0 = times[-1] if times else 0.0
-    return [Event(eid, t0 + delta * (i + 1)) for i, eid in enumerate(predicted)]
+    return [t0 + delta * (i + 1) for i in range(count)]
 
 
 def _cmd_restore(args) -> int:
@@ -136,7 +136,7 @@ def _cmd_restore(args) -> int:
 def _cmd_evaluate(args) -> int:
     pred = read_trace(args.pred)
     truth = read_trace(args.truth)
-    report = evaluate_mod.align_and_classify(pred.ids(), truth.ids())
+    report = evaluate_mod.align_and_classify(pred.id_column, truth.id_column)
     if args.out:
         Path(args.out).write_text(report.to_text(), encoding="utf-8")
     print(

@@ -1,11 +1,13 @@
 """Domain types shared by every other module.
 
 Events are identified by short hexadecimal message-id tokens, and every event
-carries its timestamp. A trace is an ordered recording of such events. The
-dictionary maps each id observed during training to a dense index and
-reserves one trailing OTHER index that absorbs ids never seen during training
-(and events named ``OTHER``), so encoded vectors have a fixed width of
-``len(ids) + 1``.
+carries its timestamp. A trace is an ordered recording of such events, held
+as an id column and a timestamp column (``Trace``); ``Event`` is the value
+type for one event. The rules on timestamps (finite, >= 0, never
+decreasing) are written once, in ``check_times``, for both. The dictionary
+maps each id observed during training to a dense index and reserves one
+trailing OTHER index that absorbs ids never seen during training (and events
+named ``OTHER``), so encoded vectors have a fixed width of ``len(ids) + 1``.
 
 numpy loads on first use, not at import: ``np`` here is a lazy module that
 runs numpy's own import the first time an attribute of it is read. Each
@@ -19,8 +21,12 @@ that module as it is, and a plain ``import numpy`` anywhere loads it at once.
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import math
+import operator
 import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import ModuleType
@@ -67,6 +73,59 @@ class EventId(str):
         return super().__new__(cls, token)
 
 
+class TimestampError(ValueError):
+    """A timestamp breaks a rule of ``check_times`` at position ``index``.
+
+    ``step_back`` tells the two rules apart: the value is below the one
+    before it, or else it is not finite and >= 0.
+    """
+
+    def __init__(self, message: str, index: int, step_back: bool):
+        super().__init__(message)
+        self.index = index
+        self.step_back = step_back
+
+
+def check_times(times: Sequence[float]) -> None:
+    """Raise ``TimestampError`` unless every timestamp is finite and >= 0
+    and none is below the one before it.
+
+    The first position that breaks a rule is reported, as a check of one
+    timestamp after another would find it; a value that is not finite and
+    >= 0 is reported before a step back to it. The column is read in place.
+    """
+    # A finite sum rules out nan and infinities; only then is min() exact.
+    if math.isfinite(sum(times)) and min(times, default=0.0) >= 0.0:
+        bad = len(times)
+    else:  # a sum that overflowed finds nothing here
+        bad = next((i for i, ts in enumerate(times) if not 0.0 <= ts < math.inf), len(times))
+    if not all(map(operator.le, times, itertools.islice(times, 1, bad))):
+        step = next(i for i in range(1, bad) if times[i] < times[i - 1])
+        raise TimestampError("trace timestamps must be non-decreasing", step, True)
+    if bad < len(times):
+        raise TimestampError(f"timestamp must be finite and >= 0, got {times[bad]!r}", bad, False)
+
+
+def as_timestamps(times: Iterable[float]) -> array:
+    """``times`` as an ``array('d')``; one that is already is kept, not copied."""
+    return times if isinstance(times, array) and times.typecode == "d" else array("d", times)
+
+
+_ID_TYPES = frozenset({EventId})
+_SLOT_TYPES = frozenset({EventId, type(None)})
+
+
+def as_event_ids(items: Iterable[EventId | str | None], lost: bool = False) -> tuple:
+    """``items`` as a tuple of ``EventId``s, constructing one only for an
+    item that is not an ``EventId`` yet; with ``lost``, ``None`` (a lost
+    slot) stays ``None``."""
+    column = tuple(items)
+    if set(map(type, column)) <= (_SLOT_TYPES if lost else _ID_TYPES):
+        return column
+    return tuple(eid if type(eid) is EventId or (lost and eid is None) else EventId(eid)
+                 for eid in column)
+
+
 @dataclass(frozen=True, slots=True)
 class Event:
     """One bus message occurrence: an id plus its timestamp in seconds."""
@@ -78,41 +137,63 @@ class Event:
         if not isinstance(self.id, EventId):
             object.__setattr__(self, "id", EventId(self.id))
         ts = float(self.timestamp)
-        if not math.isfinite(ts) or ts < 0:
-            raise ValueError(f"timestamp must be finite and >= 0, got {ts!r}")
+        check_times((ts,))
         object.__setattr__(self, "timestamp", ts)
 
 
-def check_time_order(events: Iterable[Event]) -> None:
-    """Raise ``ValueError`` unless the events' timestamps are non-decreasing."""
-    times = [ev.timestamp for ev in events]
-    if times != sorted(times):  # no timestamp is NaN, so this is the order check
-        raise ValueError("trace timestamps must be non-decreasing")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Trace:
-    """An ordered sequence of events from one recording session.
+    """An ordered recording of one session on the bus, held as two parallel columns.
 
-    Timestamps must be non-decreasing; the restoration pipeline relies on
-    that ordering.
+    ``id_column[i]`` is event i's id and ``time_column[i]`` its timestamp in
+    seconds, a float in an ``array('d')`` (8 bytes per event). Equal ids may
+    share one ``EventId`` object, as the readers make them. Timestamps are
+    finite, >= 0 and non-decreasing (``check_times``); the restoration
+    pipeline relies on that ordering. The columns are not to be mutated.
+
+    ``Trace(events, label)`` builds the columns from ``Event``s;
+    ``Trace.from_columns(ids, times, label)`` takes them as they are.
+    ``events`` makes the ``Event``s again, one per call.
     """
 
-    events: tuple[Event, ...]
-    label: str = ""
+    id_column: tuple[EventId, ...]
+    time_column: array
+    label: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
-        check_time_order(self.events)
+    def __init__(self, events: Iterable[Event] = (), label: str = "") -> None:
+        events = tuple(events)
+        self._fill([ev.id for ev in events], [ev.timestamp for ev in events], label)
+
+    @classmethod
+    def from_columns(
+        cls, ids: Iterable[EventId | str], times: Iterable[float], label: str = ""
+    ) -> "Trace":
+        trace = cls.__new__(cls)
+        trace._fill(ids, times, label)
+        return trace
+
+    def _fill(self, ids: Iterable[EventId | str], times: Iterable[float], label: str) -> None:
+        ids = as_event_ids(ids)
+        times = as_timestamps(times)
+        if len(ids) != len(times):
+            raise ValueError(f"{len(ids)} ids for {len(times)} timestamps")
+        check_times(times)
+        object.__setattr__(self, "id_column", ids)
+        object.__setattr__(self, "time_column", times)
+        object.__setattr__(self, "label", label)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.id_column)
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        return tuple(map(Event, self.id_column, self.time_column))
 
     def ids(self) -> list[EventId]:
-        return [ev.id for ev in self.events]
+        return list(self.id_column)
 
     def timestamps(self) -> list[float]:
-        return [ev.timestamp for ev in self.events]
+        return self.time_column.tolist()
 
 
 @dataclass(frozen=True)
@@ -159,10 +240,7 @@ def build_dictionary(traces: Sequence[Trace]) -> Dictionary:
     it encodes, decodes and serializes as OTHER everywhere. Raises
     ``EmptyTrainingSet`` when no other events exist.
     """
-    seen: dict[EventId, None] = {}
-    for trace in traces:
-        for ev in trace.events:
-            seen.setdefault(ev.id, None)
+    seen = dict.fromkeys(itertools.chain.from_iterable(t.id_column for t in traces))
     seen.pop(EventId(OTHER_TOKEN), None)
     if not seen:
         raise EmptyTrainingSet("no events in training traces besides OTHER")
@@ -201,7 +279,7 @@ def event_frequencies(traces: Iterable[Trace], dictionary: Dictionary) -> dict[E
     """Count id occurrences over a pool of traces, unknown ids pooled as OTHER."""
     freq: dict[EventId, int] = {}
     for trace in traces:
-        for ev in trace.events:
-            eid = decode_index(dictionary.index_of(ev.id), dictionary)
-            freq[eid] = freq.get(eid, 0) + 1
+        for raw, count in Counter(trace.id_column).items():
+            eid = decode_index(dictionary.index_of(raw), dictionary)
+            freq[eid] = freq.get(eid, 0) + count
     return freq

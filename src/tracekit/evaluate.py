@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .core import Dictionary, EventId, encode_ids
+from .core import Dictionary, EventId, as_event_ids, encode_ids
 from .errors import DegenerateInput, LengthMismatch
 from .restore import NextEventPredictor
 
@@ -122,8 +122,8 @@ def align_and_classify(
     """
     if len(predicted) < LOOKAHEAD_W + 1 or len(truth) < LOOKAHEAD_W + 1:
         raise DegenerateInput(f"sequences must be longer than LOOKAHEAD_W={LOOKAHEAD_W}")
-    pred = [EventId(e) for e in predicted]
-    tru = [EventId(e) for e in truth]
+    pred = list(as_event_ids(predicted))
+    tru = as_event_ids(truth)
     p = t = 0
     correct = omissions = ordering = substitutions = 0
 
@@ -204,7 +204,7 @@ def next_event_accuracy(model: NextEventPredictor, ids: Sequence[EventId], *, st
     """Teacher-forced 1-step accuracy from position ``start`` onward: the
     share of positions whose true id equals ``predict_next`` of the true ids
     before it, computed by one ``walk`` over the true ids."""
-    ids = [EventId(e) for e in ids]
+    ids = as_event_ids(ids)
     if not 1 <= start < len(ids):
         raise LengthMismatch(f"need 1 <= start < {len(ids)}")
     scored = [q >= start for q in range(len(ids))]

@@ -122,7 +122,7 @@ class MarkovModel:
         k-grams never span trace boundaries; each trace is an independent
         recording.
         """
-        seq = [self.dictionary.index_of(eid) for eid in trace.ids()]
+        seq = [self.dictionary.index_of(eid) for eid in trace.id_column]
         labels, children, counts = self.labels, self.children, self.counts
         root = counts[0]
         for idx in seq:

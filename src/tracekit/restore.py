@@ -1,8 +1,9 @@
 """Loss injection, multi-step prediction and gap restoration.
 
-A ``GappedTrace`` holds one slot per position of the original trace: the
-surviving event, or ``None`` where the event was lost. ``gaps()`` derives
-the maximal runs of lost slots.
+A ``GappedTrace`` holds one slot per position of the original trace, as
+two columns like a ``Trace``: an id column with the surviving event's id,
+or ``None`` where the event was lost, and a timestamp column of the
+surviving events only. ``gaps()`` derives the maximal runs of lost slots.
 
 ``fill_gaps`` is the one self-fed loop: it runs the model's ``walk`` over
 the slots' ids with the lost slots scored, and writes each predicted id
@@ -13,14 +14,16 @@ flight in lockstep. ``predict_step_by_step`` is a fill of a seed followed
 by lost slots. Restoration is one fill of a gapped trace's slots followed
 by stamping: each filled event receives a timestamp linearly interpolated
 between the known events that flank its gap, so a restored trace has the
-original length and is directly minable.
+original length and is directly minable. Both steps read and write
+columns; no ``Event`` is built.
 
 The restorer knows each gap's size by design: loss measurements compare
 fixed-length traces, which presupposes knowing how much was lost.
 Unknown-length gap inference is out of scope.
 
 File form: ``GAPPED_HEADER``, then TraceFileFormat plus sentinel lines
-``? <missing_count>``. Other headers are refused as in ``ingest``.
+``? <missing_count>``. Other headers are refused as in ``ingest``, and the
+reader and writer use ``ingest``'s column helpers.
 """
 
 from __future__ import annotations
@@ -28,13 +31,14 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from itertools import groupby
+from array import array
+from itertools import compress, groupby
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
-from .core import Event, EventId, Trace, check_time_order
-from .errors import DegenerateInput, InvalidFraction, MalformedLine
-from .ingest import check_header, content_lines, format_event, parse_event_line, read_text
+from .core import Event, EventId, Trace, as_event_ids, as_timestamps, check_times
+from .errors import DegenerateInput, InvalidFraction
+from .ingest import event_lines, parse_columns, read_text
 
 GAPPED_HEADER = "# tracekit-gapped v1"
 
@@ -73,31 +77,67 @@ class LossSpec:
             raise ValueError("burst_length must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GappedTrace:
-    """One slot per original position: the surviving event, or ``None`` if
-    lost. The surviving events keep a ``Trace``'s time order."""
+    """A lossy trace held as two columns: ``id_column`` has one slot per
+    original position, the surviving event's id or ``None`` where the event
+    was lost; ``time_column`` has the surviving events' timestamps, in
+    order, in an ``array('d')``. A lost slot costs one pointer, 8 bytes.
 
-    slots: tuple[Event | None, ...]
-    label: str = ""
+    At least one event survives, and the surviving timestamps obey a
+    ``Trace``'s rules. ``GappedTrace(slots, label)`` builds the columns from
+    ``Event``s and ``None``s; ``slots`` makes them again, one per call.
+    """
 
-    def __post_init__(self) -> None:
-        if all(slot is None for slot in self.slots):
+    id_column: tuple[EventId | None, ...]
+    time_column: array
+    label: str
+
+    def __init__(self, slots: Iterable[Event | None] = (), label: str = "") -> None:
+        slots = tuple(slots)
+        ids = [None if ev is None else ev.id for ev in slots]
+        self._fill(ids, [ev.timestamp for ev in slots if ev is not None], label)
+
+    @classmethod
+    def from_columns(
+        cls, ids: Iterable[EventId | str | None], times: Iterable[float], label: str = ""
+    ) -> "GappedTrace":
+        gapped = cls.__new__(cls)
+        gapped._fill(ids, times, label)
+        return gapped
+
+    def _fill(
+        self, ids: Iterable[EventId | str | None], times: Iterable[float], label: str
+    ) -> None:
+        ids = as_event_ids(ids, lost=True)
+        times = as_timestamps(times)
+        if not times:
             raise DegenerateInput("a gapped trace needs at least one surviving event")
-        check_time_order(ev for ev in self.slots if ev is not None)
+        known = len(ids) - ids.count(None)
+        if known != len(times):
+            raise ValueError(f"{known} surviving ids for {len(times)} timestamps")
+        check_times(times)
+        object.__setattr__(self, "id_column", ids)
+        object.__setattr__(self, "time_column", times)
+        object.__setattr__(self, "label", label)
+
+    @property
+    def slots(self) -> tuple[Event | None, ...]:
+        times = iter(self.time_column)
+        return tuple(None if eid is None else Event(eid, next(times)) for eid in self.id_column)
 
     def known_trace(self) -> Trace:
         """The lossy trace as plainly observed (gaps simply absent)."""
-        return Trace(tuple(ev for ev in self.slots if ev is not None), label=self.label)
+        return Trace.from_columns(filter(None, self.id_column), self.time_column, label=self.label)
 
     def missing_total(self) -> int:
-        return self.slots.count(None)
+        return self.id_column.count(None)
 
     def gaps(self) -> list[tuple[int, int]]:
         """(start position, missing_count) of each maximal run of lost slots, in order."""
         out: list[tuple[int, int]] = []
         pos = 0
-        for lost, run in groupby(self.slots, key=lambda slot: slot is None):
+        for lost, run in groupby(self.id_column, key=lambda eid: eid is None):
             count = len(list(run))
             if lost:
                 out.append((pos, count))
@@ -126,11 +166,12 @@ def inject_loss(trace: Trace, spec: LossSpec) -> GappedTrace:
     places = length - budget + len(blocks)
     chosen = set(random.Random(spec.seed).sample(range(places), len(blocks)))
     sizes = iter(blocks)
-    missing = []
+    kept: list[bool] = []
     for place in range(places):
-        missing.extend([True] * next(sizes) if place in chosen else [False])
-    slots = tuple(None if gone else ev for ev, gone in zip(trace.events, missing))
-    return GappedTrace(slots, label=trace.label)
+        kept.extend([False] * next(sizes) if place in chosen else [True])
+    ids = [eid if keep else None for eid, keep in zip(trace.id_column, kept)]
+    times = array("d", compress(trace.time_column, kept))
+    return GappedTrace.from_columns(ids, times, label=trace.label)
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +221,19 @@ def restore_trace(model: NextEventPredictor, gapped: GappedTrace) -> Trace:
     global/prior most-frequent event (both families handle the empty
     context internally).
     """
-    events = list(gapped.slots)
-    ids = fill_gaps(model, [None if ev is None else ev.id for ev in events])
+    ids = fill_gaps(model, gapped.id_column)
+    known = gapped.time_column
+    times = array("d")
+    done = 0  # known timestamps already copied: those before the gap
     for start, count in gapped.gaps():
-        end = start + count
-        before = events[start - 1].timestamp if start else None
-        after = events[end].timestamp if end < len(events) else None
-        for j in range(count):
-            events[start + j] = Event(ids[start + j], _interpolate(before, after, j, count))
-    return Trace(tuple(events), label=gapped.label)
+        stop = start - (len(times) - done)  # known slots before the gap
+        times += known[done:stop]
+        done = stop
+        before = known[done - 1] if done else None
+        after = known[done] if done < len(known) else None
+        times.extend(_interpolate(before, after, j, count) for j in range(count))
+    times += known[done:]
+    return Trace.from_columns(ids, times, label=gapped.label)
 
 
 # ---------------------------------------------------------------------------
@@ -197,31 +242,25 @@ def restore_trace(model: NextEventPredictor, gapped: GappedTrace) -> Trace:
 
 def serialize_gapped(gapped: GappedTrace) -> str:
     lines = [GAPPED_HEADER]
-    done = 0
+    known = event_lines(filter(None, gapped.id_column), gapped.time_column)
+    done = lost = 0
     for start, count in gapped.gaps():
-        lines.extend(format_event(ev) for ev in gapped.slots[done:start])
+        lines += known[done : start - lost]
         lines.append(f"? {count}")
-        done = start + count
-    lines.extend(format_event(ev) for ev in gapped.slots[done:])
+        done = start - lost
+        lost += count
+    lines += known[done:]
     return "\n".join(lines) + "\n"
 
 
 def parse_gapped(text: str, label: str = "") -> GappedTrace:
-    """Parse TraceFileFormat text with ``? <missing_count>`` sentinel lines."""
-    check_header(text, GAPPED_HEADER)
-    slots: list[Event | None] = []
-    prev_ts: float | None = None
-    ids: dict[str, EventId] = {}
-    for line_no, raw, parts in content_lines(text):
-        if parts[0] == "?":
-            if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
-                raise MalformedLine(line_no, raw, "expected `? <missing_count>`")
-            slots.extend([None] * int(parts[1]))
-            continue
-        ev = parse_event_line(line_no, raw, parts, prev_ts, ids)
-        prev_ts = ev.timestamp
-        slots.append(ev)
-    return GappedTrace(tuple(slots), label=label)
+    """Parse TraceFileFormat text with ``? <missing_count>`` sentinel lines.
+
+    Errors name the first line that breaks a rule, as in ``ingest.parse_trace``.
+    """
+    return parse_columns(
+        text, GAPPED_HEADER, True, lambda ids, times: GappedTrace.from_columns(ids, times, label)
+    )
 
 
 def write_gapped(gapped: GappedTrace, path: str | os.PathLike) -> None:

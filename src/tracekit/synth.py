@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import Event, EventId, Trace
+from .core import EventId, Trace
 from .errors import InvalidSpec
 
 
@@ -130,10 +130,12 @@ def generate_trace(spec: GeneratorSpec) -> Trace:
     # flips are consumed in pop order, which the heap makes deterministic.
     heap = list(emissions)
     heapq.heapify(heap)
-    events: list[Event] = []
+    ids: list[EventId] = []
+    times: list[float] = []
     while heap:
         t, r, eid = heapq.heappop(heap)
-        events.append(Event(eid, t))
+        ids.append(eid)
+        times.append(t)
         for m in triggers.get(eid, ()):
             if m.probability >= 1.0 or rng.random() < m.probability:
                 t_child = t + m.delay
@@ -141,17 +143,18 @@ def generate_trace(spec: GeneratorSpec) -> Trace:
                     heapq.heappush(heap, (t_child, rank[m.id], m.id))
 
     for m in spec.rare:
-        count = round(m.rate_per_1000_events * len(events) / 1000.0)
+        count = round(m.rate_per_1000_events * len(ids) / 1000.0)
         for _ in range(count):
-            pos = rng.randrange(len(events) + 1)
-            left = events[pos - 1].timestamp if pos > 0 else None
-            right = events[pos].timestamp if pos < len(events) else None
+            pos = rng.randrange(len(ids) + 1)
+            left = times[pos - 1] if pos > 0 else None
+            right = times[pos] if pos < len(times) else None
             if left is None:
                 t = right if right is not None else 0.0
             elif right is None:
                 t = left
             else:
                 t = (left + right) / 2.0
-            events.insert(pos, Event(m.id, t))
+            ids.insert(pos, m.id)
+            times.insert(pos, t)
 
-    return Trace(tuple(events), label=spec.label)
+    return Trace.from_columns(ids, times, label=spec.label)

@@ -1,15 +1,21 @@
 """Simplified timed-property miner over event traces.
 
 Two templates are mined, each over ordered pairs (P, S) of distinct known
-ids (the OTHER slot is never a candidate). For a pair, the positions of P
-and S merge into one role string: the trace restricted to P and S events,
-each written as its role. Events that are neither P nor S are ignored.
+ids (the OTHER slot is never a candidate). For a pair, write the trace
+restricted to P and S events as a role string, each event as its role.
+Events that are neither P nor S are ignored.
 
 * response — every occurrence of P is answered by an S before any further
   P occurs: the role string has no ``PP`` and ends in ``S``. One unanswered
   or re-triggered P disqualifies the pair for the whole trace.
 * alternating — the role string is the strict alternation P, S, P, S, ...,
   S: a response string that also starts with ``P`` and has no ``SS``.
+
+The miner does not build role strings. It reads the trace's id column once
+per P: S answers every P when S occurs in each segment that follows a P,
+up to the next P or the end, so the response partners of P are the
+intersection of those segments' id sets. A response pair alternates when S
+occurs as often as P.
 
 Mining reads no timestamp, so a trace is mined on its own clock and is never
 rescaled. A trace without a time span (empty, or its first and last
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import Dictionary, EventId, Trace
 from .errors import CorruptModel
@@ -85,31 +92,41 @@ def mine_trace(trace: Trace, dictionary: Dictionary) -> MiningReport:
 
     Instances come in (template, P index, S index) order: response first.
     """
-    if not trace.events or trace.events[0].timestamp == trace.events[-1].timestamp:
+    ids, times = trace.id_column, trace.time_column
+    if not ids or times[0] == times[-1]:
         return MiningReport(instances=())
-    # Each known id's positions, doubled, and + 1 in the S role: a merge
-    # sorts by position, and each mark's parity is its role.
-    known = set(dictionary.ids)
-    as_p: dict[EventId, list[int]] = {}
-    for pos, eid in enumerate(trace.ids()):
-        if eid in known:
-            as_p.setdefault(eid, []).append(2 * pos)
-    as_s = {eid: [mark + 1 for mark in marks] for eid, marks in as_p.items()}
-    ids = [eid for eid in dictionary.ids if eid in as_p]
+    positions: dict[EventId, list[int]] = {}
+    for pos, eid in enumerate(ids):
+        positions.setdefault(eid, []).append(pos)
+    present = [eid for eid in dictionary.ids if eid in positions]
     response: list[TREInstance] = []
     alternating: list[TREInstance] = []
-    for p in ids:
-        for s in ids:
-            if p == s:
+    for p in present:
+        followers = _followers(ids, positions[p])
+        count = len(positions[p])
+        for s in present:
+            if s not in followers:
                 continue
-            roles = "".join(["PS"[mark & 1] for mark in sorted(as_p[p] + as_s[s])])
-            if "PP" in roles or roles[-1] != "S":
-                continue
-            count = len(as_p[p])
             response.append(TREInstance(Template.RESPONSE, p, s, count))
-            if roles[0] == "P" and "SS" not in roles:
+            # Given response, each p is answered by at least one s, so
+            # equal counts leave room for exactly one s after each p and
+            # none before the first: the strict alternation.
+            if len(positions[s]) == count:
                 alternating.append(TREInstance(Template.ALTERNATING, p, s, count))
     return MiningReport(instances=tuple(response + alternating))
+
+
+def _followers(ids: Sequence[EventId], marks: list[int]) -> set[EventId]:
+    """The ids that occur in every segment after a position in ``marks``, up
+    to the next one or the end of ``ids``: the ids that answer every P, when
+    ``marks`` are the positions of P."""
+    followers: set[EventId] = set()
+    for start, stop in zip(marks, [*marks[1:], len(ids)]):
+        segment = set(ids[start + 1 : stop])
+        followers = segment if start == marks[0] else followers & segment
+        if not followers:
+            break
+    return followers
 
 
 def compare_reports(pairs: list[tuple[MiningReport, MiningReport]]) -> float:

@@ -109,6 +109,15 @@ class TestAlignmentProperties:
         with pytest.raises(DegenerateInput):
             align_and_classify(ids("A", "B"), ids("A", "B", "C", "D", "E"))
 
+    def test_plain_and_lowercase_strings_are_normalized(self):
+        truth = ids("A", "B", "C", "D", "E", "F")
+        as_ids = align_and_classify(ids("A", "B", "X", "D", "E", "F"), truth)
+        mixed = ["a", "B", " x ", EventId("d"), "e", "F"]
+        assert align_and_classify(mixed, ["a", "b", "c", "d", "e", "f"]) == as_ids
+        assert as_ids.correct == 5 and as_ids.substitutions == 1
+        with pytest.raises(ValueError, match="whitespace"):
+            align_and_classify(["a b", *"BCDEF"], truth)
+
     def test_rates(self):
         report = AlignmentReport(
             total=100, correct=90, omissions=5, ordering_mistakes=2, substitutions=3

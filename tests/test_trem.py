@@ -6,6 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 from tracekit import cli
 from tracekit.core import Dictionary, Event, EventId, Trace, build_dictionary
 from tracekit.errors import CorruptModel, VersionMismatch
+from tracekit.synth import (
+    GeneratorSpec,
+    PeriodicMessage,
+    RareMessage,
+    TriggeredMessage,
+    generate_trace,
+)
 from tracekit.trem import (
     MiningReport,
     Template,
@@ -242,6 +249,72 @@ class TestMineTrace:
         r1 = mine_trace(trace, d)
         r2 = mine_trace(trace, d)
         assert report_to_text(r1) == report_to_text(r2)
+
+
+def merge_string_miner(trace, dictionary):
+    """The miner as it was before segment sets: one merged role string per pair."""
+    events = trace.events
+    if not events or events[0].timestamp == events[-1].timestamp:
+        return MiningReport(instances=())
+    known = set(dictionary.ids)
+    as_p = {}
+    for pos, eid in enumerate(trace.ids()):
+        if eid in known:
+            as_p.setdefault(eid, []).append(2 * pos)
+    as_s = {eid: [mark + 1 for mark in marks] for eid, marks in as_p.items()}
+    ids = [eid for eid in dictionary.ids if eid in as_p]
+    response, alternating = [], []
+    for p in ids:
+        for s in ids:
+            if p == s:
+                continue
+            roles = "".join(["PS"[mark & 1] for mark in sorted(as_p[p] + as_s[s])])
+            if "PP" in roles or roles[-1] != "S":
+                continue
+            count = len(as_p[p])
+            response.append(TREInstance(Template.RESPONSE, p, s, count))
+            if roles[0] == "P" and "SS" not in roles:
+                alternating.append(TREInstance(Template.ALTERNATING, p, s, count))
+    return MiningReport(instances=tuple(response + alternating))
+
+
+@st.composite
+def traces_and_dictionaries(draw):
+    """Traces over a few ids, some unknown to the dictionary or OTHER, and
+    a dictionary of some of them in any order."""
+    tokens = draw(st.lists(st.sampled_from(["A", "b", "B", "C", "D", "E", "OTHER"]), max_size=60))
+    times = sorted(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                 min_size=len(tokens), max_size=len(tokens))))
+    trace = Trace(tuple(Event(EventId(i), t) for i, t in zip(tokens, times)))
+    vocabulary = draw(st.permutations(["A", "B", "C", "D", "E", "F"]))
+    size = draw(st.integers(1, len(vocabulary)))
+    return trace, Dictionary(tuple(EventId(i) for i in vocabulary[:size]))
+
+
+class TestSegmentSets:
+    @settings(max_examples=300, deadline=None)
+    @given(traces_and_dictionaries())
+    def test_agrees_with_the_merge_string_miner(self, drawn):
+        trace, dictionary = drawn
+        assert mine_trace(trace, dictionary) == merge_string_miner(trace, dictionary)
+
+    def test_agrees_on_a_synthetic_bus_trace(self):
+        trace = generate_trace(
+            GeneratorSpec(
+                periodic=(PeriodicMessage(EventId("A"), 0.01, 0.1),
+                          PeriodicMessage(EventId("B"), 0.02, 0.1),
+                          PeriodicMessage(EventId("C"), 0.05)),
+                triggered=(TriggeredMessage(EventId("D"), EventId("A"), 0.5, 0.002),
+                           TriggeredMessage(EventId("E"), EventId("C"), 1.0, 0.001)),
+                rare=(RareMessage(EventId("F"), 20),),
+                duration=2.0,
+                seed=3,
+            )
+        )
+        dictionary = build_dictionary([trace])
+        report = mine_trace(trace, dictionary)
+        assert len(report) > 0
+        assert report == merge_string_miner(trace, dictionary)
 
 
 class TestReportFiles:
