@@ -10,7 +10,6 @@ restored traces).
 
 from .core import (
     Dictionary,
-    Event,
     EventId,
     Trace,
     build_dictionary,
@@ -27,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dictionary",
-    "Event",
     "EventId",
     "GappedTrace",
     "GeneratorSpec",

@@ -106,9 +106,9 @@ def _cmd_inject_loss(args) -> int:
 def _cmd_predict(args) -> int:
     model = _load_any_model(args.model)
     seed_trace = read_trace(args.seed_trace)
-    predicted = predict_step_by_step(model, seed_trace.ids(), args.horizon)
+    predicted = predict_step_by_step(model, seed_trace.id_column, args.horizon)
     times = _extrapolate_times(seed_trace, len(predicted))
-    write_trace(Trace.from_columns(predicted, times, label=f"{seed_trace.label}_pred"), args.out)
+    write_trace(Trace(predicted, times, label=f"{seed_trace.label}_pred"), args.out)
     print(f"predict: {args.horizon} events -> {args.out}")
     return 0
 
@@ -151,7 +151,7 @@ def _cmd_render(args) -> int:
     trace = read_trace(args.input)
     dictionary = read_dictionary(Path(args.dict))
     stop = args.start + args.length if args.length else None
-    ids = trace.ids()[args.start : stop]
+    ids = trace.id_column[args.start : stop]
     evaluate_mod.render_onehot_image(ids, dictionary, args.out)
     print(f"render: {len(ids)} columns x {dictionary.size} rows -> {args.out}")
     return 0

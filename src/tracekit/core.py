@@ -2,12 +2,12 @@
 
 Events are identified by short hexadecimal message-id tokens, and every event
 carries its timestamp. A trace is an ordered recording of such events, held
-as an id column and a timestamp column (``Trace``); ``Event`` is the value
-type for one event. The rules on timestamps (finite, >= 0, never
-decreasing) are written once, in ``check_times``, for both. The dictionary
-maps each id observed during training to a dense index and reserves one
-trailing OTHER index that absorbs ids never seen during training (and events
-named ``OTHER``), so encoded vectors have a fixed width of ``len(ids) + 1``.
+as an id column and a timestamp column (``Trace``). The rules on timestamps
+(finite, >= 0, never decreasing) are written once, in ``check_times``. The
+dictionary maps each id observed during training to a dense index and
+reserves one trailing OTHER index that absorbs ids never seen during
+training (and events named ``OTHER``), so encoded vectors have a fixed
+width of ``len(ids) + 1``.
 
 numpy loads on first use, not at import: ``np`` here is a lazy module that
 runs numpy's own import the first time an attribute of it is read. Each
@@ -126,22 +126,7 @@ def as_event_ids(items: Iterable[EventId | str | None], lost: bool = False) -> t
                  for eid in column)
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One bus message occurrence: an id plus its timestamp in seconds."""
-
-    id: EventId
-    timestamp: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.id, EventId):
-            object.__setattr__(self, "id", EventId(self.id))
-        ts = float(self.timestamp)
-        check_times((ts,))
-        object.__setattr__(self, "timestamp", ts)
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Trace:
     """An ordered recording of one session on the bus, held as two parallel columns.
 
@@ -151,49 +136,26 @@ class Trace:
     finite, >= 0 and non-decreasing (``check_times``); the restoration
     pipeline relies on that ordering. The columns are not to be mutated.
 
-    ``Trace(events, label)`` builds the columns from ``Event``s;
-    ``Trace.from_columns(ids, times, label)`` takes them as they are.
-    ``events`` makes the ``Event``s again, one per call.
+    ``Trace(ids, times, label)`` takes any iterables: ids become a tuple of
+    ``EventId``s and timestamps an ``array('d')``, and neither is copied
+    when it already is one.
     """
 
     id_column: tuple[EventId, ...]
     time_column: array
-    label: str
+    label: str = ""
 
-    def __init__(self, events: Iterable[Event] = (), label: str = "") -> None:
-        events = tuple(events)
-        self._fill([ev.id for ev in events], [ev.timestamp for ev in events], label)
-
-    @classmethod
-    def from_columns(
-        cls, ids: Iterable[EventId | str], times: Iterable[float], label: str = ""
-    ) -> "Trace":
-        trace = cls.__new__(cls)
-        trace._fill(ids, times, label)
-        return trace
-
-    def _fill(self, ids: Iterable[EventId | str], times: Iterable[float], label: str) -> None:
-        ids = as_event_ids(ids)
-        times = as_timestamps(times)
+    def __post_init__(self) -> None:
+        ids = as_event_ids(self.id_column)
+        times = as_timestamps(self.time_column)
         if len(ids) != len(times):
             raise ValueError(f"{len(ids)} ids for {len(times)} timestamps")
         check_times(times)
         object.__setattr__(self, "id_column", ids)
         object.__setattr__(self, "time_column", times)
-        object.__setattr__(self, "label", label)
 
     def __len__(self) -> int:
         return len(self.id_column)
-
-    @property
-    def events(self) -> tuple[Event, ...]:
-        return tuple(map(Event, self.id_column, self.time_column))
-
-    def ids(self) -> list[EventId]:
-        return list(self.id_column)
-
-    def timestamps(self) -> list[float]:
-        return self.time_column.tolist()
 
 
 @dataclass(frozen=True)
@@ -213,7 +175,7 @@ class Dictionary:
         if OTHER_TOKEN in self.ids:
             raise ValueError(f"{OTHER_TOKEN} is the reserved slot, not a dictionary id")
 
-    @property
+    @cached_property
     def other_index(self) -> int:
         return len(self.ids)
 

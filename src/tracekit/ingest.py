@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,6 +155,15 @@ def _event_columns(
     return list(map(known.__getitem__, tokens[:cut])), times, cut, reason
 
 
+def _is_missing_count(token: str) -> bool:
+    """Whether ``token`` is a count of lost slots: decimal digits for an
+    ``int`` from 1 to ``sys.maxsize``, the largest index-sized integer."""
+    try:
+        return token.isdecimal() and 1 <= int(token) <= sys.maxsize
+    except ValueError:  # more digits than ``int`` converts
+        return False
+
+
 def read_columns(
     text: str, gapped: bool
 ) -> tuple[list[EventId | None], array, list[int], tuple[int, str] | None]:
@@ -178,7 +188,7 @@ def read_columns(
         cut, reason = len(rows), ""
         for k, row in enumerate(marks):
             parts = rows[row]
-            if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
+            if len(parts) != 2 or not _is_missing_count(parts[1]):
                 cut, reason = row, "expected `? <missing_count>`"
                 del marks[k:]
                 break
@@ -234,7 +244,7 @@ def parse_trace(text: str, label: str = "") -> Trace:
     1-based line number, and ``VersionMismatch`` for another artifact's header.
     """
     return parse_columns(
-        text, TRACE_HEADER, False, lambda ids, times: Trace.from_columns(ids, times, label)
+        text, TRACE_HEADER, False, lambda ids, times: Trace(ids, times, label)
     )
 
 

@@ -657,14 +657,14 @@ def train(
             raise EmptyTrainingSet(f"trace {trace.label!r} too short for training windows")
 
     rng = np.random.Generator(np.random.PCG64(schedule.seed))
-    encoded_pool = [encode_ids(t.ids(), model.dictionary) for t in pool]
+    encoded_pool = [encode_ids(t.id_column, model.dictionary) for t in pool]
 
     history: list[RoundMetrics] = []
     for round_index in range(schedule.rounds):
         picked = rng.choice(len(pool), size=2, replace=False)
         train_idx, val_idx = int(picked[0]), int(picked[1])
         train_mat = encoded_pool[train_idx]
-        val_ids = pool[val_idx].ids()
+        val_ids = pool[val_idx].id_column
         bounds = _window_bounds(train_mat.shape[0], config.unroll_steps)
 
         epoch_metrics: list[EpochMetrics] = []

@@ -161,7 +161,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
 
     # held-out continuation quality
     for trace in test_pool:
-        ids = trace.ids()
+        ids = trace.id_column
         if len(ids) <= eval_start + 1:
             continue
         acc_lstm = evaluate.next_event_accuracy(model, ids, start=eval_start)
@@ -175,7 +175,7 @@ def run_pipeline(config: RunConfig, out_dir: str | Path) -> dict:
     rasters = out / "rasters"
     rasters.mkdir(exist_ok=True)
     for probe in test_pool[:1]:
-        ids = probe.ids()
+        ids = probe.id_column
         seed_len = min(unroll, max(1, len(ids) // 4))
         if len(ids) - seed_len <= evaluate.LOOKAHEAD_W:
             continue

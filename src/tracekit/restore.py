@@ -15,7 +15,7 @@ by lost slots. Restoration is one fill of a gapped trace's slots followed
 by stamping: each filled event receives a timestamp linearly interpolated
 between the known events that flank its gap, so a restored trace has the
 original length and is directly minable. Both steps read and write
-columns; no ``Event`` is built.
+columns.
 
 The restorer knows each gap's size by design: loss measurements compare
 fixed-length traces, which presupposes knowing how much was lost.
@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from array import array
 from itertools import compress, groupby
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
-from .core import Event, EventId, Trace, as_event_ids, as_timestamps, check_times
+from .core import EventId, Trace, as_event_ids, as_timestamps, check_times
 from .errors import DegenerateInput, InvalidFraction
 from .ingest import event_lines, parse_columns, read_text
 
@@ -77,7 +77,7 @@ class LossSpec:
             raise ValueError("burst_length must be >= 1")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class GappedTrace:
     """A lossy trace held as two columns: ``id_column`` has one slot per
     original position, the surviving event's id or ``None`` where the event
@@ -85,32 +85,17 @@ class GappedTrace:
     order, in an ``array('d')``. A lost slot costs one pointer, 8 bytes.
 
     At least one event survives, and the surviving timestamps obey a
-    ``Trace``'s rules. ``GappedTrace(slots, label)`` builds the columns from
-    ``Event``s and ``None``s; ``slots`` makes them again, one per call.
+    ``Trace``'s rules. ``GappedTrace(ids, times, label)`` converts its
+    columns as ``Trace`` does.
     """
 
     id_column: tuple[EventId | None, ...]
     time_column: array
-    label: str
+    label: str = ""
 
-    def __init__(self, slots: Iterable[Event | None] = (), label: str = "") -> None:
-        slots = tuple(slots)
-        ids = [None if ev is None else ev.id for ev in slots]
-        self._fill(ids, [ev.timestamp for ev in slots if ev is not None], label)
-
-    @classmethod
-    def from_columns(
-        cls, ids: Iterable[EventId | str | None], times: Iterable[float], label: str = ""
-    ) -> "GappedTrace":
-        gapped = cls.__new__(cls)
-        gapped._fill(ids, times, label)
-        return gapped
-
-    def _fill(
-        self, ids: Iterable[EventId | str | None], times: Iterable[float], label: str
-    ) -> None:
-        ids = as_event_ids(ids, lost=True)
-        times = as_timestamps(times)
+    def __post_init__(self) -> None:
+        ids = as_event_ids(self.id_column, lost=True)
+        times = as_timestamps(self.time_column)
         if not times:
             raise DegenerateInput("a gapped trace needs at least one surviving event")
         known = len(ids) - ids.count(None)
@@ -119,16 +104,10 @@ class GappedTrace:
         check_times(times)
         object.__setattr__(self, "id_column", ids)
         object.__setattr__(self, "time_column", times)
-        object.__setattr__(self, "label", label)
-
-    @property
-    def slots(self) -> tuple[Event | None, ...]:
-        times = iter(self.time_column)
-        return tuple(None if eid is None else Event(eid, next(times)) for eid in self.id_column)
 
     def known_trace(self) -> Trace:
         """The lossy trace as plainly observed (gaps simply absent)."""
-        return Trace.from_columns(filter(None, self.id_column), self.time_column, label=self.label)
+        return Trace(filter(None, self.id_column), self.time_column, label=self.label)
 
     def missing_total(self) -> int:
         return self.id_column.count(None)
@@ -171,7 +150,7 @@ def inject_loss(trace: Trace, spec: LossSpec) -> GappedTrace:
         kept.extend([False] * next(sizes) if place in chosen else [True])
     ids = [eid if keep else None for eid, keep in zip(trace.id_column, kept)]
     times = array("d", compress(trace.time_column, kept))
-    return GappedTrace.from_columns(ids, times, label=trace.label)
+    return GappedTrace(ids, times, label=trace.label)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +212,7 @@ def restore_trace(model: NextEventPredictor, gapped: GappedTrace) -> Trace:
         after = known[done] if done < len(known) else None
         times.extend(_interpolate(before, after, j, count) for j in range(count))
     times += known[done:]
-    return Trace.from_columns(ids, times, label=gapped.label)
+    return Trace(ids, times, label=gapped.label)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +238,7 @@ def parse_gapped(text: str, label: str = "") -> GappedTrace:
     Errors name the first line that breaks a rule, as in ``ingest.parse_trace``.
     """
     return parse_columns(
-        text, GAPPED_HEADER, True, lambda ids, times: GappedTrace.from_columns(ids, times, label)
+        text, GAPPED_HEADER, True, lambda ids, times: GappedTrace(ids, times, label)
     )
 
 

@@ -157,4 +157,4 @@ def generate_trace(spec: GeneratorSpec) -> Trace:
             ids.insert(pos, m.id)
             times.insert(pos, t)
 
-    return Trace.from_columns(ids, times, label=spec.label)
+    return Trace(ids, times, label=spec.label)

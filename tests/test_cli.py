@@ -8,7 +8,7 @@ import pytest
 
 from tracekit import cli, lstm, markov, pipeline
 from tracekit.config import RunConfig
-from tracekit.core import Dictionary, Event, EventId, Trace, build_dictionary
+from tracekit.core import Dictionary, EventId, Trace, build_dictionary
 from tracekit.ingest import TRACE_HEADER, read_trace, write_trace
 from tracekit.markov import learn_transitions
 from tracekit.pipeline import DICT_HEADER
@@ -74,7 +74,8 @@ def test_markov_restore_matches_in_process(markov_run, capsys):
     assert restore_with(tmp_path / "markov.model", tmp_path) == 0
     expected = restore_trace(learn_transitions(train, ORDER, build_dictionary(train)), gapped)
     restored = read_trace(tmp_path / "restored.trace")
-    assert restored.events == expected.events
+    assert restored.id_column == expected.id_column
+    assert restored.time_column == expected.time_column
     assert gapped.missing_total() > 0
 
 
@@ -124,7 +125,7 @@ def test_lstm_model_with_bad_header_fails_cleanly(markov_run, capsys):
 @pytest.mark.parametrize("family", ["markov", "lstm"])
 def test_model_sniffing_closes_the_file(tmp_path, family):
     path = tmp_path / "model"
-    trace = Trace(tuple(Event(EventId(i), t * 0.1) for t, i in enumerate("ABAB")))
+    trace = Trace(tuple("ABAB"), [t * 0.1 for t in range(4)])
     if family == "markov":
         learn_transitions([trace], 2, build_dictionary([trace])).save(path)
     else:
@@ -159,6 +160,9 @@ BAD_INPUTS = {  # case: (argv, a fragment of the error message)
     "gapped file with every event lost": (["restore", "--model", "{d}/markov.model",
                                            "--in", "{d}/all_lost.gapped", "--out", "{d}/r.trace"],
                                           "at least one surviving event"),
+    "gapped file with a lost count past the longest list": (
+        ["restore", "--model", "{d}/markov.model", "--in", "{d}/huge_lost.gapped",
+         "--out", "{d}/r.trace"], "expected `? <missing_count>`"),
     "non-UTF-8 trace": (["mine", "--in", "{d}/utf16.bin", "--dict", "{d}/abc.txt",
                          "--out", "{d}/mined.txt"], "not UTF-8"),
     "non-UTF-8 gapped file": (["restore", "--model", "{d}/markov.model", "--in", "{d}/utf16.bin",
@@ -184,13 +188,15 @@ def test_bad_inputs_fail_cleanly(markov_run, capsys, case):
     tmp_path, train, _ = markov_run
     (tmp_path / "short").mkdir()
     write_trace(train[0], tmp_path / "short" / "t0.trace")
-    write_trace(Trace(train[1].events[:1]), tmp_path / "short" / "t1.trace")
+    write_trace(Trace(train[1].id_column[:1], train[1].time_column[:1]),
+                tmp_path / "short" / "t1.trace")
     (tmp_path / "twice.txt").write_text(f"{DICT_HEADER}\nA\nB\nA\n")
     (tmp_path / "other.txt").write_text(f"{DICT_HEADER}\nA\nOTHER\n")
     (tmp_path / "abc.txt").write_text(f"{DICT_HEADER}\nA\nB\nC\n")
     (tmp_path / "empty.trace").write_text(f"{TRACE_HEADER}\n")
-    write_trace(Trace(train[0].events[:6]), tmp_path / "six.trace")
+    write_trace(Trace(train[0].id_column[:6], train[0].time_column[:6]), tmp_path / "six.trace")
     (tmp_path / "all_lost.gapped").write_text(f"{GAPPED_HEADER}\n? 2\n")
+    (tmp_path / "huge_lost.gapped").write_text(f"{GAPPED_HEADER}\n0.5 A\n? {10 ** 20}\n")
     (tmp_path / "v2.trace").write_text("# tracekit-trace v2\n0.0 A\n1.0 B\n")
     (tmp_path / "v2dict.txt").write_text("# tracekit-dict v2\nA\nB\nC\n")
     (tmp_path / "utf16.bin").write_bytes("0.0 A\n".encode("utf-16"))  # opens 0xff 0xfe
@@ -217,7 +223,7 @@ def test_mine_reads_the_surviving_events_of_a_gapped_file(markov_run):
 
 def test_loss_of_every_event_keeps_one(tmp_path):
     """75 % of 2 events rounds to 2; inject-loss removes only 1."""
-    write_trace(Trace((Event(EventId("A"), 0.0), Event(EventId("B"), 0.1))), tmp_path / "two.trace")
+    write_trace(Trace(("A", "B"), (0.0, 0.1)), tmp_path / "two.trace")
     assert cli.main(["inject-loss", "--in", str(tmp_path / "two.trace"),
                      "--out", str(tmp_path / "x.gapped"), "--fraction", "75", "--seed", "1"]) == 0
     assert read_gapped(tmp_path / "x.gapped").missing_total() == 1
@@ -227,7 +233,7 @@ def test_loss_of_every_event_keeps_one(tmp_path):
 def test_leading_gap_is_filled_from_the_dictionary(tmp_path, family):
     # 7F, the pool's most frequent id, is not in the dictionary, so the
     # prior that fills a leading gap must pool it as OTHER.
-    pool = [Trace(tuple(Event(EventId(e), t * 0.1) for t, e in enumerate(ids.split())))
+    pool = [Trace(ids.split(), [t * 0.1 for t in range(len(ids.split()))])
             for ids in ["7F 7F A 7F 7F B 7F", "7F B 7F 7F A 7F 7F"]]
     config = RunConfig.parse("".join(f"{k} = {v}\n" for k, v in REPORT_CONFIG.items()))
     model = tmp_path / "model"
@@ -235,7 +241,7 @@ def test_leading_gap_is_filled_from_the_dictionary(tmp_path, family):
     (tmp_path / "lossy.gapped").write_text(f"{GAPPED_HEADER}\n? 2\n1.0 A\n2.0 B\n")
     assert cli.main(["restore", "--model", str(model), "--in", str(tmp_path / "lossy.gapped"),
                      "--out", str(tmp_path / "restored.trace")]) == 0
-    restored = read_trace(tmp_path / "restored.trace").ids()
+    restored = read_trace(tmp_path / "restored.trace").id_column
     assert restored[0] == "OTHER"
     assert set(restored) <= {"A", "B", "OTHER"}
 
@@ -264,10 +270,10 @@ def test_markov_predict_matches_in_process_rollout(markov_run):
     assert predict_with(tmp_path / "markov.model", tmp_path / "seed.trace",
                         tmp_path / "pred.trace") == 0
     model = learn_transitions(train, ORDER, build_dictionary(train))
-    expected = predict_step_by_step(model, seed.ids(), 25)
+    expected = predict_step_by_step(model, seed.id_column, 25)
     predicted = read_trace(tmp_path / "pred.trace")
-    assert predicted.ids() == expected
-    assert predicted.events[0].timestamp > seed.events[-1].timestamp
+    assert list(predicted.id_column) == expected
+    assert predicted.time_column[0] > seed.time_column[-1]
 
 
 @pytest.mark.parametrize("family", ["markov", "lstm"])
@@ -282,8 +288,8 @@ def test_predict_from_an_empty_seed_trace(markov_run, family):
     assert predict_with(tmp_path / f"{family}.model", tmp_path / "empty.trace",
                         tmp_path / "pred.trace", horizon=6) == 0
     predicted = read_trace(tmp_path / "pred.trace")
-    assert predicted.ids() == predict_step_by_step(model, [], 6)
-    assert predicted.timestamps() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert list(predicted.id_column) == predict_step_by_step(model, [], 6)
+    assert predicted.time_column.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +447,7 @@ def test_report_mines_a_lossy_trace_that_keeps_one_event(tmp_path):
     out = tmp_path / "report"
     assert cli.main(["report", "--config", str(tmp_path / "run.cfg"), "--out", str(out)]) == 0
     (test_trace,) = (out / "split" / "test").glob("*.trace")
-    assert [e.id for e in read_trace(test_trace).events] == list("ABABA")
+    assert list(read_trace(test_trace).id_column) == list("ABABA")
     lossy = (out / "mine" / f"lossy_75_{test_trace.stem}.txt").read_text()
     assert lossy.splitlines()[1:] == []  # no instance below the header
     study = json.loads((out / "report.json").read_text())["loss_study"]["75"]

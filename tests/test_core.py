@@ -1,10 +1,12 @@
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tracekit
 from tracekit.core import (
     Dictionary,
-    Event,
     EventId,
     Trace,
     build_dictionary,
@@ -17,7 +19,7 @@ from tracekit.errors import EmptyTrainingSet, IndexOutOfRange
 
 
 def trace_of(*ids, label=""):
-    return Trace(tuple(Event(EventId(i), t * 0.1) for t, i in enumerate(ids)), label=label)
+    return Trace(ids, [t * 0.1 for t in range(len(ids))], label)
 
 
 # Whitespace by str.isspace() that is easy to miss: the C0 separators, NEL,
@@ -51,27 +53,28 @@ class TestEventId:
             assert EventId(raw) == token
 
 
-class TestEvent:
+class TestTrace:
     def test_timestamp_validation(self):
         with pytest.raises(ValueError):
-            Event(EventId("B0"), -1.0)
+            Trace(("B0",), (-1.0,))
         with pytest.raises(ValueError):
-            Event(EventId("B0"), float("nan"))
+            Trace(("B0",), (float("nan"),))
         with pytest.raises(TypeError):
-            Event(EventId("B0"))
+            Trace(("B0",))
+        with pytest.raises(ValueError):
+            Trace(("B0",), ())
 
-    def test_slots_and_no_instance_dict(self):
-        event = Event(EventId("B0"), 1)
-        assert not hasattr(event, "__dict__")
-        assert event.timestamp == 1.0 and type(event.timestamp) is float
+    def test_int_timestamp_is_stored_as_a_float_and_fields_are_frozen(self):
+        trace = Trace(("B0",), (1,))
+        assert trace.time_column == array("d", [1.0])
+        assert type(trace.time_column) is array and trace.time_column.typecode == "d"
+        assert type(trace.time_column[0]) is float
         with pytest.raises(AttributeError):
-            event.timestamp = 2.0
+            trace.time_column = array("d", [2.0])
 
-
-class TestTrace:
     def test_rejects_decreasing_timestamps(self):
         with pytest.raises(ValueError):
-            Trace((Event(EventId("A"), 0.2), Event(EventId("B"), 0.1)))
+            Trace(("A", "B"), (0.2, 0.1))
 
 
 class TestDictionary:
@@ -89,7 +92,7 @@ class TestDictionary:
         with pytest.raises(EmptyTrainingSet):
             build_dictionary([])
         with pytest.raises(EmptyTrainingSet):
-            build_dictionary([Trace(())])
+            build_dictionary([Trace((), ())])
 
     def test_other_is_reserved(self):
         d = build_dictionary([trace_of("B0", "OTHER", "b2", "other")])
@@ -170,3 +173,9 @@ class TestFrequencies:
         # Ids outside the dictionary pool as OTHER.
         freq = event_frequencies([trace_of("7F", "A", "7E", "OTHER")], Dictionary(("A",)))
         assert freq == {"A": 1, "OTHER": 3}
+
+
+def test_every_public_name_resolves():
+    assert tracekit.__all__
+    for name in tracekit.__all__:
+        getattr(tracekit, name)  # an AttributeError names the missing export

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tracekit.core import Dictionary, Event, EventId, Trace, build_dictionary
+from tracekit.core import Dictionary, EventId, Trace, build_dictionary
 from tracekit.errors import DegenerateInput, LengthMismatch, UntrainedModel
 from tracekit.evaluate import (
     AlignmentReport,
@@ -165,11 +165,11 @@ def shuffled_ids(length, seed, alphabet="ABCD"):
 def scored(request):
     """A model of either family and a held-out id sequence to score it on."""
     if request.param == "markov":
-        pool = [Trace(tuple(Event(e, t * 0.1) for t, e in enumerate(shuffled_ids(300, 1))))]
+        pool = [Trace(shuffled_ids(300, 1), [t * 0.1 for t in range(300)])]
         return learn_transitions(pool, 3, build_dictionary(pool)), shuffled_ids(60, 2)
     if request.param == "cyclic lstm":
         model, traces = request.getfixturevalue("trained_cyclic_lstm")
-        return model, traces[-1].ids()
+        return model, traces[-1].id_column
     # D is outside the dictionary, so some windows hold OTHER.
     # 3 x unroll + 2 events, so most windows are full-length.
     model = request.getfixturevalue("random_lstm")(6)

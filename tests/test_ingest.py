@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracekit import ingest, markov, trem
-from tracekit.core import Event, EventId, Trace
+from tracekit.core import EventId, Trace
 from tracekit.errors import (
     CorruptModel,
     DegenerateInput,
@@ -40,13 +40,13 @@ from tracekit.synth import GeneratorSpec, PeriodicMessage, generate_trace
 class TestParse:
     def test_basic_two_lines(self):
         t = parse_trace("0.001 2C6\n0.002 5D7\n")
-        assert [e.id for e in t.events] == ["2C6", "5D7"]
-        assert t.events[0].timestamp == 0.001
+        assert t.id_column == ("2C6", "5D7")
+        assert t.time_column[0] == 0.001
 
     def test_comments_blanks_and_case(self):
         t = parse_trace("# header\n\n0.5 b0\n")
         assert len(t) == 1
-        assert t.events[0].id == "B0"
+        assert t.id_column[0] == "B0"
 
     def test_non_monotonic(self):
         with pytest.raises(NonMonotonicTimestamp) as exc:
@@ -66,20 +66,20 @@ class TestParse:
 
     @pytest.mark.parametrize("parse", [parse_trace, parse_gapped], ids=["trace", "gapped"])
     def test_bad_value_that_also_steps_back_is_malformed(self, parse):
-        # Event checks the value before the line loop checks the order.
+        # A value that is not finite and >= 0 is named before a step back to it.
         with pytest.raises(MalformedLine, match="finite and >= 0") as exc:
             parse("0.5 A\n-1 B\n")
         assert exc.value.line_no == 2
 
     @pytest.mark.parametrize(
-        "events",
-        [lambda text: parse_trace(text).events,
-         lambda text: parse_gapped("? 1\n" + text).known_trace().events],
+        "ids_of",
+        [lambda text: parse_trace(text).id_column,
+         lambda text: parse_gapped("? 1\n" + text).known_trace().id_column],
         ids=["trace", "gapped"],
     )
-    def test_equal_tokens_share_one_id(self, events):
-        ids = [ev.id for ev in events("0.1 A\n0.2 b\n0.3 A\n0.4 b\n0.5 B\n")]
-        assert ids == ["A", "B", "A", "B", "B"]
+    def test_equal_tokens_share_one_id(self, ids_of):
+        ids = ids_of("0.1 A\n0.2 b\n0.3 A\n0.4 b\n0.5 B\n")
+        assert ids == ("A", "B", "A", "B", "B")
         assert ids[0] is ids[2] and ids[1] is ids[3]
 
     @pytest.mark.parametrize("parse", [parse_trace, parse_gapped], ids=["trace", "gapped"])
@@ -288,8 +288,7 @@ class TestMemory:
     # On CPython 3.11, for a 20,000-slot trace with a quarter of it lost, a
     # read trace keeps 16.5 B per event and a read gapped trace 14.7 B per
     # slot: a pointer per id and 8 bytes per known timestamp. The readers
-    # peak at 68 and 72 B. With one ``Event`` per line they kept 80 and
-    # 62 B and peaked at 161 and 135 B.
+    # peak at 68 and 72 B.
     KEPT_BYTES = 24
     PEAK_BYTES = 120
 
@@ -349,8 +348,7 @@ class TestSerialize:
     )
     def test_round_trip(self, raw):
         times = sorted(t for _, t in raw)
-        events = tuple(Event(EventId(i), t) for (i, _), t in zip(raw, times))
-        trace = Trace(events, label="roundtrip")
+        trace = Trace([i for i, _ in raw], times, label="roundtrip")
         text = serialize_trace(trace)
         assert text.startswith(f"{TRACE_HEADER}\n")
         assert parse_trace(text, label="roundtrip") == trace
@@ -359,7 +357,7 @@ class TestSerialize:
 class TestSplit:
     def make_traces(self, n):
         return [
-            Trace((Event(EventId("A"), 0.0),), label=f"t{i}") for i in range(n)
+            Trace(("A",), (0.0,), label=f"t{i}") for i in range(n)
         ]
 
     def test_15_5_split(self):

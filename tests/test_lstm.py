@@ -535,17 +535,12 @@ class TestSchedule:
 
 def periodic_pool(n_traces=4, length=48):
     # Deterministic alternating pattern, distinct lengths per trace.
-    from tracekit.core import Event, Trace
+    from tracekit.core import Trace
 
     pool = []
     for k in range(n_traces):
         ids = [("A", "B", "C")[i % 3] for i in range(length + 3 * k)]
-        pool.append(
-            Trace(
-                tuple(Event(EventId(x), i * 0.01) for i, x in enumerate(ids)),
-                label=f"p{k}",
-            )
-        )
+        pool.append(Trace(ids, [i * 0.01 for i in range(len(ids))], label=f"p{k}"))
     return pool
 
 

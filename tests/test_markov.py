@@ -11,7 +11,6 @@ from tracekit import cli
 from tracekit import markov
 from tracekit.core import (
     Dictionary,
-    Event,
     EventId,
     Trace,
     build_dictionary,
@@ -26,7 +25,7 @@ from tracekit.synth import GeneratorSpec, PeriodicMessage, generate_trace
 
 
 def trace_of(*ids, label=""):
-    return Trace(tuple(Event(EventId(i), t * 0.1) for t, i in enumerate(ids)), label=label)
+    return Trace(ids, [t * 0.1 for t in range(len(ids))], label)
 
 
 def learn(traces, order_n):
@@ -57,7 +56,7 @@ class PerSymbolTrie:
         return len(self.counts) - 1
 
     def learn_trace(self, trace):
-        seq = [self.dictionary.index_of(eid) for eid in trace.ids()]
+        seq = [self.dictionary.index_of(eid) for eid in trace.id_column]
         children, counts = self.children, self.counts
         root = counts[0]
         for idx in seq:
@@ -264,7 +263,7 @@ class TestPeriodicMastery:
             GeneratorSpec(periodic=spec.periodic, duration=1.0, seed=1)
         )
         model = learn([train_trace], order_n=40)
-        ids = test_trace.ids()
+        ids = test_trace.id_column
         cycle = 7
         hits = sum(
             model.predict_next(ids[:i]) == ids[i] for i in range(cycle, len(ids))
@@ -275,24 +274,23 @@ class TestPeriodicMastery:
 class TestImputation:
     def test_cyclic_gap_fill(self):
         model = learn([trace_of(*"ABAB" * 10)], order_n=2)
-        a, b = Event(EventId("A"), 0.0), Event(EventId("B"), 0.1)
-        gapped = GappedTrace((a, b, None, None, Event(EventId("A"), 0.4)))
+        gapped = GappedTrace(("A", "B", None, None, "A"), (0.0, 0.1, 0.4))
         restored = restore_trace(model, gapped)
-        assert [str(e.id) for e in restored.events] == ["A", "B", "A", "B", "A"]
-        assert [e.timestamp for e in restored.events] == pytest.approx(
+        assert restored.id_column == ("A", "B", "A", "B", "A")
+        assert restored.time_column.tolist() == pytest.approx(
             [0.0, 0.1, 0.2, 0.3, 0.4]
         )
 
     def test_zero_gap_identity(self):
         model = learn([trace_of(*"ABAB")], order_n=2)
-        events = (Event(EventId("A"), 0.0), Event(EventId("B"), 0.1))
-        assert restore_trace(model, GappedTrace(events)).events == events
+        trace = Trace(("A", "B"), (0.0, 0.1))
+        assert restore_trace(model, GappedTrace(trace.id_column, trace.time_column)) == trace
 
     def test_leading_gap_uses_global_fallback(self):
         model = learn([trace_of(*"AAB")], order_n=2)
-        gapped = GappedTrace((None, Event(EventId("A"), 0.1), Event(EventId("B"), 0.2)))
+        gapped = GappedTrace((None, "A", "B"), (0.1, 0.2))
         restored = restore_trace(model, gapped)
-        assert restored.events[0].id == "A"  # global most frequent
+        assert restored.id_column[0] == "A"  # global most frequent
 
 
 def resign(text, edit):

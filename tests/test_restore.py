@@ -1,10 +1,13 @@
 import random
+import sys
+from array import array
+from itertools import compress
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from tracekit.core import Event, EventId, Trace, build_dictionary, decode_index, encode_ids
+from tracekit.core import EventId, Trace, build_dictionary, decode_index, encode_ids
 from tracekit.errors import DegenerateInput, InvalidFraction, MalformedLine, UntrainedModel
 from tracekit.lstm import forward_window
 from tracekit.markov import learn_transitions
@@ -22,34 +25,39 @@ from tracekit.restore import (
 
 
 def trace_of(*ids, label=""):
-    return Trace(tuple(Event(EventId(i), t * 0.1) for t, i in enumerate(ids)), label=label)
+    return Trace(ids, [t * 0.1 for t in range(len(ids))], label)
 
 
 def gapped_of(trace, *lost):
     """``trace`` with the events at the ``lost`` positions removed."""
-    slots = tuple(None if i in lost else ev for i, ev in enumerate(trace.events))
-    return GappedTrace(slots, label=trace.label)
+    kept = [i not in lost for i in range(len(trace))]
+    ids = [eid if keep else None for eid, keep in zip(trace.id_column, kept)]
+    return GappedTrace(ids, compress(trace.time_column, kept), trace.label)
+
+
+def assert_survivors_kept(gapped, trace):
+    """Each event that survives in ``gapped`` is ``trace``'s at its slot."""
+    assert all(slot in (None, eid) for slot, eid in zip(gapped.id_column, trace.id_column))
+    kept = [slot is not None for slot in gapped.id_column]
+    assert array("d", compress(trace.time_column, kept)) == gapped.time_column
 
 
 class TestGappedTrace:
     def test_needs_a_surviving_event(self):
-        for slots in [(), (None,), (None, None)]:
+        for ids in [(), (None,), (None, None)]:
             with pytest.raises(DegenerateInput, match="at least one surviving event"):
-                GappedTrace(slots)
+                GappedTrace(ids, ())
 
     def test_bookkeeping(self):
-        g = GappedTrace(
-            (Event(EventId("A"), 0.0), None, None, Event(EventId("B"), 0.3),
-             Event(EventId("C"), 0.4))
-        )
+        g = GappedTrace(("A", None, None, "B", "C"), (0.0, 0.3, 0.4))
         assert g.missing_total() == 2
-        assert len(g.slots) == 5
+        assert len(g.id_column) == 5
         assert g.gaps() == [(1, 2)]
-        assert [str(e.id) for e in g.known_trace().events] == ["A", "B", "C"]
+        assert g.known_trace() == Trace(("A", "B", "C"), (0.0, 0.3, 0.4))
 
     def test_survivors_out_of_time_order_are_refused(self):
         with pytest.raises(ValueError, match="non-decreasing"):
-            GappedTrace((Event("A", 2.0), None, Event("B", 1.0)))
+            GappedTrace(("A", None, "B"), (2.0, 1.0))
 
     def test_gaps_are_maximal_runs_of_lost_slots(self):
         assert gapped_of(trace_of(*"ABCDE"), 1, 2, 4).gaps() == [(1, 2), (4, 1)]
@@ -61,8 +69,8 @@ class TestInjectLoss:
         trace = trace_of(*"ABCD")
         g = inject_loss(trace, LossSpec(fraction=0.0, seed=1))
         assert g.missing_total() == 0
-        assert g.slots == trace.events
-        assert g.known_trace().events == trace.events
+        assert (g.id_column, g.time_column) == (trace.id_column, trace.time_column)
+        assert g.known_trace() == trace
 
     def test_exact_budget(self):
         trace = trace_of(*(["A"] * 1000))
@@ -97,7 +105,7 @@ class TestInjectLoss:
             spec = LossSpec(fraction=fraction, burst_length=burst_length, seed=seed)
             g = inject_loss(trace, spec)
             assert g.missing_total() == budget, seed
-            assert all(slot in (None, ev) for slot, ev in zip(g.slots, trace.events))
+            assert_survivors_kept(g, trace)
             # whole bursts, then the truncated one last
             sizes = [count for _, count in g.gaps()] or [0]
             assert all(size % burst_length == 0 for size in sizes[:-1]), seed
@@ -111,7 +119,7 @@ class TestInjectLoss:
         budget = min(round(fraction * length), length - 1)
         for seed in range(20):
             g = inject_loss(trace, LossSpec(fraction, seed=seed))
-            lost = {pos for pos, slot in enumerate(g.slots) if slot is None}
+            lost = {pos for pos, slot in enumerate(g.id_column) if slot is None}
             assert lost == set(random.Random(seed).sample(range(length), budget)), seed
 
     def test_one_event_always_survives(self):
@@ -136,36 +144,35 @@ class TestRestore:
     def test_zero_gap_identity(self, cyclic_model):
         trace = trace_of(*"ABAB")
         g = inject_loss(trace, LossSpec(fraction=0.0, seed=0))
-        assert restore_trace(cyclic_model, g).events == trace.events
+        assert restore_trace(cyclic_model, g) == trace
 
     def test_cyclic_gap_restored_exactly(self, cyclic_model):
         trace = trace_of(*"ABABABAB")
         g = gapped_of(trace, 2, 3)
         restored = restore_trace(cyclic_model, g)
-        assert [str(e.id) for e in restored.events] == list("ABABABAB")
-        assert len(restored) == len(g.slots)
+        assert restored.id_column == tuple("ABABABAB")
+        assert len(restored) == len(g.id_column)
 
     def test_known_events_untouched(self, cyclic_model):
         trace = trace_of(*"ABABABABAB")
         g = inject_loss(trace, LossSpec(fraction=0.3, seed=7))
         restored = restore_trace(cyclic_model, g)
         assert len(restored) == len(trace)
-        for slot, ev in zip(g.slots, restored.events):
-            assert slot is None or ev == slot
+        assert_survivors_kept(g, restored)
 
     def test_timestamps_interpolated_and_monotone(self, cyclic_model):
         trace = trace_of(*"ABABAB")
         g = gapped_of(trace, 1, 2, 3)
         restored = restore_trace(cyclic_model, g)
-        times = [e.timestamp for e in restored.events]
-        assert times == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+        assert restored.time_column.tolist() == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
 
     def test_edge_gaps_take_the_nearest_known_timestamp(self, cyclic_model):
         trace = trace_of(*"ABABAB")
         restored = restore_trace(cyclic_model, gapped_of(trace, 0, 1, 4, 5))
-        first, last = (ev.timestamp for ev in trace.events[2:4])
-        assert [e.timestamp for e in restored.events] == [first] * 3 + [last] * 3
-        assert restored.events[2:4] == trace.events[2:4]
+        first, last = trace.time_column[2:4]
+        assert restored.time_column.tolist() == [first] * 3 + [last] * 3
+        assert restored.id_column[2:4] == trace.id_column[2:4]
+        assert restored.time_column[2:4] == trace.time_column[2:4]
 
     def test_restoration_deterministic(self, cyclic_model):
         trace = trace_of(*"ABABABAB")
@@ -178,11 +185,11 @@ class TestRestore:
 class TestStepByStepPrediction:
     def test_horizon_zero_empty(self, trained_cyclic_lstm):
         model, traces = trained_cyclic_lstm
-        assert predict_step_by_step(model, traces[0].ids()[:10], 0) == []
+        assert predict_step_by_step(model, traces[0].id_column[:10], 0) == []
 
     def test_cycle_continuation(self, trained_cyclic_lstm):
         model, traces = trained_cyclic_lstm
-        ids = traces[-1].ids()
+        ids = list(traces[-1].id_column)
         cycle = 7
         horizon = 5 * cycle
         seed = ids[: 2 * cycle]
@@ -191,7 +198,7 @@ class TestStepByStepPrediction:
 
     def test_lstm_step_reads_the_last_unroll_window(self, trained_cyclic_lstm):
         model, traces = trained_cyclic_lstm
-        ids = traces[0].ids()[:25]
+        ids = traces[0].id_column[:25]
         tail = ids[-model.config.unroll_steps :]
         output = forward_window(model, encode_ids(tail, model.dictionary))
         expected = decode_index(int(np.argmax(output)), model.dictionary)
@@ -224,8 +231,8 @@ class TestFillGaps:
         trace = trace_of(*"ABCAACBABCB")
         k = 4
         restored = restore_trace(family_model, gapped_of(trace, *range(len(trace) - k, len(trace))))
-        prefix = trace.ids()[:-k]
-        assert restored.ids() == prefix + predict_step_by_step(family_model, prefix, k)
+        prefix = list(trace.id_column[:-k])
+        assert list(restored.id_column) == prefix + predict_step_by_step(family_model, prefix, k)
 
 
 class ReadGuard:
@@ -287,7 +294,7 @@ def lstm_and_ids(request, random_lstm):
     if request.param == "cyclic lstm":
         model, traces = request.getfixturevalue("trained_cyclic_lstm")
         assert model.config.unroll_steps == UNROLL
-        return model, traces[-1].ids()
+        return model, traces[-1].id_column
     # D is outside the dictionary, so some windows hold OTHER.
     rng = random.Random(5)
     return random_lstm(UNROLL), [EventId(rng.choice("ABCD")) for _ in range(60)]
@@ -333,7 +340,7 @@ class TestLstmRestore:
         g = inject_loss(trace, LossSpec(fraction=0.15, seed=21))
         restored = restore_trace(model, g)
         assert len(restored) == len(trace)
-        assert [str(e.id) for e in restored.events] == [str(e.id) for e in trace.events]
+        assert restored.id_column == trace.id_column
 
 
 @st.composite
@@ -342,8 +349,8 @@ def gapped_traces(draw):
     marks = draw(st.lists(st.sampled_from(["A", "B", "C", None]), min_size=1, max_size=30))
     assume(any(marks))
     times = sorted(draw(st.lists(st.floats(0, 1e6), min_size=len(marks), max_size=len(marks))))
-    slots = tuple(None if m is None else Event(EventId(m), t) for m, t in zip(marks, times))
-    return GappedTrace(slots, label=draw(st.sampled_from(["", "t0"])))
+    survivors = [t for m, t in zip(marks, times) if m is not None]
+    return GappedTrace(marks, survivors, label=draw(st.sampled_from(["", "t0"])))
 
 
 def split_sentinels(text):
@@ -364,7 +371,7 @@ class TestGappedFiles:
         assert parse_gapped(text, "t0") == g
 
     @given(gapped_traces())
-    @example(GappedTrace((None, None, Event(EventId("A"), 0.5), None, None, None)))
+    @example(GappedTrace((None, None, "A", None, None, None), (0.5,)))
     def test_round_trip_of_any_slots(self, g):
         text = serialize_gapped(g)
         assert parse_gapped(text, g.label) == g
@@ -384,12 +391,18 @@ class TestGappedFiles:
     def test_sentinel_parsing(self):
         g = parse_gapped("0.1 B0\n? 3\n0.5 B2\n")
         assert g.gaps() == [(1, 3)]
-        assert [str(e.id) for e in g.known_trace().events] == ["B0", "B2"]
+        assert g.known_trace().id_column == ("B0", "B2")
 
     def test_adjacent_sentinels_are_one_gap(self):
         g = parse_gapped("? 1\n? 2\n0.5 A\n? 1\n? 1\n")
         assert g.gaps() == [(0, 3), (4, 2)]
         assert serialize_gapped(g) == f"{GAPPED_HEADER}\n? 3\n0.5 A\n? 2\n"
+
+    @pytest.mark.parametrize("count", [str(sys.maxsize + 1), "9" * 20, "9" * 5000])
+    def test_lost_count_past_the_longest_list_is_malformed_at_its_line(self, count):
+        with pytest.raises(MalformedLine, match="expected `\\? <missing_count>`") as exc:
+            parse_gapped(f"0.5 A\n? {count}\n")
+        assert exc.value.line_no == 2
 
     def test_every_event_lost_is_refused(self):
         with pytest.raises(DegenerateInput, match="at least one surviving event"):

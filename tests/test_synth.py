@@ -65,9 +65,9 @@ class TestPeriodic:
     def test_single_periodic_schedule(self):
         spec = GeneratorSpec(periodic=periodic(("P", 0.01, 0.0)), duration=0.05, seed=1)
         t = generate_trace(spec)
-        assert [e.id for e in t.events] == ["P"] * 5
-        assert t.events[0].timestamp == 0.0
-        assert t.events[-1].timestamp == pytest.approx(0.04)
+        assert t.id_column == ("P",) * 5
+        assert t.time_column[0] == 0.0
+        assert t.time_column[-1] == pytest.approx(0.04)
 
     def test_two_periodic_merge_pattern(self):
         # Hand-enumerated merge of two arithmetic progressions (0.01 and 0.02):
@@ -75,14 +75,14 @@ class TestPeriodic:
         spec = GeneratorSpec(
             periodic=periodic(("A", 0.01, 0.0), ("B", 0.02, 0.0)), duration=0.06, seed=1
         )
-        ids = [str(e.id) for e in generate_trace(spec).events]
+        ids = list(generate_trace(spec).id_column)
         assert ids == ["A", "B", "A", "A", "B", "A", "A", "B", "A"]
 
     def test_tie_break_by_declaration_order(self):
         spec = GeneratorSpec(
             periodic=periodic(("Z", 0.01, 0.0), ("A", 0.01, 0.0)), duration=0.03, seed=1
         )
-        ids = [str(e.id) for e in generate_trace(spec).events]
+        ids = list(generate_trace(spec).id_column)
         assert ids == ["Z", "A", "Z", "A", "Z", "A"]
 
     def test_determinism_under_seed(self):
@@ -118,7 +118,7 @@ class TestTriggered:
             duration=0.05,
             seed=2,
         )
-        ids = [str(e.id) for e in generate_trace(spec).events]
+        ids = list(generate_trace(spec).id_column)
         assert ids == ["A", "T"] * 5
 
     def test_chained_triggers(self):
@@ -131,7 +131,7 @@ class TestTriggered:
             duration=0.03,
             seed=2,
         )
-        ids = [str(e.id) for e in generate_trace(spec).events]
+        ids = list(generate_trace(spec).id_column)
         assert ids == ["A", "T1", "T2"] * 3
 
     def test_timestamps_non_decreasing(self):
@@ -142,7 +142,7 @@ class TestTriggered:
             duration=1.0,
             seed=5,
         )
-        times = [e.timestamp for e in generate_trace(spec).events]
+        times = generate_trace(spec).time_column
         assert all(a <= b for a, b in zip(times, times[1:]))
 
 
@@ -157,5 +157,5 @@ class TestRare:
             seed=4,
         )
         t = generate_trace(spec)
-        n_rare = sum(1 for e in t.events if e.id == "R")
+        n_rare = t.id_column.count("R")
         assert n_rare == round(2.0 * n_base / 1000.0)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tracekit import cli
-from tracekit.core import Dictionary, Event, EventId, Trace, build_dictionary
+from tracekit.core import Dictionary, EventId, Trace, build_dictionary
 from tracekit.errors import CorruptModel, VersionMismatch
 from tracekit.synth import (
     GeneratorSpec,
@@ -25,7 +25,7 @@ from tracekit.trem import (
 
 
 def timed_trace(*pairs, label=""):
-    return Trace(tuple(Event(EventId(i), t) for i, t in pairs), label=label)
+    return Trace([i for i, _ in pairs], [t for _, t in pairs], label)
 
 
 def evenly_timed(*ids, label=""):
@@ -152,7 +152,7 @@ class TestAlternatingOracle:
         # means every P is answered before the next P.
         trace = evenly_timed("P", "X", "S", "P", "S")
         for p, s in mined(trace, Template.ALTERNATING):
-            projected = [t for t in trace.ids() if t in (p, s)]
+            projected = [t for t in trace.id_column if t in (p, s)]
             pending = False
             for tok in projected:
                 if tok == p:
@@ -225,7 +225,7 @@ class TestMineTrace:
         d = build_dictionary([evenly_timed("A", "B")])
         same_time = mine_trace(timed_trace(("A", 1.0), ("B", 1.0), label="x"), d)
         assert same_time == MiningReport(())
-        assert mine_trace(Trace((), label="y"), d) == MiningReport(())
+        assert mine_trace(Trace((), (), label="y"), d) == MiningReport(())
 
     def test_instances_by_template_then_dictionary_index(self):
         trace = evenly_timed(*"PSQPSQ")
@@ -253,12 +253,12 @@ class TestMineTrace:
 
 def merge_string_miner(trace, dictionary):
     """The miner as it was before segment sets: one merged role string per pair."""
-    events = trace.events
-    if not events or events[0].timestamp == events[-1].timestamp:
+    times = trace.time_column
+    if not times or times[0] == times[-1]:
         return MiningReport(instances=())
     known = set(dictionary.ids)
     as_p = {}
-    for pos, eid in enumerate(trace.ids()):
+    for pos, eid in enumerate(trace.id_column):
         if eid in known:
             as_p.setdefault(eid, []).append(2 * pos)
     as_s = {eid: [mark + 1 for mark in marks] for eid, marks in as_p.items()}
@@ -285,7 +285,7 @@ def traces_and_dictionaries(draw):
     tokens = draw(st.lists(st.sampled_from(["A", "b", "B", "C", "D", "E", "OTHER"]), max_size=60))
     times = sorted(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
                                  min_size=len(tokens), max_size=len(tokens))))
-    trace = Trace(tuple(Event(EventId(i), t) for i, t in zip(tokens, times)))
+    trace = Trace(tokens, times)
     vocabulary = draw(st.permutations(["A", "B", "C", "D", "E", "F"]))
     size = draw(st.integers(1, len(vocabulary)))
     return trace, Dictionary(tuple(EventId(i) for i in vocabulary[:size]))
